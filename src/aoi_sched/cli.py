@@ -27,7 +27,7 @@ from .config import (
     GridPoint,
     SweepConfig,
     _policy_list,
-    expand_q,
+    _prob,
     grid_point_seed,
     grid_points,
     load_config,
@@ -41,7 +41,7 @@ from .dp import (
     evaluate_policy,
     solve_optimal,
 )
-from .model import ModelParams, format_state, norm_inf, set_fault_mode, success_probs
+from .model import format_state, norm_inf, set_fault_mode, success_probs
 from .policies import DeltaPolicy, make_policy
 from .simulate import compare_policies, run_experiment
 from .verify import run_suite
@@ -107,12 +107,9 @@ def resolve_config(args: argparse.Namespace) -> SweepConfig:
     if args.n_channels is not None:
         cfg.n_channels = args.n_channels
     if args.p is not None:
-        cfg.p = args.p
+        cfg.p = _flag(_prob, "--p", args.p)
     if args.q is not None:
-        try:
-            validate_q_spec(args.q)
-        except ValueError as exc:
-            raise ConfigError(f"--q {args.q!r}: {exc}") from None
+        _flag(validate_q_spec, "--q", args.q)
         cfg.q_spec = args.q
     if args.horizon is not None:
         cfg.horizon = args.horizon
@@ -123,7 +120,7 @@ def resolve_config(args: argparse.Namespace) -> SweepConfig:
     if args.state_cap is not None:
         cfg.state_cap = args.state_cap
     if args.p_grid is not None:
-        cfg.p_grid = tuple(args.p_grid)
+        cfg.p_grid = tuple(_flag(_prob, "--p-grid", v) for v in args.p_grid)
     if args.n_grid is not None:
         cfg.n_grid = tuple(args.n_grid)
     if args.d_grid is not None:
@@ -132,16 +129,10 @@ def resolve_config(args: argparse.Namespace) -> SweepConfig:
         cfg.t_grid = tuple(args.t_grid)
     if args.q_grid is not None:
         for spec in args.q_grid:
-            try:
-                validate_q_spec(spec)
-            except ValueError as exc:
-                raise ConfigError(f"--q-grid {spec!r}: {exc}") from None
+            _flag(validate_q_spec, "--q-grid", spec)
         cfg.q_grid = tuple(args.q_grid)
     if args.policies is not None:
-        try:
-            cfg.policies = _policy_list(args.policies)
-        except ValueError as exc:
-            raise ConfigError(f"--policies {args.policies!r}: {exc}") from None
+        cfg.policies = _flag(_policy_list, "--policies", args.policies)
     if args.rr_mode is not None:
         cfg.rr_mode = args.rr_mode
     if args.seed is not None:
@@ -153,6 +144,19 @@ def resolve_config(args: argparse.Namespace) -> SweepConfig:
     if args.out is not None:
         cfg.out = args.out
     return cfg
+
+
+def _flag(conv, flag: str, value):
+    """conv(value), with its ValueError reported as a ConfigError naming the flag."""
+    try:
+        return conv(value)
+    except ValueError as exc:
+        raise ConfigError(f"{flag} {value!r}: {exc}") from None
+
+
+def _check_replications(cfg: SweepConfig) -> None:
+    if cfg.replications < 2:
+        raise ConfigError(f"replications must be >= 2, got {cfg.replications}")
 
 
 def _thread_count() -> int:
@@ -261,6 +265,7 @@ def _write_text(path: str | None, text: str) -> None:
 def cmd_simulate(cfg: SweepConfig) -> None:
     if not cfg.policies:
         raise ConfigError("no policies configured")
+    _check_replications(cfg)
     points = grid_points(cfg)
     results = _map_jobs(_run_point, _jobs_for_points(cfg, points))
     rows = [row for point_rows in results for row in point_rows]
@@ -277,13 +282,9 @@ def cmd_simulate(cfg: SweepConfig) -> None:
 def cmd_solve(cfg: SweepConfig, dump_path: str | None = None) -> None:
     if not cfg.policies:
         raise ConfigError("no policies configured")
-    params = ModelParams(
-        cfg.n_sources,
-        cfg.n_channels,
-        cfg.base_p,
-        expand_q(cfg.q_spec, cfg.n_sources),
-        cfg.horizon,
-    )
+    params = GridPoint(
+        cfg.n_sources, cfg.n_channels, cfg.base_p, cfg.horizon, cfg.q_spec
+    ).params()
     x0 = resolve_initial_state(cfg.initial_state, params.n_sources)
     opt = solve_optimal(params, x0, cap=cfg.state_cap)
     v_star = opt.root_value()
@@ -291,9 +292,11 @@ def cmd_solve(cfg: SweepConfig, dump_path: str | None = None) -> None:
     for name in cfg.policies:
         pol = make_policy(name, params, table=opt, rr_mode=cfg.rr_mode)
         policy_values[name] = evaluate_policy(pol, params, x0, cap=cfg.state_cap).root_value()
-    v_delta = evaluate_policy(
-        DeltaPolicy(params.n_channels), params, x0, cap=cfg.state_cap
-    ).root_value()
+    v_delta = policy_values.get("delta")
+    if v_delta is None:
+        v_delta = evaluate_policy(
+            DeltaPolicy(params.n_channels), params, x0, cap=cfg.state_cap
+        ).root_value()
     diff = v_delta - v_star
     pd = success_probs(params, 0).batch
     p_pd = params.p * pd
@@ -337,6 +340,7 @@ def cmd_sweep(cfg: SweepConfig) -> None:
         raise ConfigError("sweep emits figure-ready CSV only; drop --format json")
     if cfg.out is None or cfg.out == "-":
         raise ConfigError("sweep derives one file per axis; give a real --out path")
+    _check_replications(cfg)
     axes: list[tuple[str, list]] = []
     if cfg.p_grid:
         axes.append(("p", list(cfg.p_grid)))
@@ -408,6 +412,11 @@ def _point_on_axis(base: GridPoint, axis: str, value) -> GridPoint:
 
 
 def cmd_verify(cfg: SweepConfig, inject_fault: str | None) -> int:
+    if cfg.base_seed < -1:
+        raise ConfigError(
+            f"seed {cfg.base_seed}: verify draws from seeds seed+1..seed+3, "
+            "which must be >= 0"
+        )
     if cfg.p_grid:
         scaling_grid = tuple(cfg.p_grid)
     elif cfg.p is not None:
@@ -447,7 +456,7 @@ def main(argv=None) -> int:
         elif args.command == "verify":
             return cmd_verify(cfg, args.inject_fault)
         return 0
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -257,13 +257,11 @@ class GridPoint:
     q_spec: str
 
     def params(self) -> ModelParams:
-        return ModelParams(
-            self.n_sources,
-            self.n_channels,
-            self.p,
-            expand_q(self.q_spec, self.n_sources),
-            self.horizon,
-        )
+        q = expand_q(self.q_spec, self.n_sources)
+        try:
+            return ModelParams(self.n_sources, self.n_channels, self.p, q, self.horizon)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def grid_points(cfg: SweepConfig) -> list[GridPoint]:

@@ -12,12 +12,18 @@ Three online heuristics plus a table-backed optimal policy:
 
 Every decision schedules min(N_x, d) sources (strict round-robin may schedule
 fewer), sorted ascending, with index order breaking score ties.
+
+The index rules also decide for a block of episodes at once: decide_batch
+takes g, h as integer arrays of shape [B, N] and returns the scheduled mask
+of the same shape, choosing in every row what decide chooses for that state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .model import EMPTY, Action, ModelParams, SystemState, sources_with_packets
 
@@ -92,6 +98,37 @@ def rr_decide(
     return PolicyDecision(Action(tuple(sorted(picked))), None), new_cursor
 
 
+_NO_PACKET_KEY = np.iinfo(np.int64).max
+
+
+def smallest_holders(keys: np.ndarray, holders: np.ndarray, d: int) -> np.ndarray:
+    """Row-wise mask of the min(N_x, d) packet holders with the smallest keys.
+
+    Keys must be distinct among each row's holders; a key of score*N + index
+    gives the (score, index) order of the scalar rules.  With fewer than d
+    holders the d-th smallest key is the no-packet key, so every holder is in.
+    """
+    if d >= keys.shape[1]:
+        return holders
+    keys = np.where(holders, keys, _NO_PACKET_KEY)
+    kth = np.partition(keys, d - 1, axis=1)[:, d - 1 : d]
+    return (keys <= kth) & holders
+
+
+def rr_decide_batch(
+    cursor: np.ndarray, g: np.ndarray, d: int, strict: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """rr_decide for every row: the holders nearest the cursor in cyclic order."""
+    n = g.shape[1]
+    holders = g != EMPTY
+    dist = (np.arange(n) - cursor[:, None]) % n
+    if strict:
+        return holders & (dist < min(d, n)), (cursor + d) % n
+    mask = smallest_holders(dist, holders, d)
+    last = np.where(mask, dist, -1).max(axis=1)
+    return mask, np.where(last >= 0, (cursor + last + 1) % n, cursor)
+
+
 def dp_policy_decide(table, t: int, x: SystemState) -> PolicyDecision:
     """Replay the stored minimizing action from a solved value table."""
     if t >= table.horizon:
@@ -105,7 +142,11 @@ def dp_policy_decide(table, t: int, x: SystemState) -> PolicyDecision:
 
 class Policy:
     """Deterministic decision rule; subclasses may thread a memory value
-    (round-robin's cursor) through decide() so episodes stay replayable."""
+    (round-robin's cursor) through decide() so episodes stay replayable.
+
+    The index rules also define decide_batch(g, h, memory) -> (mask, memory)
+    on [B, N] arrays, where a memory of None starts every row as
+    initial_memory() does; the simulator batches episodes for them."""
 
     name = "policy"
 
@@ -124,6 +165,10 @@ class DeltaPolicy(Policy):
     def decide(self, t, x, memory=None):
         return delta_decide(x, self.d), memory
 
+    def decide_batch(self, g, h, memory=None):
+        n = g.shape[1]
+        return smallest_holders((g - h) * n + np.arange(n), g != EMPTY, self.d), memory
+
 
 @dataclass(frozen=True)
 class PIPolicy(Policy):
@@ -132,6 +177,10 @@ class PIPolicy(Policy):
 
     def decide(self, t, x, memory=None):
         return pi_decide(x, self.d), memory
+
+    def decide_batch(self, g, h, memory=None):
+        n = g.shape[1]
+        return smallest_holders(np.arange(n) - h * n, g != EMPTY, self.d), memory
 
 
 @dataclass(frozen=True)
@@ -150,6 +199,10 @@ class RRPolicy(Policy):
     def decide(self, t, x, memory=None):
         cursor = 0 if memory is None else memory
         return rr_decide(cursor, x, self.d, strict=self.strict)
+
+    def decide_batch(self, g, h, memory=None):
+        cursor = np.zeros(len(g), dtype=np.int64) if memory is None else memory
+        return rr_decide_batch(cursor, g, self.d, strict=self.strict)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,18 @@ Cost accounting mirrors the exact solver: the destination-age sum is accrued
 at every stage 1..T and decisions happen at stages 1..T-1, so simulated means
 converge to the solver's policy values.  Episode i of a run is seeded with
 base_seed + i from a PCG64 stream, and compared policies share those episode
-seeds (common random numbers), which tightens improvement estimates.
+seeds (common random numbers), so a policy compared with itself shows exactly
+zero improvement.  Each summary's stderr is that policy's own standard error;
+no paired standard error of a difference is reported, since a paired column
+would change the bytes of every simulate CSV.
+
+Two engines produce the same episodes.  run_episode is the scalar reference:
+one slot at a time through policy.decide and sample_step, optionally
+recording the trajectory; it serves the table-replay optimal policy.  For
+policies with decide_batch, run_experiment advances up to BLOCK_EPISODES
+episodes in lock step on [B, N] age arrays (batch_totals).  Every episode
+keeps its own PCG64 generator and consumes exactly the uniforms sample_step
+would, so per-episode total costs are equal to run_episode's bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, SystemState, sample_step
+from .model import EMPTY, ModelParams, SystemState, sample_step
+
+# Episodes advanced together, and slots of uniforms held per episode between
+# refills; together they cap the uniform buffer at
+# BLOCK_EPISODES * CHUNK_SLOTS * (N + min(d, N)) doubles whatever R and T are.
+BLOCK_EPISODES = 256
+CHUNK_SLOTS = 32
 
 
 @dataclass(frozen=True)
@@ -71,6 +88,71 @@ def run_episode(
     return EpisodeResult(total, aaoi, seed, tuple(traj) if traj is not None else None)
 
 
+def batch_totals(
+    policy,
+    params: ModelParams,
+    x0: SystemState,
+    replications: int,
+    base_seed: int,
+) -> np.ndarray:
+    """Total cost of episodes base_seed, base_seed+1, ... for a policy with
+    decide_batch; entry i equals run_episode(..., (base_seed + i) % 2**64).total_cost."""
+    totals = np.empty(replications, dtype=np.int64)
+    for start in range(0, replications, BLOCK_EPISODES):
+        seeds = [(base_seed + i) % 2**64
+                 for i in range(start, min(start + BLOCK_EPISODES, replications))]
+        totals[start:start + len(seeds)] = _block_totals(policy, params, x0, seeds)
+    return totals
+
+
+def _block_totals(policy, params: ModelParams, x0: SystemState, seeds) -> np.ndarray:
+    """Run one episode per seed in lock step and return their total costs.
+
+    Each slot, episode b takes its success uniforms for the scheduled sources
+    (ascending index) and then N arrival uniforms from its own buffer row at
+    pos[b], as sample_step draws them.  A row holds CHUNK_SLOTS slots' worth
+    of uniforms; after that many slots the unread tail moves to the front and
+    exactly the consumed count is drawn behind it, continuing the stream.
+    """
+    n, T = params.n_sources, params.horizon
+    b = len(seeds)
+    g = np.tile(np.array(x0.g, dtype=np.int64), (b, 1))
+    h = np.tile(np.array(x0.h, dtype=np.int64), (b, 1))
+    ages = h.copy()  # destination ages summed over the stages so far
+    if T == 1:
+        return ages.sum(axis=1)
+    p, q = params.p, np.array(params.q)
+    chunk = min(CHUNK_SLOTS, T - 1)
+    width = chunk * (n + min(params.n_channels, n))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    buf = np.empty((b, width))
+    for row, rng in zip(buf, rngs):
+        rng.random(out=row)
+    flat = buf.ravel()
+    row_start = np.arange(b) * width
+    pos = row_start.copy()  # flat index of each row's next unread uniform
+    sources = np.arange(n)
+    mem = None
+    for t in range(1, T):
+        if t > 1 and (t - 1) % chunk == 0:
+            for row, rng, used in zip(buf, rngs, (pos - row_start).tolist()):
+                row[: width - used] = row[used:]
+                rng.random(out=row[width - used :])
+            pos[:] = row_start
+        sched, mem = policy.decide_batch(g, h, mem)
+        # upto counts the scheduled sources up to each index, so a scheduled
+        # source reads pos + its rank; unscheduled ones read a discarded value
+        upto = np.cumsum(sched, axis=1)
+        k = upto[:, -1]
+        success = sched & (flat[(pos - 1)[:, None] + upto] < p)
+        arrival = flat[(pos + k)[:, None] + sources] < q
+        pos += k + n
+        h = np.where(success, g, h) + 1
+        g = np.where(arrival, 0, np.where(success, EMPTY, g + (g != EMPTY)))
+        ages += h
+    return ages.sum(axis=1)
+
+
 def run_experiment(
     policy,
     params: ModelParams,
@@ -81,9 +163,12 @@ def run_experiment(
     """Replicated episodes with seeds base_seed, base_seed+1, ..."""
     if replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")
-    totals = np.empty(replications)
-    for i in range(replications):
-        totals[i] = run_episode(policy, params, x0, (base_seed + i) % 2**64).total_cost
+    if hasattr(policy, "decide_batch"):
+        totals = batch_totals(policy, params, x0, replications, base_seed).astype(float)
+    else:
+        totals = np.empty(replications)
+        for i in range(replications):
+            totals[i] = run_episode(policy, params, x0, (base_seed + i) % 2**64).total_cost
     mean = float(totals.mean())
     stderr = float(totals.std(ddof=1) / math.sqrt(replications))
     mean_sum_aaoi = mean / params.horizon

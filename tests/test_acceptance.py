@@ -8,6 +8,7 @@ thresholds live next to the assertions they justify.
 import csv
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,9 @@ from aoi_sched.verify import (
 from .conftest import run_cli
 
 CRIT2_PS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+# Data files of the criterion 5 and 7 runs, frozen from the scalar simulator.
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def crit2_params(p: float) -> ModelParams:
@@ -386,16 +390,27 @@ def test_criterion_7c_multichannel_improvement_over_age_greedy(
     )
 
 
-def test_criterion_8_reruns_are_byte_identical(
-    acceptance_dir, crit5_run, crit7a_run, crit7b_run, crit7c_run
-):
-    runs = {
+@pytest.fixture(scope="session")
+def acceptance_runs(crit5_run, crit7a_run, crit7b_run, crit7c_run):
+    return {
         "mc_dp": crit5_run,
         "trend_p": crit7a_run,
         "trend_n": crit7b_run,
         "trend_d3": crit7c_run,
     }
-    for label, run in runs.items():
+
+
+def test_criterion_8_data_files_match_frozen_golden(acceptance_runs):
+    """A change that shifts the random stream alters both a run and its rerun;
+    comparing with files frozen from an earlier build catches it."""
+    for label, run in acceptance_runs.items():
+        golden = (GOLDEN_DIR / f"{label}.csv").read_bytes()
+        assert run.data == golden, f"{label}: data file differs from tests/golden/"
+    print(f"criterion 8: PASS {len(acceptance_runs)} data files equal their golden bytes")
+
+
+def test_criterion_8_reruns_are_byte_identical(acceptance_dir, acceptance_runs):
+    for label, run in acceptance_runs.items():
         again = run.rerun(acceptance_dir / f"{label}_again.csv")
         assert again == run.data, f"{label}: repeated run differs byte-for-byte"
-    print(f"criterion 8: PASS {len(runs)} repeated data files byte-identical")
+    print(f"criterion 8: PASS {len(acceptance_runs)} repeated data files byte-identical")

@@ -4,6 +4,10 @@ import csv
 import json
 import os
 
+import pytest
+
+from aoi_sched import cli, simulate
+
 from .conftest import run_cli
 
 
@@ -138,6 +142,26 @@ def test_exit_codes():
         "--state-cap", "1000",
     ])
     assert res.returncode == 3
+
+
+def test_single_replication_is_config_error():
+    res = run_cli(["simulate", "--n-sources", "2", "--horizon", "5", "--replications", "1"])
+    assert res.returncode == 1
+    assert res.stderr.startswith("config error:") and "replications" in res.stderr
+
+
+def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys, tmp_path):
+    # an engine fault (numpy raises ValueError on shape bugs) must surface as a bug
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(simulate, "batch_totals", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        cli.main([
+            "simulate", "--n-sources", "2", "--horizon", "5", "--replications", "2",
+            "--policies", "delta", "--out", str(tmp_path / "o.csv"),
+        ])
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_byte_determinism_and_timestamp(tmp_path):

@@ -1,15 +1,56 @@
 """Monte Carlo engine: seeding, accounting, summaries, paired comparison."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aoi_sched.model import ModelParams, fresh_state, new_state
+from aoi_sched.model import EMPTY, ModelParams, fresh_state, new_state
 from aoi_sched.policies import make_policy
 from aoi_sched.simulate import (
+    CHUNK_SLOTS,
+    batch_totals,
     compare_policies,
     improvement_pct,
     run_episode,
     run_experiment,
 )
+
+from .test_model import states
+
+PROBS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def batch_cases(draw):
+    x0 = draw(states(max_n=8))
+    if draw(st.booleans()):
+        x0 = new_state((EMPTY,) * len(x0.g), x0.h)
+    n = len(x0.g)
+    params = ModelParams(
+        n,
+        draw(st.integers(1, n + 1)),
+        draw(PROBS),
+        tuple(draw(PROBS) for _ in range(n)),
+        # T=1 draws nothing; the long horizons cross several buffer refills
+        draw(st.one_of(
+            st.sampled_from([1, 2, CHUNK_SLOTS + 2, 3 * CHUNK_SLOTS + 2]),
+            st.integers(1, 3 * CHUNK_SLOTS + 5),
+        )),
+    )
+    return params, x0, draw(st.integers(1, 4)), draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60)
+@given(batch_cases())
+def test_batched_engine_matches_scalar_episodes(case):
+    params, x0, replications, base_seed = case
+    for name in ("delta", "pi", "rr", "rr-strict"):
+        pol = make_policy(name, params)
+        expect = [
+            run_episode(pol, params, x0, (base_seed + i) % 2**64).total_cost
+            for i in range(replications)
+        ]
+        got = batch_totals(pol, params, x0, replications, base_seed).tolist()
+        assert got == expect, name
 
 
 def test_horizon_one_is_the_initial_cost():
