@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from .config import (
@@ -36,15 +37,24 @@ from .config import (
 )
 from .dp import (
     StateSpaceTooLarge,
-    bound_constants,
     dump_table,
     evaluate_policy,
+    gap_report,
     solve_optimal,
 )
-from .model import format_state, norm_inf, set_fault_mode, success_probs
+from .model import format_state, set_fault_mode
 from .policies import DeltaPolicy, make_policy
 from .simulate import compare_policies, run_experiment
 from .verify import run_suite
+
+# sweep axis (its CSV column) -> (SweepConfig grid, GridPoint field), in file order
+SWEEP_AXES = {
+    "p": ("p_grid", "p"),
+    "N": ("n_grid", "n_sources"),
+    "d": ("d_grid", "n_channels"),
+    "T": ("t_grid", "horizon"),
+    "q_spec": ("q_grid", "q_spec"),
+}
 
 SIM_COLUMNS = (
     "N", "d", "p", "T", "q_spec", "policy", "replications",
@@ -217,6 +227,9 @@ def _run_point(job: tuple) -> list[dict]:
 
 
 def _jobs_for_points(cfg: SweepConfig, points: list[GridPoint]) -> list[tuple]:
+    """One job per point; every point is validated before the caller runs any."""
+    for pt in points:
+        resolve_initial_state(cfg.initial_state, pt.params().n_sources)
     return [
         (
             pt,
@@ -287,7 +300,6 @@ def cmd_solve(cfg: SweepConfig, dump_path: str | None = None) -> None:
     ).params()
     x0 = resolve_initial_state(cfg.initial_state, params.n_sources)
     opt = solve_optimal(params, x0, cap=cfg.state_cap)
-    v_star = opt.root_value()
     policy_values = {}
     for name in cfg.policies:
         pol = make_policy(name, params, table=opt, rr_mode=cfg.rr_mode)
@@ -297,16 +309,7 @@ def cmd_solve(cfg: SweepConfig, dump_path: str | None = None) -> None:
         v_delta = evaluate_policy(
             DeltaPolicy(params.n_channels), params, x0, cap=cfg.state_cap
         ).root_value()
-    diff = v_delta - v_star
-    pd = success_probs(params, 0).batch
-    p_pd = params.p * pd
-    z = diff / p_pd if params.p > 0.0 else None
-    if params.horizon >= 3:
-        bc = bound_constants(params.horizon - 1, params.p, params.n_channels)
-        bound = p_pd * (bc.d1 * norm_inf(x0) + bc.d2)
-        constants = {"k": bc.k, "c1": bc.c1, "c2": bc.c2, "d1": bc.d1, "d2": bc.d2}
-    else:
-        bound, constants = 0.0, None
+    gap = gap_report(params, x0, opt.root_value(), v_delta)
     report: dict = {}
     if cfg.timestamp:
         report["generated"] = _now_iso()
@@ -317,15 +320,15 @@ def cmd_solve(cfg: SweepConfig, dump_path: str | None = None) -> None:
         "T": params.horizon,
         "q": list(params.q),
         "x0": format_state(x0),
-        "v_star": v_star,
-        "v_delta": v_delta,
+        "v_star": gap.v_star,
+        "v_delta": gap.v_delta,
         "policy_values": policy_values,
-        "diff": diff,
-        "p_pd": p_pd,
-        "z": z,
-        "bound": bound,
-        "bound_holds": bool(diff <= bound + 1e-9),
-        "bound_constants": constants,
+        "diff": gap.diff,
+        "p_pd": gap.p_pd,
+        "z": gap.z,
+        "bound": gap.bound,
+        "bound_holds": bool(gap.diff <= gap.bound + 1e-9),
+        "bound_constants": gap.constants._asdict() if gap.constants else None,
         "states_total": sum(len(stage) for stage in opt.stages),
     })
     if dump_path:
@@ -341,24 +344,21 @@ def cmd_sweep(cfg: SweepConfig) -> None:
     if cfg.out is None or cfg.out == "-":
         raise ConfigError("sweep derives one file per axis; give a real --out path")
     _check_replications(cfg)
-    axes: list[tuple[str, list]] = []
-    if cfg.p_grid:
-        axes.append(("p", list(cfg.p_grid)))
-    if cfg.n_grid:
-        axes.append(("N", list(cfg.n_grid)))
-    if cfg.d_grid:
-        axes.append(("d", list(cfg.d_grid)))
-    if cfg.t_grid:
-        axes.append(("T", list(cfg.t_grid)))
-    if cfg.q_grid:
-        axes.append(("q_spec", list(cfg.q_grid)))
+    axes = [
+        (axis, field, getattr(cfg, grid))
+        for axis, (grid, field) in SWEEP_AXES.items()
+        if getattr(cfg, grid)
+    ]
     if not axes:
         raise ConfigError("sweep needs at least one grid ([sweep] section or --*-grid)")
     base = GridPoint(cfg.n_sources, cfg.n_channels, cfg.base_p, cfg.horizon, cfg.q_spec)
     root, ext = os.path.splitext(cfg.out)
-    for axis, values in axes:
-        points = [_point_on_axis(base, axis, v) for v in values]
-        results = _map_jobs(_run_point, _jobs_for_points(cfg, points))
+    axis_jobs = [
+        _jobs_for_points(cfg, [replace(base, **{field: v}) for v in values])
+        for _axis, field, values in axes
+    ]
+    for (axis, _field, values), jobs in zip(axes, axis_jobs):
+        results = _map_jobs(_run_point, jobs)
         first = cfg.policies[0]
         columns = [axis]
         for name in cfg.policies:
@@ -395,20 +395,6 @@ def cmd_sweep(cfg: SweepConfig) -> None:
         )
         _write_text(f"{root}_{axis_label}{ext or '.csv'}",
                     _render_csv(cfg, columns, rows, header_comment=fixed))
-
-
-def _point_on_axis(base: GridPoint, axis: str, value) -> GridPoint:
-    if axis == "p":
-        return GridPoint(base.n_sources, base.n_channels, value, base.horizon, base.q_spec)
-    if axis == "N":
-        return GridPoint(value, base.n_channels, base.p, base.horizon, base.q_spec)
-    if axis == "d":
-        return GridPoint(base.n_sources, value, base.p, base.horizon, base.q_spec)
-    if axis == "T":
-        return GridPoint(base.n_sources, base.n_channels, base.p, value, base.q_spec)
-    if axis == "q_spec":
-        return GridPoint(base.n_sources, base.n_channels, base.p, base.horizon, value)
-    raise ValueError(f"unknown axis {axis}")
 
 
 def cmd_verify(cfg: SweepConfig, inject_fault: str | None) -> int:

@@ -36,12 +36,12 @@ import configparser
 import hashlib
 from dataclasses import dataclass
 
+from .dp import DEFAULT_STATE_CAP
 from .model import InvalidState, ModelParams, SystemState, fresh_state, parse_state
 from .policies import POLICY_NAMES
 
 RR_MODES = ("work-conserving", "strict")
 FORMATS = ("csv", "json")
-DEFAULT_STATE_CAP = 5_000_000
 
 
 class ConfigError(ValueError):

@@ -1,6 +1,7 @@
-"""Exact finite-horizon machinery: backward induction over reachable states,
-fixed-policy value tables, the optimality-gap report for the best-margin
-policy, and the recursively defined constants that bound that gap.
+"""Exact finite-horizon machinery: one forward pass over reachable states and
+one backward induction, shared by the optimal solve and fixed-policy
+evaluation; the optimality-gap report for the best-margin policy; and the
+recursively defined constants that bound that gap.
 
 Stages run 1..T.  Cost is accrued every stage; decisions happen at stages
 1..T-1; the terminal value is the bare stage cost.  Only states forward
@@ -11,7 +12,7 @@ grid finite (ages grow by at most one per slot).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import NamedTuple
 
@@ -91,10 +92,82 @@ class GapReport:
     p: float
     diff: float
     p_pd: float
-    z: float      # diff / (p * p_d)
+    z: float | None  # diff / (p * p_d); None at p = 0
     bound: float
     v_star: float
     v_delta: float
+    constants: BoundConstants | None  # None when T <= 2
+
+
+def _forward(params: ModelParams, key0, augmented: bool, choose, cap: int) -> list[dict]:
+    """Stage layers reachable from key0.  Layer t maps each key to its
+    candidates (action, next memory, successor pairs), where choose(t, x, mem)
+    yields the (action, next memory) pairs to expand; last-stage keys map to ().
+
+    A key is a state, or a (state, memory) pair when augmented.  Each
+    (state, action) is enumerated once, whichever stage or memory it recurs at,
+    and the cap counts distinct keys as they are added.
+    """
+    trans: dict[tuple[SystemState, Action], list] = {}
+    layers: list[dict] = [{key0: ()}]
+    total = 1
+    for t in range(1, params.horizon):
+        cur, nxt = layers[-1], {}
+        for key in cur:
+            x, mem = key if augmented else (key, None)
+            cands = []
+            for a, mem2 in choose(t, x, mem):
+                pairs = trans.get((x, a))
+                if pairs is None:
+                    pairs = trans[(x, a)] = enumerate_transitions(x, a, params)
+                for x2, _pr in pairs:
+                    key2 = (x2, mem2) if augmented else x2
+                    if key2 not in nxt:
+                        total += 1
+                        if total > cap:
+                            raise StateSpaceTooLarge(
+                                f"reachable set exceeds cap: {total} > {cap}"
+                            )
+                        nxt[key2] = ()
+                cands.append((a, mem2, pairs))
+            cur[key] = cands
+        layers.append(nxt)
+    return layers
+
+
+def _backward(layers: list[dict], augmented: bool) -> tuple[dict, ...]:
+    """V_T(x) = cost(x); V_t(x) = min over candidates of
+    cost(x) + sum_x' P(x'|x,a) V_{t+1}(x').
+
+    Expectations use math.fsum so candidate values that are equal in exact
+    arithmetic round identically; ties then resolve to the first candidate.
+    """
+    T = len(layers)
+    stages: list[dict] = [{} for _ in range(T)]
+    stages[T - 1] = {
+        key: (float(cost(key[0] if augmented else key)), None) for key in layers[T - 1]
+    }
+    for t in range(T - 1, 0, -1):
+        nxt = stages[t]
+        cur = {}
+        for key, cands in layers[t - 1].items():
+            base = float(cost(key[0] if augmented else key))
+            best = best_a = None
+            for a, mem2, pairs in cands:
+                q = base + math.fsum(
+                    pr * nxt[(x2, mem2) if augmented else x2][0] for x2, pr in pairs
+                )
+                if best is None or q < best:
+                    best, best_a = q, a
+            cur[key] = (best, best_a)
+        stages[t - 1] = cur
+    return tuple(stages)
+
+
+def _all_actions(params: ModelParams):
+    """The optimal solve's chooser: every action, in enumerate_actions order."""
+    d = params.n_channels
+    return lambda t, x, mem: [(a, None) for a in enumerate_actions(x, d)]
 
 
 def reachable_states(
@@ -104,54 +177,18 @@ def reachable_states(
     cap: int = DEFAULT_STATE_CAP,
 ) -> list[set[SystemState]]:
     """Per-stage sets of states reachable from x0 under any action sequence."""
-    T = params.horizon if horizon is None else horizon
-    layers: list[set[SystemState]] = [{x0}]
-    total = 1
-    for _ in range(1, T):
-        nxt: set[SystemState] = set()
-        for x in layers[-1]:
-            for a in enumerate_actions(x, params.n_channels):
-                for x2, _pr in enumerate_transitions(x, a, params):
-                    nxt.add(x2)
-        total += len(nxt)
-        if total > cap:
-            raise StateSpaceTooLarge(f"reachable set exceeds cap: {total} > {cap}")
-        layers.append(nxt)
-    return layers
+    if horizon is not None:
+        params = replace(params, horizon=horizon)
+    return [set(layer) for layer in _forward(params, x0, False, _all_actions(params), cap)]
 
 
 def solve_optimal(
     params: ModelParams, x0: SystemState, cap: int = DEFAULT_STATE_CAP
 ) -> DPTable:
-    """Backward induction for the optimal values.
-
-    V_T(x) = cost(x); V_t(x) = min_a [cost(x) + sum_x' P(x'|x,a) V_{t+1}(x')].
-    Expectations use math.fsum so action values that are equal in exact
-    arithmetic round identically; ties then resolve to the lexicographically
-    smallest action because candidates are tried in that order.
-    """
-    layers = reachable_states(params, x0, cap=cap)
-    T = params.horizon
-    stages: list[dict] = [{} for _ in range(T)]
-    stages[T - 1] = {x: (float(cost(x)), None) for x in layers[T - 1]}
-    trans_cache: dict[tuple[SystemState, Action], list] = {}
-    for t in range(T - 1, 0, -1):
-        nxt = stages[t]
-        cur = {}
-        for x in layers[t - 1]:
-            base = float(cost(x))
-            best = None
-            best_a = None
-            for a in enumerate_actions(x, params.n_channels):
-                pairs = trans_cache.get((x, a))
-                if pairs is None:
-                    pairs = trans_cache[(x, a)] = enumerate_transitions(x, a, params)
-                q = base + math.fsum(pr * nxt[x2][0] for x2, pr in pairs)
-                if best is None or q < best:
-                    best, best_a = q, a
-            cur[x] = (best, best_a)
-        stages[t - 1] = cur
-    return DPTable(T, None, False, tuple(stages), x0)
+    """Backward induction for the optimal values over every action, tried in
+    enumerate_actions order, so ties resolve to the lexicographically smallest."""
+    layers = _forward(params, x0, False, _all_actions(params), cap)
+    return DPTable(params.horizon, None, False, _backward(layers, False), x0)
 
 
 def evaluate_policy(
@@ -164,53 +201,16 @@ def evaluate_policy(
     (state, memory); memoryless policies key by bare states so their tables
     compare directly against the optimal one.
     """
-    T = params.horizon
     mem0 = policy.initial_memory()
     augmented = mem0 is not None
     key0 = (x0, mem0) if augmented else x0
-    layers: list[set] = [{key0}]
-    decisions: list[dict] = []
-    trans_cache: dict[tuple[SystemState, Action], list] = {}
 
-    def transitions(x: SystemState, a: Action):
-        pairs = trans_cache.get((x, a))
-        if pairs is None:
-            pairs = trans_cache[(x, a)] = enumerate_transitions(x, a, params)
-        return pairs
+    def choose(t, x, mem):
+        decision, mem2 = policy.decide(t, x, mem)
+        return ((decision.action, mem2),)
 
-    total = 1
-    for t in range(1, T):
-        dec: dict = {}
-        nxt: set = set()
-        for key in layers[-1]:
-            x, mem = key if augmented else (key, None)
-            decision, mem2 = policy.decide(t, x, mem)
-            dec[key] = (decision.action, mem2)
-            for x2, _pr in transitions(x, decision.action):
-                nxt.add((x2, mem2) if augmented else x2)
-        decisions.append(dec)
-        total += len(nxt)
-        if total > cap:
-            raise StateSpaceTooLarge(f"reachable set exceeds cap: {total} > {cap}")
-        layers.append(nxt)
-
-    stages: list[dict] = [{} for _ in range(T)]
-    stages[T - 1] = {
-        key: (float(cost(key[0] if augmented else key)), None) for key in layers[T - 1]
-    }
-    for t in range(T - 1, 0, -1):
-        nxt = stages[t]
-        cur = {}
-        for key in layers[t - 1]:
-            x = key[0] if augmented else key
-            action, mem2 = decisions[t - 1][key]
-            ev = math.fsum(
-                pr * nxt[(x2, mem2) if augmented else x2][0]
-                for x2, pr in transitions(x, action)
-            )
-            cur[key] = (float(cost(x)) + ev, action)
-        stages[t - 1] = cur
-    return DPTable(T, policy.name, augmented, tuple(stages), key0)
+    layers = _forward(params, key0, augmented, choose, cap)
+    return DPTable(params.horizon, policy.name, augmented, _backward(layers, augmented), key0)
 
 
 def bound_constants(k: int, p: float, d: int) -> BoundConstants:
@@ -234,6 +234,22 @@ def bound_constants(k: int, p: float, d: int) -> BoundConstants:
     return BoundConstants(k, c1, c2, d1, d2)
 
 
+def gap_report(
+    params: ModelParams, x0: SystemState, v_star: float, v_delta: float
+) -> GapReport:
+    """The gap v_delta - v_star with its normalized form and analytic bound.
+    With T <= 2 the gap is identically zero and no recursion depth exists, so
+    the bound is 0 and there are no constants."""
+    diff = v_delta - v_star
+    p_pd = params.p * success_probs(params, 0).batch
+    z = diff / p_pd if params.p > 0.0 else None
+    bound, constants = 0.0, None
+    if params.horizon >= 3:
+        constants = bound_constants(params.horizon - 1, params.p, params.n_channels)
+        bound = p_pd * (constants.d1 * norm_inf(x0) + constants.d2)
+    return GapReport(params.p, diff, p_pd, z, bound, v_star, v_delta, constants)
+
+
 def optimality_gap(
     params: ModelParams, x0: SystemState, cap: int = DEFAULT_STATE_CAP
 ) -> GapReport:
@@ -241,22 +257,9 @@ def optimality_gap(
     root-stage difference with its normalized form and analytic bound."""
     if params.p == 0.0:
         raise DegenerateP("p = 0: all policies coincide and the normalized gap is undefined")
-    opt = solve_optimal(params, x0, cap=cap)
-    delta = evaluate_policy(DeltaPolicy(params.n_channels), params, x0, cap=cap)
-    v_star = opt.root_value()
-    v_delta = delta.root_value()
-    diff = v_delta - v_star
-    pd = success_probs(params, 0).batch
-    p_pd = params.p * pd
-    z = diff / p_pd
-    T = params.horizon
-    if T <= 2:
-        # gap is identically zero at the last two stages; no recursion depth exists
-        bound = 0.0
-    else:
-        bc = bound_constants(T - 1, params.p, params.n_channels)
-        bound = p_pd * (bc.d1 * norm_inf(x0) + bc.d2)
-    return GapReport(params.p, diff, p_pd, z, bound, v_star, v_delta)
+    v_star = solve_optimal(params, x0, cap=cap).root_value()
+    v_delta = evaluate_policy(DeltaPolicy(params.n_channels), params, x0, cap=cap).root_value()
+    return gap_report(params, x0, v_star, v_delta)
 
 
 def expected_age_sum_check(

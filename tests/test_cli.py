@@ -133,6 +133,17 @@ def test_sweep_usage_errors(tmp_path):
     assert res.returncode == 1 and "CSV" in res.stderr
 
 
+def test_bad_grid_point_fails_before_any_run(tmp_path):
+    # the N=0 point sits on the second axis; the p axis must not be written first
+    res = run_cli([
+        "sweep", "--p-grid", "0.3", "0.7", "--n-grid", "2", "0",
+        "--horizon", "5", "--replications", "2", "--out", str(tmp_path / "sw.csv"),
+    ])
+    assert res.returncode == 1
+    assert res.stderr.startswith("config error:") and "n_sources" in res.stderr
+    assert not (tmp_path / "sw_p.csv").exists()
+
+
 def test_exit_codes():
     assert run_cli(["simulate", "--config", "/does/not/exist.ini"]).returncode == 1
     assert run_cli(["solve", "--p", "1.5"]).returncode == 1

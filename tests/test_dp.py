@@ -1,9 +1,14 @@
 """Exact solver: reachability, backward induction, policy evaluation, gap report."""
 
+import hashlib
+import json
 import math
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from aoi_sched import dp
 from aoi_sched.dp import (
     DegenerateP,
     InvalidDepth,
@@ -33,8 +38,11 @@ from aoi_sched.policies import (
     OptimalPolicy,
     PIPolicy,
     RRPolicy,
+    make_policy,
     min_schedule_margin,
 )
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 class TestReachability:
@@ -56,7 +64,8 @@ class TestReachability:
 
     def test_cap_enforced(self):
         params = ModelParams(3, 1, 0.5, (0.5,) * 3, 6)
-        with pytest.raises(StateSpaceTooLarge):
+        # checked as each state is added, so the count stops one past the cap
+        with pytest.raises(StateSpaceTooLarge, match=r"\b11 > 10$"):
             reachable_states(params, fresh_state(3), cap=10)
 
 
@@ -180,6 +189,7 @@ class TestOptimalityGap:
         assert abs(rep.z - rep.diff / rep.p_pd) <= 1e-12
         assert rep.diff >= -1e-9
         assert rep.diff <= rep.bound + 1e-9
+        assert rep.constants == bound_constants(params.horizon - 1, params.p, 1)
 
     def test_degenerate_p_rejected(self):
         params = ModelParams(2, 1, 0.0, (0.5, 0.5), 6)
@@ -191,6 +201,7 @@ class TestOptimalityGap:
         rep = optimality_gap(params, fresh_state(2))
         assert rep.bound == 0.0
         assert rep.diff == 0.0
+        assert rep.constants is None
 
 
 class TestOneStepIdentities:
@@ -227,6 +238,85 @@ class TestOneStepIdentities:
         params = ModelParams(1, 1, 0.5, (0.5,), 2)
         with pytest.raises(NoAction):
             margin_decomposition(new_state((EMPTY,), (3,)), Action(()), params)
+
+
+# (label, params, non-fresh x0): p at 0 and 1, d >= N, T = 1 and a mixed q
+FROZEN_INSTANCES = (
+    ("n2d1", ModelParams(2, 1, 0.6, (0.5, 0.5), 5), new_state((1, EMPTY), (3, 2))),
+    ("n3d2", ModelParams(3, 2, 0.45, (0.3, 0.8, 0.5), 4), new_state((0, EMPTY, 2), (1, 4, 3))),
+    ("p0", ModelParams(2, 1, 0.0, (0.5, 0.5), 4), new_state((EMPTY, 0), (2, 1))),
+    ("p1", ModelParams(2, 1, 1.0, (0.3, 0.7), 4), new_state((0, 1), (2, 5))),
+    ("d_eq_n", ModelParams(2, 2, 0.7, (0.5, 0.5), 4), new_state((EMPTY, EMPTY), (4, 1))),
+    ("d_gt_n", ModelParams(2, 3, 0.4, (0.9, 0.2), 4), new_state((2, 0), (3, 2))),
+    ("t1", ModelParams(2, 1, 0.5, (0.5, 0.5), 1), new_state((1, EMPTY), (3, 2))),
+    ("q_edges", ModelParams(3, 1, 0.5, (1.0, 0.0, 0.5), 4), new_state((0, EMPTY, 1), (1, 2, 2))),
+)
+
+
+def table_digest(table) -> dict:
+    """sha256 over every entry as `stage, repr(key), float.hex(value), repr(action)`
+    lines sorted by stage and key, plus the root key and value."""
+    lines = [f"root {table.root_key!r}"]
+    for t in range(1, table.horizon + 1):
+        entries = sorted(
+            (repr(key), value, action) for key, (value, action) in table.stages[t - 1].items()
+        )
+        lines += [f"{t} {k} {v.hex()} {a!r}" for k, v, a in entries]
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return {"sha256": digest, "root": table.root_value().hex()}
+
+
+def frozen_table_digests() -> dict:
+    """Digest of the optimal, delta, pi, rr, rr-strict and optimal-re-evaluated
+    tables of every frozen instance, from the fresh and the non-fresh x0."""
+    out = {}
+    for label, params, stale in FROZEN_INSTANCES:
+        for start, x0 in (("fresh", fresh_state(params.n_sources)), ("stale", stale)):
+            opt = solve_optimal(params, x0)
+            tables = {"optimal": opt}
+            for name in ("delta", "pi", "rr", "rr-strict"):
+                pol = make_policy(name, params)
+                tables[name] = evaluate_policy(pol, params, x0)
+            tables["optimal-reeval"] = evaluate_policy(OptimalPolicy(opt), params, x0)
+            for name, table in tables.items():
+                out[f"{label}/{start}/{name}"] = table_digest(table)
+    return out
+
+
+def test_each_state_action_enumerated_once(monkeypatch):
+    calls = Counter()
+
+    def counting(x, a, params):
+        calls[(x, a)] += 1
+        return enumerate_transitions(x, a, params)
+
+    monkeypatch.setattr(dp, "enumerate_transitions", counting)
+    params = ModelParams(2, 1, 0.6, (0.5, 0.5), 5)
+    x0 = fresh_state(2)
+    opt = solve_optimal(params, x0)
+    expect = {
+        (x, a)
+        for t in range(1, params.horizon)
+        for x in opt.states(t)
+        for a in enumerate_actions(x, params.n_channels)
+    }
+    assert set(calls) == expect and set(calls.values()) == {1}
+    for pol in (DeltaPolicy(1), RRPolicy(2, 1), OptimalPolicy(opt)):
+        calls.clear()
+        table = evaluate_policy(pol, params, x0)
+        expect = {
+            (key[0] if table.augmented else key, table.action(t, key))
+            for t in range(1, params.horizon)
+            for key in table.states(t)
+        }
+        assert set(calls) == expect and set(calls.values()) == {1}, pol.name
+
+
+def test_tables_match_frozen_digests():
+    # frozen from the two-solver implementation; every value, action and key
+    # must survive any rewrite of the forward or backward pass bit for bit
+    golden = json.loads((GOLDEN_DIR / "dp_tables.json").read_text())
+    assert frozen_table_digests() == golden
 
 
 def test_dump_table_lines(tmp_path):
