@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import NamedTuple
 
 from .model import (
     Action,
     ModelParams,
     SystemState,
-    TransitionEvent,
-    apply_transition,
+    _check_schedulable,
+    _expand_arrivals,
+    _success_sets,
     cost,
     enumerate_actions,
     enumerate_transitions,
@@ -29,7 +29,6 @@ from .model import (
     norm_inf,
     sources_with_packets,
     success_probs,
-    transition_prob,
 )
 from .policies import DeltaPolicy, min_schedule_margin, schedule_margin
 
@@ -291,30 +290,18 @@ def margin_decomposition(
     """
     if not sources_with_packets(x):
         raise NoAction("no packet-holding source to schedule")
+    _check_schedulable(x, a)
     d = params.n_channels
-    all_sources = tuple(range(params.n_sources))
-    arrival_sets = [
-        c for nc in range(params.n_sources + 1) for c in combinations(all_sources, nc)
+    # base 1.0 with no successes: the pure arrival probability of each pattern
+    u = math.fsum(
+        pr * min_schedule_margin(x2, d) for x2, pr in _expand_arrivals(x, (), 1.0, params)
+    )
+    succ_terms = [
+        pr * min_schedule_margin(x2, d)
+        for w, base in _success_sets(a, params.p)
+        if w
+        for x2, pr in _expand_arrivals(x, w, base, params)
     ]
-    no_succ_terms = []
-    empty_action = Action(())
-    for c in arrival_sets:
-        ev = TransitionEvent((), c)
-        pr = transition_prob(empty_action, ev, params)  # pure arrival probability
-        if pr == 0.0:
-            continue
-        no_succ_terms.append(pr * min_schedule_margin(apply_transition(x, a, ev), d))
-    u = math.fsum(no_succ_terms)
-
-    succ_terms = []
-    for nw in range(1, len(a.scheduled) + 1):
-        for w in combinations(a.scheduled, nw):
-            for c in arrival_sets:
-                ev = TransitionEvent(w, c)
-                pr = transition_prob(a, ev, params)
-                if pr == 0.0:
-                    continue
-                succ_terms.append(pr * min_schedule_margin(apply_transition(x, a, ev), d))
     pd = success_probs(params, 0).batch
     v = math.fsum(succ_terms) / pd if pd > 0.0 else 0.0
     return MarginDecomposition(u, v)

@@ -11,6 +11,13 @@ Within a slot: scheduled transfers each succeed independently with
 probability p, and each source independently receives a fresh packet with
 probability q[n] (overwriting its buffer).  On success the monitor's age
 resets to the delivered packet's age plus one; otherwise it grows by one.
+
+Because the draws are independent per source, the one-slot law is a product
+over sources, and each (successes, arrivals) event leads to its own successor
+state: on a source, success moves h to g+1 <= h instead of h+1, and an arrival
+alone leaves g = 0.  The exact kernel, enumerate_transitions, builds that
+product one source at a time; apply_transition and transition_prob resolve a
+single event and remain the event-by-event definition it must reproduce.
 """
 
 from __future__ import annotations
@@ -129,7 +136,8 @@ def norm_inf(x: SystemState) -> int:
 # Fault injection for negative-control verification (`verify --inject-fault`).
 # "age-drift": non-delivered destination ages advance by 2 instead of 1, which
 # breaks the one-step expected-age identity.  "drop-event": the transition
-# enumeration silently omits one event, which breaks probability closure.
+# enumeration silently omits the event where every scheduled transfer succeeds
+# and every source gets a packet, which breaks probability closure.
 _FAULT_MODES = (None, "age-drift", "drop-event")
 _fault_mode: str | None = None
 
@@ -139,6 +147,12 @@ def set_fault_mode(mode: str | None) -> None:
     if mode not in _FAULT_MODES:
         raise ValueError(f"unknown fault mode {mode!r}; choose from {_FAULT_MODES}")
     _fault_mode = mode
+
+
+def _check_schedulable(x: SystemState, a: Action) -> None:
+    for n in a.scheduled:
+        if x.g[n] == EMPTY:
+            raise InvalidState(f"action schedules source {n} whose buffer is empty")
 
 
 def apply_transition(x: SystemState, a: Action, e: TransitionEvent) -> SystemState:
@@ -152,9 +166,7 @@ def apply_transition(x: SystemState, a: Action, e: TransitionEvent) -> SystemSta
     w = frozenset(e.successes)
     if not w.issubset(a.scheduled):
         raise InvalidEvent(f"successes {sorted(w)} not within scheduled {list(a.scheduled)}")
-    for n in a.scheduled:
-        if x.g[n] == EMPTY:
-            raise InvalidState(f"action schedules source {n} whose buffer is empty")
+    _check_schedulable(x, a)
     c = frozenset(e.arrivals)
     bump = 2 if _fault_mode == "age-drift" else 1
     g2 = []
@@ -184,31 +196,71 @@ def transition_prob(a: Action, e: TransitionEvent, params: ModelParams) -> float
     return pr
 
 
+def _success_sets(a: Action, p: float):
+    """Each success set w of the action, in combinations order, with its
+    probability p^|w| (1-p)^(|a|-|w|) as transition_prob computes it; sets of
+    probability 0.0 are skipped."""
+    k = len(a.scheduled)
+    for nw in range(k + 1):
+        base = p**nw * (1.0 - p) ** (k - nw)
+        if base != 0.0:
+            for w in combinations(a.scheduled, nw):
+                yield w, base
+
+
+def _expand_arrivals(
+    x: SystemState, w: tuple[int, ...], base: float, params: ModelParams
+) -> list[tuple[SystemState, float]]:
+    """Successors of x when exactly the sources in w deliver, one per arrival
+    pattern, each weighted base * prod_n (q[n] or 1 - q[n]).
+
+    The pattern is extended one source at a time, so each probability is
+    multiplied left to right in source order, as transition_prob does, and a
+    branch is dropped as soon as its product is 0.0 (it would stay 0.0).
+    Destination ages do not depend on arrivals, so h' is built once.
+    """
+    bump = 2 if _fault_mode == "age-drift" else 1
+    h2 = tuple(gn + 1 if n in w else hn + bump for n, (gn, hn) in enumerate(zip(x.g, x.h)))
+    layer = [(base, ())]
+    for n, (gn, qn) in enumerate(zip(x.g, params.q)):
+        kept = EMPTY if gn == EMPTY or n in w else gn + 1
+        nq = 1.0 - qn
+        nxt = []
+        for pr, gs in layer:
+            v = pr * nq
+            if v != 0.0:
+                nxt.append((v, gs + (kept,)))
+            v = pr * qn
+            if v != 0.0:
+                nxt.append((v, gs + (0,)))
+        layer = nxt
+    return [(SystemState(gs, h2), pr) for pr, gs in layer]
+
+
 def enumerate_transitions(
     x: SystemState, a: Action, params: ModelParams
 ) -> list[tuple[SystemState, float]]:
-    """Exhaustive successor distribution for (x, a), duplicate states merged.
+    """Exact successor distribution for (x, a): one entry per (successes,
+    arrivals) event of nonzero probability, so the support sums to one.
 
-    Iterates every (successes, arrivals) pair, skipping zero-probability
-    events, so the returned support is exact and sums to one.
+    The law is a per-source product.  For each success set w, in combinations
+    order, the arrival patterns are expanded source by source from the base
+    p^|w| (1-p)^(|a|-|w|), so every probability equals transition_prob's bit
+    for bit.  Nothing is merged: distinct events give distinct successors,
+    since success sets h' = g+1 <= h < h+1 and only an arrival sets g' = 0.
+    Entries follow success-set order, then arrival patterns with source 0
+    most significant, no arrival before arrival.
     """
-    merged: dict[SystemState, float] = {}
-    events = []
-    all_sources = tuple(range(params.n_sources))
-    for nw in range(len(a.scheduled) + 1):
-        for w in combinations(a.scheduled, nw):
-            for nc in range(params.n_sources + 1):
-                for c in combinations(all_sources, nc):
-                    events.append(TransitionEvent(w, c))
-    if _fault_mode == "drop-event" and len(events) > 1:
-        events.pop()
-    for e in events:
-        pr = transition_prob(a, e, params)
-        if pr == 0.0:
-            continue
-        x2 = apply_transition(x, a, e)
-        merged[x2] = merged.get(x2, 0.0) + pr
-    return list(merged.items())
+    _check_schedulable(x, a)
+    out: list[tuple[SystemState, float]] = []
+    for w, base in _success_sets(a, params.p):
+        out += _expand_arrivals(x, w, base, params)
+    if _fault_mode == "drop-event":
+        # omit the event where every transfer succeeds and every source gets a packet
+        every = TransitionEvent(a.scheduled, tuple(range(params.n_sources)))
+        dropped = apply_transition(x, a, every)
+        out = [(x2, pr) for x2, pr in out if x2 != dropped]
+    return out
 
 
 def sample_step(

@@ -1,0 +1,149 @@
+"""The per-source product kernel against event-by-event references.
+
+`enumerate_transitions` and `margin_decomposition` expand arrival patterns one
+source at a time.  The references below walk every (successes, arrivals)
+event through the public `transition_prob` and `apply_transition`, the way
+both functions used to, and every probability must agree bit for bit.
+"""
+
+import math
+from itertools import combinations
+
+from hypothesis import example, given, settings, strategies as st
+
+from aoi_sched import model
+from aoi_sched.dp import margin_decomposition
+from aoi_sched.model import (
+    EMPTY,
+    Action,
+    ModelParams,
+    TransitionEvent,
+    apply_transition,
+    enumerate_transitions,
+    new_state,
+    set_fault_mode,
+    sources_with_packets,
+    success_probs,
+    transition_prob,
+)
+from aoi_sched.policies import min_schedule_margin
+
+EDGE_PROBS = [0.0, 1.0, 1e-300, 1.0 - 1e-16, 0.5]
+
+
+def events(a: Action, n_sources: int) -> list[TransitionEvent]:
+    """Every (successes, arrivals) pair, successes-major, each set in combinations order."""
+    arrival_sets = [
+        c for nc in range(n_sources + 1) for c in combinations(range(n_sources), nc)
+    ]
+    return [
+        TransitionEvent(w, c)
+        for nw in range(len(a.scheduled) + 1)
+        for w in combinations(a.scheduled, nw)
+        for c in arrival_sets
+    ]
+
+
+def reference_transitions(x, a, params) -> dict:
+    """Sum of transition_prob over the events leading to each successor; under
+    drop-event the last listed event (all succeed, all arrive) is left out."""
+    evs = events(a, params.n_sources)
+    if model._fault_mode == "drop-event" and len(evs) > 1:
+        evs.pop()
+    merged: dict = {}
+    for e in evs:
+        pr = transition_prob(a, e, params)
+        if pr == 0.0:
+            continue
+        x2 = apply_transition(x, a, e)
+        merged[x2] = merged.get(x2, 0.0) + pr
+    return merged
+
+
+def reference_margin_decomposition(x, a, params) -> tuple[float, float]:
+    """The event-by-event split: no-success terms weighted by the pure arrival
+    probability, success terms by the full event probability."""
+    d = params.n_channels
+    arrival_sets = [
+        c
+        for nc in range(params.n_sources + 1)
+        for c in combinations(range(params.n_sources), nc)
+    ]
+    no_succ_terms = []
+    for c in arrival_sets:
+        ev = TransitionEvent((), c)
+        pr = transition_prob(Action(()), ev, params)
+        if pr == 0.0:
+            continue
+        no_succ_terms.append(pr * min_schedule_margin(apply_transition(x, a, ev), d))
+    succ_terms = []
+    for nw in range(1, len(a.scheduled) + 1):
+        for w in combinations(a.scheduled, nw):
+            for c in arrival_sets:
+                ev = TransitionEvent(w, c)
+                pr = transition_prob(a, ev, params)
+                if pr == 0.0:
+                    continue
+                succ_terms.append(pr * min_schedule_margin(apply_transition(x, a, ev), d))
+    pd = success_probs(params, 0).batch
+    v = math.fsum(succ_terms) / pd if pd > 0.0 else 0.0
+    return math.fsum(no_succ_terms), v
+
+
+def as_hex(pairs) -> dict:
+    return {x2: pr.hex() for x2, pr in pairs}
+
+
+prob = st.one_of(st.sampled_from(EDGE_PROBS), st.floats(0.0, 1.0))
+
+
+@st.composite
+def cases(draw, need_holder=False):
+    """A state with up to 5 sources, d up to 7 (so d > N occurs), edge
+    probabilities, and any action over packet holders."""
+    n = draw(st.integers(1, 5))
+    h = [draw(st.integers(1 if need_holder and i == 0 else 0, 12)) for i in range(n)]
+    g = [
+        draw(st.one_of(st.just(EMPTY), st.integers(0, hn - 1))) if hn >= 1 else EMPTY
+        for hn in h
+    ]
+    if need_holder and g[0] == EMPTY:
+        g[0] = 0
+    x = new_state(g, h)
+    d = draw(st.integers(1, 7))
+    params = ModelParams(n, d, draw(prob), tuple(draw(prob) for _ in range(n)), 2)
+    holders = sources_with_packets(x)
+    scheduled = draw(st.sets(st.sampled_from(holders), max_size=d)) if holders else set()
+    return x, Action(tuple(sorted(scheduled))), params
+
+
+UNDERFLOW = (  # two arrivals at q = 1e-300 multiply to 0.0 and must be skipped
+    new_state((0, 1), (2, 3)), Action((0,)), ModelParams(2, 1, 0.5, (1e-300, 1e-300), 2)
+)
+CERTAIN = (  # d > N, p = 1 and q = 1: a single event of probability one
+    new_state((0, EMPTY, 4), (1, 2, 6)), Action((0, 2)), ModelParams(3, 5, 1.0, (1.0,) * 3, 2)
+)
+
+
+@settings(max_examples=300)
+@given(cases(), st.sampled_from([None, "age-drift", "drop-event"]))
+@example(UNDERFLOW, None)
+@example(CERTAIN, None)
+@example(CERTAIN, "drop-event")
+def test_kernel_matches_event_reference(case, mode):
+    x, a, params = case
+    set_fault_mode(mode)
+    out = enumerate_transitions(x, a, params)
+    assert len({x2 for x2, _ in out}) == len(out)  # no successor listed twice
+    assert as_hex(out) == as_hex(reference_transitions(x, a, params).items())
+
+
+@settings(max_examples=200)
+@given(cases(need_holder=True), st.sampled_from([None, "age-drift", "drop-event"]))
+def test_margin_decomposition_matches_event_reference(case, mode):
+    x, a, params = case
+    set_fault_mode(mode)
+    u, v = margin_decomposition(x, a, params)
+    ru, rv = reference_margin_decomposition(x, a, params)
+    assert (u.hex(), v.hex()) == (ru.hex(), rv.hex())
+

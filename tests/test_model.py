@@ -153,6 +153,12 @@ class TestTransition:
         with pytest.raises(InvalidState):
             apply_transition(x, Action((0,)), TransitionEvent((), ()))
 
+    def test_enumeration_rejects_scheduling_empty_buffer(self):
+        params = ModelParams(2, 1, 0.5, (0.5, 0.5), 2)
+        x = new_state((0, EMPTY), (1, 3))
+        with pytest.raises(InvalidState):
+            enumerate_transitions(x, Action((1,)), params)
+
     @given(state_action_params())
     def test_result_is_a_valid_state(self, xap):
         x, a, params = xap
@@ -230,6 +236,16 @@ class TestFaultModes:
         set_fault_mode("drop-event")
         total = math.fsum(pr for _, pr in enumerate_transitions(x, Action((0,)), params))
         assert total < 1.0 - 1e-6
+
+    def test_drop_event_drops_nothing_when_that_event_is_impossible(self):
+        """With q[2] = 0 the every-arrival event has probability zero, so the
+        faulty kernel still sums to one rather than dropping another event."""
+        params = ModelParams(3, 2, 0.5, (0.3, 0.6, 0.0), 2)
+        x = new_state((0, EMPTY, 2), (1, 4, 5))
+        a = Action((0, 2))
+        clean = enumerate_transitions(x, a, params)
+        set_fault_mode("drop-event")
+        assert enumerate_transitions(x, a, params) == clean
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

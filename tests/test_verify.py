@@ -1,11 +1,17 @@
 """Self-check suite wiring, including the fault-injection negative controls."""
 
 import json
+from pathlib import Path
 
+import pytest
+
+from aoi_sched import verify
 from aoi_sched.model import set_fault_mode
-from aoi_sched.verify import run_suite
+from aoi_sched.verify import check_prob_closure, run_suite
 
 from .conftest import run_cli
+
+GOLDEN = Path(__file__).parent / "golden"
 
 EXPECTED_ORDER = [
     "transition_prob_closure",
@@ -65,3 +71,32 @@ def test_cli_verify_fault_injection_exits_two(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["fault_mode"] == "age-drift"
     assert "expected_age_sum_identity" in rep["failed"]
+
+
+@pytest.mark.parametrize("fault", ["age-drift", "drop-event"])
+def test_fault_injection_report_matches_golden(tmp_path, fault):
+    """The negative-control reports keep their bytes: the detail strings and
+    measured errors come straight from the faulty kernel."""
+    out = tmp_path / "verify.json"
+    res = run_cli([
+        "verify", "--no-header-timestamp", "--seed", "42", "--inject-fault", fault,
+        "--out", str(out),
+    ])
+    assert res.returncode == 2, res.stderr
+    assert out.read_bytes() == (GOLDEN / f"verify_seed42_{fault}.json").read_bytes()
+
+
+def test_closure_check_looks_up_kernel_in_verify_module(monkeypatch):
+    """The benchmark tracer counts kernel calls by wrapping
+    aoi_sched.verify.enumerate_transitions, so the check must call it there,
+    once per case."""
+    calls = []
+    kernel = verify.enumerate_transitions
+
+    def counting(x, a, params):
+        calls.append(x)
+        return kernel(x, a, params)
+
+    monkeypatch.setattr(verify, "enumerate_transitions", counting)
+    assert not check_prob_closure(n_cases=50).failed
+    assert len(calls) == 50
