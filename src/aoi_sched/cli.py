@@ -42,7 +42,7 @@ from .dp import (
     gap_report,
     solve_optimal,
 )
-from .model import format_state, set_fault_mode
+from .model import format_state
 from .policies import DeltaPolicy, make_policy
 from .simulate import compare_policies, run_experiment
 from .verify import run_suite
@@ -409,12 +409,7 @@ def cmd_verify(cfg: SweepConfig, inject_fault: str | None) -> int:
         scaling_grid = (cfg.p,)
     else:
         scaling_grid = (0.02, 0.04, 0.08, 0.16)
-    try:
-        if inject_fault:
-            set_fault_mode(inject_fault)
-        checks = run_suite(seed=cfg.base_seed, scaling_p_grid=scaling_grid)
-    finally:
-        set_fault_mode(None)
+    checks = run_suite(seed=cfg.base_seed, scaling_p_grid=scaling_grid, fault=inject_fault)
     report: dict = {}
     if cfg.timestamp:
         report["generated"] = _now_iso()

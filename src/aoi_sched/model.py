@@ -17,7 +17,8 @@ over sources, and each (successes, arrivals) event leads to its own successor
 state: on a source, success moves h to g+1 <= h instead of h+1, and an arrival
 alone leaves g = 0.  The exact kernel, enumerate_transitions, builds that
 product one source at a time; apply_transition and transition_prob resolve a
-single event and remain the event-by-event definition it must reproduce.
+single event and remain the event-by-event definition it must reproduce.  A
+fault carried by ModelParams corrupts that kernel only, never the sampler.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ from itertools import combinations
 from typing import Iterable, NamedTuple
 
 EMPTY = -1  # sentinel age: source buffer holds no packet ("psi" in file I/O)
+
+# Faults for negative-control verification (`verify --inject-fault`), carried
+# by ModelParams.fault and seen only by the exact kernel, enumerate_transitions.
+# "age-drift": non-delivered destination ages advance by 2 instead of 1, which
+# breaks the one-step expected-age identity.  "drop-event": the enumeration
+# omits the event where every scheduled transfer succeeds and every source
+# gets a packet, which breaks probability closure.
+FAULT_MODES = (None, "age-drift", "drop-event")
 
 
 class InvalidState(ValueError):
@@ -68,6 +77,7 @@ class ModelParams:
     p: float
     q: tuple[float, ...]
     horizon: int
+    fault: str | None = None  # one of FAULT_MODES; corrupts enumerate_transitions only
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", tuple(float(v) for v in self.q))
@@ -83,6 +93,8 @@ class ModelParams:
             raise ValueError(f"q has length {len(self.q)}, expected {self.n_sources}")
         if any(not 0.0 <= v <= 1.0 for v in self.q):
             raise ValueError(f"every q entry must lie in [0,1], got {self.q}")
+        if self.fault not in FAULT_MODES:
+            raise ValueError(f"unknown fault mode {self.fault!r}; choose from {FAULT_MODES}")
 
 
 def new_state(g: Iterable[int], h: Iterable[int]) -> SystemState:
@@ -133,22 +145,6 @@ def norm_inf(x: SystemState) -> int:
     return max(x.h) + 1
 
 
-# Fault injection for negative-control verification (`verify --inject-fault`).
-# "age-drift": non-delivered destination ages advance by 2 instead of 1, which
-# breaks the one-step expected-age identity.  "drop-event": the transition
-# enumeration silently omits the event where every scheduled transfer succeeds
-# and every source gets a packet, which breaks probability closure.
-_FAULT_MODES = (None, "age-drift", "drop-event")
-_fault_mode: str | None = None
-
-
-def set_fault_mode(mode: str | None) -> None:
-    global _fault_mode
-    if mode not in _FAULT_MODES:
-        raise ValueError(f"unknown fault mode {mode!r}; choose from {_FAULT_MODES}")
-    _fault_mode = mode
-
-
 def _check_schedulable(x: SystemState, a: Action) -> None:
     for n in a.scheduled:
         if x.g[n] == EMPTY:
@@ -161,19 +157,18 @@ def apply_transition(x: SystemState, a: Action, e: TransitionEvent) -> SystemSta
     Destination: h'[n] = g[n]+1 on a successful transfer from n, else h[n]+1.
     Buffer: an arrival leaves a fresh age-0 packet; a delivered packet without
     an arrival empties the buffer; an undelivered packet ages by one; an empty
-    buffer stays empty.
+    buffer stays empty.  This is the clean law; no fault reaches it.
     """
     w = frozenset(e.successes)
     if not w.issubset(a.scheduled):
         raise InvalidEvent(f"successes {sorted(w)} not within scheduled {list(a.scheduled)}")
     _check_schedulable(x, a)
     c = frozenset(e.arrivals)
-    bump = 2 if _fault_mode == "age-drift" else 1
     g2 = []
     h2 = []
     for n, (gn, hn) in enumerate(zip(x.g, x.h)):
         delivered = n in w
-        h2.append(gn + 1 if delivered else hn + bump)
+        h2.append(gn + 1 if delivered else hn + 1)
         if n in c:
             g2.append(0)
         elif delivered or gn == EMPTY:
@@ -219,7 +214,7 @@ def _expand_arrivals(
     branch is dropped as soon as its product is 0.0 (it would stay 0.0).
     Destination ages do not depend on arrivals, so h' is built once.
     """
-    bump = 2 if _fault_mode == "age-drift" else 1
+    bump = 2 if params.fault == "age-drift" else 1
     h2 = tuple(gn + 1 if n in w else hn + bump for n, (gn, hn) in enumerate(zip(x.g, x.h)))
     layer = [(base, ())]
     for n, (gn, qn) in enumerate(zip(x.g, params.q)):
@@ -255,7 +250,7 @@ def enumerate_transitions(
     out: list[tuple[SystemState, float]] = []
     for w, base in _success_sets(a, params.p):
         out += _expand_arrivals(x, w, base, params)
-    if _fault_mode == "drop-event":
+    if params.fault == "drop-event":
         # omit the event where every transfer succeeds and every source gets a packet
         every = TransitionEvent(a.scheduled, tuple(range(params.n_sources)))
         dropped = apply_transition(x, a, every)

@@ -9,6 +9,7 @@ seeded and therefore reproducible.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,7 +69,7 @@ def random_state(rng, n_sources: int, max_age: int = 20, ensure_holder: bool = F
 
 
 def random_case(
-    rng, max_n: int = 4, max_age: int = 20, ensure_holder: bool = False
+    rng, max_n: int = 4, max_age: int = 20, ensure_holder: bool = False, fault: str | None = None
 ) -> tuple[ModelParams, SystemState, Action]:
     """A random instance plus a random work-conserving action, edge probabilities included."""
     n = int(rng.integers(1, max_n + 1))
@@ -82,7 +83,7 @@ def random_case(
             q[i] = 0.0
         elif rr < 0.10:
             q[i] = 1.0
-    params = ModelParams(n, d, p, tuple(q), horizon=2)
+    params = ModelParams(n, d, p, tuple(q), horizon=2, fault=fault)
     x = random_state(rng, n, max_age, ensure_holder)
     holders = list(sources_with_packets(x))
     k = min(len(holders), d)
@@ -91,12 +92,14 @@ def random_case(
     return params, x, a
 
 
-def check_prob_closure(n_cases: int = 1000, seed: int = 20260801) -> CheckResult:
+def check_prob_closure(
+    n_cases: int = 1000, seed: int = 20260801, fault: str | None = None
+) -> CheckResult:
     """Enumerated transition probabilities must sum to one for every (x, a)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
-        params, x, a = random_case(rng)
+        params, x, a = random_case(rng, fault=fault)
         total = math.fsum(pr for _, pr in enumerate_transitions(x, a, params))
         worst = max(worst, abs(total - 1.0))
     status = "pass" if worst <= STEP_TOL else "fail"
@@ -108,12 +111,14 @@ def check_prob_closure(n_cases: int = 1000, seed: int = 20260801) -> CheckResult
     )
 
 
-def check_age_sum_identity(n_cases: int = 1000, seed: int = 20260802) -> CheckResult:
+def check_age_sum_identity(
+    n_cases: int = 1000, seed: int = 20260802, fault: str | None = None
+) -> CheckResult:
     """One-step expected destination-age sum equals its closed form."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
-        params, x, a = random_case(rng)
+        params, x, a = random_case(rng, fault=fault)
         lhs, rhs = expected_age_sum_check(x, a, params)
         worst = max(worst, abs(lhs - rhs))
     status = "pass" if worst <= STEP_TOL else "fail"
@@ -125,7 +130,9 @@ def check_age_sum_identity(n_cases: int = 1000, seed: int = 20260802) -> CheckRe
     )
 
 
-def check_margin_split(n_cases: int = 500, seed: int = 20260803) -> CheckResult:
+def check_margin_split(
+    n_cases: int = 500, seed: int = 20260803, fault: str | None = None
+) -> CheckResult:
     """Success/no-success split of the expected best margin: mixture identity,
     magnitude bounds, and action-invariance of the no-success part."""
     rng = np.random.default_rng(seed)
@@ -133,7 +140,7 @@ def check_margin_split(n_cases: int = 500, seed: int = 20260803) -> CheckResult:
     worst_bound = -math.inf
     worst_spread = 0.0
     for _ in range(n_cases):
-        params, x, a = random_case(rng, ensure_holder=True)
+        params, x, a = random_case(rng, ensure_holder=True, fault=fault)
         d = params.n_channels
         u, v = margin_decomposition(x, a, params)
         expected = math.fsum(
@@ -180,20 +187,21 @@ def check_success_prob_identity(grid_points: int = 101, max_d: int = 6) -> Check
     )
 
 
-def default_gap_instances() -> list[ModelParams]:
-    return [
-        ModelParams(1, 1, 0.5, (0.7,), 4),
-        ModelParams(2, 1, 0.3, (0.5, 0.5), 6),
-        ModelParams(2, 1, 0.7, (0.5, 0.5), 6),
-        ModelParams(2, 2, 0.6, (0.4, 0.8), 5),
-        ModelParams(3, 2, 0.9, (0.5, 0.5, 0.5), 4),
-    ]
+# default instances of the exact checks (ModelParams is frozen, so sharing is safe)
+GAP_INSTANCES = (
+    ModelParams(1, 1, 0.5, (0.7,), 4),
+    ModelParams(2, 1, 0.3, (0.5, 0.5), 6),
+    ModelParams(2, 1, 0.7, (0.5, 0.5), 6),
+    ModelParams(2, 2, 0.6, (0.4, 0.8), 5),
+    ModelParams(3, 2, 0.9, (0.5, 0.5, 0.5), 4),
+)
+SCALING_BASE = ModelParams(2, 1, 0.5, (0.5, 0.5), 6)
+CONSISTENCY_PARAMS = ModelParams(2, 1, 0.6, (0.5, 0.5), 5)
 
 
-def check_penultimate_stage(instances: list[ModelParams] | None = None) -> CheckResult:
+def check_penultimate_stage(instances: Sequence[ModelParams] = GAP_INSTANCES) -> CheckResult:
     """Last two stages: best-margin and optimal values agree exactly, and the
     stage-(T-1) optimal value matches its closed form 2*cost + N + p*best margin."""
-    instances = default_gap_instances() if instances is None else instances
     worst_eq = 0.0
     worst_form = 0.0
     for params in instances:
@@ -222,9 +230,8 @@ def check_penultimate_stage(instances: list[ModelParams] | None = None) -> Check
     )
 
 
-def check_gap_sign_and_bound(instances: list[ModelParams] | None = None) -> CheckResult:
+def check_gap_sign_and_bound(instances: Sequence[ModelParams] = GAP_INSTANCES) -> CheckResult:
     """Root-stage gap is nonnegative and below its analytic bound on every instance."""
-    instances = default_gap_instances() if instances is None else instances
     rows = []
     ok = True
     for params in instances:
@@ -247,12 +254,10 @@ def check_gap_sign_and_bound(instances: list[ModelParams] | None = None) -> Chec
 
 
 def check_gap_scaling(
-    base: ModelParams | None = None,
+    base: ModelParams = SCALING_BASE,
     p_grid: tuple[float, ...] = (0.02, 0.04, 0.08, 0.16),
 ) -> CheckResult:
     """Gap should vanish roughly quadratically in p: log-log slope >= 1.8."""
-    if base is None:
-        base = ModelParams(2, 1, 0.5, (0.5, 0.5), 6)
     usable = [p for p in p_grid if p > 0.0]
     if len(usable) < 2:
         return CheckResult(
@@ -293,11 +298,9 @@ def check_gap_scaling(
     )
 
 
-def check_policy_eval_consistency(params: ModelParams | None = None) -> CheckResult:
+def check_policy_eval_consistency(params: ModelParams = CONSISTENCY_PARAMS) -> CheckResult:
     """Re-evaluating the table-backed optimal policy must reproduce the optimal
     values bit for bit."""
-    if params is None:
-        params = ModelParams(2, 1, 0.6, (0.5, 0.5), 5)
     x0 = fresh_state(params.n_sources)
     opt = solve_optimal(params, x0)
     redo = evaluate_policy(OptimalPolicy(opt), params, x0)
@@ -316,18 +319,20 @@ def check_policy_eval_consistency(params: ModelParams | None = None) -> CheckRes
 
 def run_suite(
     seed: int = 20260800,
-    gap_instances: list[ModelParams] | None = None,
-    scaling_base: ModelParams | None = None,
+    gap_instances: Sequence[ModelParams] = GAP_INSTANCES,
+    scaling_base: ModelParams = SCALING_BASE,
     scaling_p_grid: tuple[float, ...] = (0.02, 0.04, 0.08, 0.16),
+    fault: str | None = None,
 ) -> list[CheckResult]:
-    """The full battery in a fixed order."""
+    """The full battery in a fixed order; every instance fed to the kernel carries `fault`."""
+    gaps = [replace(params, fault=fault) for params in gap_instances]
     return [
-        check_prob_closure(seed=seed + 1),
-        check_age_sum_identity(seed=seed + 2),
-        check_margin_split(seed=seed + 3),
+        check_prob_closure(seed=seed + 1, fault=fault),
+        check_age_sum_identity(seed=seed + 2, fault=fault),
+        check_margin_split(seed=seed + 3, fault=fault),
         check_success_prob_identity(),
-        check_penultimate_stage(gap_instances),
-        check_gap_sign_and_bound(gap_instances),
-        check_gap_scaling(scaling_base, scaling_p_grid),
-        check_policy_eval_consistency(),
+        check_penultimate_stage(gaps),
+        check_gap_sign_and_bound(gaps),
+        check_gap_scaling(replace(scaling_base, fault=fault), scaling_p_grid),
+        check_policy_eval_consistency(replace(CONSISTENCY_PARAMS, fault=fault)),
     ]

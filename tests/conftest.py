@@ -4,19 +4,10 @@ import sys
 import pytest
 from hypothesis import HealthCheck, settings
 
-from aoi_sched.model import set_fault_mode
-
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
-
-
-@pytest.fixture(autouse=True)
-def _clean_fault_mode():
-    # a test that flips the fault hook must never leak it into its neighbors
-    yield
-    set_fault_mode(None)
 
 
 def run_cli(args, **kwargs):

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from aoi_sched import cli, simulate
+from aoi_sched.policies import StateNotInTable
 
 from .conftest import run_cli
 
@@ -161,13 +162,15 @@ def test_single_replication_is_config_error():
     assert res.stderr.startswith("config error:") and "replications" in res.stderr
 
 
-def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys, tmp_path):
-    # an engine fault (numpy raises ValueError on shape bugs) must surface as a bug
+@pytest.mark.parametrize("error", [ValueError, StateNotInTable])
+def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys, tmp_path, error):
+    # an engine fault (numpy raises ValueError on shape bugs, a table lookup
+    # raises the KeyError StateNotInTable) must surface as a bug
     def broken(*args, **kwargs):
-        raise ValueError("operands could not be broadcast together")
+        raise error("operands could not be broadcast together")
 
     monkeypatch.setattr(simulate, "batch_totals", broken)
-    with pytest.raises(ValueError, match="broadcast"):
+    with pytest.raises(error, match="broadcast"):
         cli.main([
             "simulate", "--n-sources", "2", "--horizon", "5", "--replications", "2",
             "--policies", "delta", "--out", str(tmp_path / "o.csv"),

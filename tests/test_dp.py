@@ -111,6 +111,13 @@ class TestSolveOptimal:
         ):
             assert v_star <= evaluate_policy(pol, params, x0).root_value() + 1e-12
 
+    def test_ties_resolve_to_the_first_action(self):
+        # from the fresh state the two sources are symmetric, so scheduling
+        # either ties exactly and the first in enumerate_actions order is kept
+        params = ModelParams(2, 1, 0.6, (0.5, 0.5), 5)
+        table = solve_optimal(params, fresh_state(2))
+        assert table.action(1, table.root_key) == Action((0,))
+
     def test_larger_initial_ages_cost_more(self):
         params = ModelParams(2, 1, 0.5, (0.5, 0.5), 4)
         v_fresh = solve_optimal(params, fresh_state(2)).root_value()

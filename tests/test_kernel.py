@@ -3,15 +3,17 @@
 `enumerate_transitions` and `margin_decomposition` expand arrival patterns one
 source at a time.  The references below walk every (successes, arrivals)
 event through the public `transition_prob` and `apply_transition`, the way
-both functions used to, and every probability must agree bit for bit.
+both functions used to, and every probability must agree bit for bit.  The
+clean `apply_transition` never sees a fault, so the references apply the
+instance's fault themselves.
 """
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 from hypothesis import example, given, settings, strategies as st
 
-from aoi_sched import model
 from aoi_sched.dp import margin_decomposition
 from aoi_sched.model import (
     EMPTY,
@@ -21,7 +23,6 @@ from aoi_sched.model import (
     apply_transition,
     enumerate_transitions,
     new_state,
-    set_fault_mode,
     sources_with_packets,
     success_probs,
     transition_prob,
@@ -44,18 +45,27 @@ def events(a: Action, n_sources: int) -> list[TransitionEvent]:
     ]
 
 
+def successor(x, a, e, params):
+    """apply_transition, plus one more slot of aging on every non-delivered
+    destination under age-drift."""
+    x2 = apply_transition(x, a, e)
+    if params.fault != "age-drift":
+        return x2
+    return x2._replace(h=tuple(hn + (n not in e.successes) for n, hn in enumerate(x2.h)))
+
+
 def reference_transitions(x, a, params) -> dict:
     """Sum of transition_prob over the events leading to each successor; under
     drop-event the last listed event (all succeed, all arrive) is left out."""
     evs = events(a, params.n_sources)
-    if model._fault_mode == "drop-event" and len(evs) > 1:
+    if params.fault == "drop-event" and len(evs) > 1:
         evs.pop()
     merged: dict = {}
     for e in evs:
         pr = transition_prob(a, e, params)
         if pr == 0.0:
             continue
-        x2 = apply_transition(x, a, e)
+        x2 = successor(x, a, e, params)
         merged[x2] = merged.get(x2, 0.0) + pr
     return merged
 
@@ -75,7 +85,7 @@ def reference_margin_decomposition(x, a, params) -> tuple[float, float]:
         pr = transition_prob(Action(()), ev, params)
         if pr == 0.0:
             continue
-        no_succ_terms.append(pr * min_schedule_margin(apply_transition(x, a, ev), d))
+        no_succ_terms.append(pr * min_schedule_margin(successor(x, a, ev, params), d))
     succ_terms = []
     for nw in range(1, len(a.scheduled) + 1):
         for w in combinations(a.scheduled, nw):
@@ -84,7 +94,7 @@ def reference_margin_decomposition(x, a, params) -> tuple[float, float]:
                 pr = transition_prob(a, ev, params)
                 if pr == 0.0:
                     continue
-                succ_terms.append(pr * min_schedule_margin(apply_transition(x, a, ev), d))
+                succ_terms.append(pr * min_schedule_margin(successor(x, a, ev, params), d))
     pd = success_probs(params, 0).batch
     v = math.fsum(succ_terms) / pd if pd > 0.0 else 0.0
     return math.fsum(no_succ_terms), v
@@ -132,7 +142,7 @@ CERTAIN = (  # d > N, p = 1 and q = 1: a single event of probability one
 @example(CERTAIN, "drop-event")
 def test_kernel_matches_event_reference(case, mode):
     x, a, params = case
-    set_fault_mode(mode)
+    params = replace(params, fault=mode)
     out = enumerate_transitions(x, a, params)
     assert len({x2 for x2, _ in out}) == len(out)  # no successor listed twice
     assert as_hex(out) == as_hex(reference_transitions(x, a, params).items())
@@ -142,7 +152,7 @@ def test_kernel_matches_event_reference(case, mode):
 @given(cases(need_holder=True), st.sampled_from([None, "age-drift", "drop-event"]))
 def test_margin_decomposition_matches_event_reference(case, mode):
     x, a, params = case
-    set_fault_mode(mode)
+    params = replace(params, fault=mode)
     u, v = margin_decomposition(x, a, params)
     ru, rv = reference_margin_decomposition(x, a, params)
     assert (u.hex(), v.hex()) == (ru.hex(), rv.hex())

@@ -1,11 +1,15 @@
 """Model core: states, actions, transition law, event probabilities, serialization."""
 
+import ast
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import aoi_sched
 from aoi_sched.model import (
     EMPTY,
     Action,
@@ -23,7 +27,6 @@ from aoi_sched.model import (
     norm_inf,
     parse_state,
     sample_step,
-    set_fault_mode,
     sources_with_packets,
     success_probs,
     transition_prob,
@@ -226,14 +229,13 @@ class TestProbabilities:
 
 class TestFaultModes:
     def test_age_drift_breaks_aging(self):
-        set_fault_mode("age-drift")
-        x2 = apply_transition(new_state((0,), (3,)), Action(()), TransitionEvent((), ()))
-        assert x2.h == (5,)
+        params = ModelParams(1, 1, 0.5, (0.0,), 2, fault="age-drift")
+        [(x2, pr)] = enumerate_transitions(new_state((0,), (3,)), Action(()), params)
+        assert x2.h == (5,) and pr == 1.0
 
     def test_drop_event_breaks_closure(self):
-        params = ModelParams(1, 1, 0.5, (0.5,), 2)
+        params = ModelParams(1, 1, 0.5, (0.5,), 2, fault="drop-event")
         x = new_state((0,), (3,))
-        set_fault_mode("drop-event")
         total = math.fsum(pr for _, pr in enumerate_transitions(x, Action((0,)), params))
         assert total < 1.0 - 1e-6
 
@@ -244,12 +246,21 @@ class TestFaultModes:
         x = new_state((0, EMPTY, 2), (1, 4, 5))
         a = Action((0, 2))
         clean = enumerate_transitions(x, a, params)
-        set_fault_mode("drop-event")
-        assert enumerate_transitions(x, a, params) == clean
+        assert enumerate_transitions(x, a, replace(params, fault="drop-event")) == clean
+
+    def test_sampler_follows_the_clean_law(self):
+        """A fault corrupts the exact kernel only; sampled steps never see it."""
+        params = ModelParams(2, 1, 0.5, (0.5, 0.5), 2)
+        x, a = new_state((0, 1), (3, 4)), Action((1,))
+        for fault in ("age-drift", "drop-event"):
+            faulty = replace(params, fault=fault)
+            for seed in range(20):
+                clean = sample_step(x, a, params, np.random.default_rng(seed))
+                assert sample_step(x, a, faulty, np.random.default_rng(seed)) == clean
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            set_fault_mode("bitrot")
+        with pytest.raises(ValueError, match="bitrot"):
+            ModelParams(1, 1, 0.5, (0.5,), 2, fault="bitrot")
 
 
 class TestSerialization:
@@ -268,3 +279,17 @@ class TestSerialization:
     def test_rejects_garbage(self, text):
         with pytest.raises(InvalidState):
             parse_state(text)
+
+
+def test_package_has_no_global_statement():
+    """Model state lives in values such as ModelParams, never in module
+    globals that a `global` statement rebinds."""
+    sources = sorted(Path(aoi_sched.__file__).parent.glob("*.py"))
+    assert sources
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Global)
+    ]
+    assert offenders == []

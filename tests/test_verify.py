@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from aoi_sched import verify
-from aoi_sched.model import set_fault_mode
 from aoi_sched.verify import check_prob_closure, run_suite
 
 from .conftest import run_cli
@@ -34,14 +33,12 @@ def test_clean_run_passes_every_check():
 
 
 def test_age_drift_fault_is_caught():
-    set_fault_mode("age-drift")
-    failed = {c.name for c in run_suite() if c.failed}
+    failed = {c.name for c in run_suite(fault="age-drift") if c.failed}
     assert "expected_age_sum_identity" in failed
 
 
 def test_drop_event_fault_is_caught():
-    set_fault_mode("drop-event")
-    failed = {c.name for c in run_suite() if c.failed}
+    failed = {c.name for c in run_suite(fault="drop-event") if c.failed}
     assert "transition_prob_closure" in failed
 
 
@@ -61,29 +58,36 @@ def test_cli_verify_report(tmp_path):
     assert all(c["status"] in {"pass", "skipped", "not-applicable"} for c in rep["checks"])
 
 
-def test_cli_verify_fault_injection_exits_two(tmp_path):
-    out = tmp_path / "verify.json"
-    res = run_cli([
-        "verify", "--inject-fault", "age-drift",
-        "--no-header-timestamp", "--out", str(out),
-    ])
+@pytest.fixture(scope="module")
+def fault_runs(tmp_path_factory):
+    """One `verify --inject-fault F` CLI run per fault at seed 42, the CLI's
+    default seed: fault -> (CompletedProcess, report bytes)."""
+    runs = {}
+    for fault in ("age-drift", "drop-event"):
+        out = tmp_path_factory.mktemp("verify") / f"{fault}.json"
+        res = run_cli([
+            "verify", "--no-header-timestamp", "--seed", "42", "--inject-fault", fault,
+            "--out", str(out),
+        ])
+        runs[fault] = res, out.read_bytes()
+    return runs
+
+
+def test_cli_verify_fault_injection_exits_two(fault_runs):
+    res, data = fault_runs["age-drift"]
     assert res.returncode == 2
-    rep = json.loads(out.read_text())
+    rep = json.loads(data)
     assert rep["fault_mode"] == "age-drift"
     assert "expected_age_sum_identity" in rep["failed"]
 
 
 @pytest.mark.parametrize("fault", ["age-drift", "drop-event"])
-def test_fault_injection_report_matches_golden(tmp_path, fault):
+def test_fault_injection_report_matches_golden(fault_runs, fault):
     """The negative-control reports keep their bytes: the detail strings and
     measured errors come straight from the faulty kernel."""
-    out = tmp_path / "verify.json"
-    res = run_cli([
-        "verify", "--no-header-timestamp", "--seed", "42", "--inject-fault", fault,
-        "--out", str(out),
-    ])
+    res, data = fault_runs[fault]
     assert res.returncode == 2, res.stderr
-    assert out.read_bytes() == (GOLDEN / f"verify_seed42_{fault}.json").read_bytes()
+    assert data == (GOLDEN / f"verify_seed42_{fault}.json").read_bytes()
 
 
 def test_closure_check_looks_up_kernel_in_verify_module(monkeypatch):
