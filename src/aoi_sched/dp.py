@@ -7,15 +7,30 @@ Stages run 1..T.  Cost is accrued every stage; decisions happen at stages
 1..T-1; the terminal value is the bare stage cost.  Only states forward
 reachable from the initial state are tabulated, which keeps the unbounded age
 grid finite (ages grow by at most one per slot).
+
+Both passes work on per-stage arrays.  A stage is one integer row per distinct
+key, g | h, plus the memory value when a policy threads one.  An event's
+probability depends only on the scheduled set, not on the state, so each
+action's events are read once per pass off the exact kernel, and the
+successors of every row taking that action are one array expression.  The
+backward pass sums each expectation with math.fsum, which is exact, so every
+value and tie-break is the one a state-by-state pass over the kernel's
+(successor, probability) pairs gives.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple
 
+import numpy as np
+
 from .model import (
+    EMPTY,
     Action,
     ModelParams,
     SystemState,
@@ -23,14 +38,20 @@ from .model import (
     _expand_arrivals,
     _success_sets,
     cost,
-    enumerate_actions,
     enumerate_transitions,
     format_state,
+    fresh_state,
     norm_inf,
     sources_with_packets,
     success_probs,
 )
-from .policies import DeltaPolicy, min_schedule_margin, schedule_margin
+from .policies import (
+    DeltaPolicy,
+    OptimalPolicy,
+    StateNotInTable,
+    min_schedule_margin,
+    schedule_margin,
+)
 
 DEFAULT_STATE_CAP = 5_000_000
 
@@ -51,16 +72,104 @@ class NoAction(ValueError):
     """Operation needs at least one packet-holding source."""
 
 
-@dataclass(frozen=True)
+def _rank(code: np.ndarray) -> tuple[int, np.ndarray]:
+    uniq, inv = np.unique(code, return_inverse=True)
+    return len(uniq), inv
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array and the index of each row among them.
+
+    A row's bytes, zero-padded to whole 8-byte words, are read as unsigned
+    integers.  A one-word row is ranked by np.unique directly; every further
+    word is ranked and folded into the rank of the words before it, so each
+    code stays below (number of rows)**2 and none overflows, however wide
+    the row.
+    """
+    size, width = len(rows), rows.itemsize * rows.shape[1]
+    buf = np.zeros((size, -(-width // 8) * 8), dtype=np.uint8)
+    buf[:, :width] = np.ascontiguousarray(rows).view(np.uint8).reshape(size, width)
+    code = None
+    for word in buf.view(np.uint64).T:
+        if code is None:
+            code = word
+        else:
+            _, hi = _rank(code)
+            n_lo, lo = _rank(word)
+            code = hi * n_lo + lo
+    n_uniq, inv = _rank(code)
+    first = np.empty(n_uniq, dtype=np.intp)
+    first[inv] = np.arange(size)
+    return rows[first], inv
+
+
+def _signed_type(bound: int) -> np.dtype:
+    """The smallest signed integer type holding -bound..bound."""
+    return np.min_scalar_type(-1 - bound)
+
+
+def _groups(flags: np.ndarray):
+    """For each distinct row of a boolean [rows, N] array: its true columns, ascending, and
+    the indices of the rows equal to it."""
+    sets, inv = _unique_rows(flags)
+    for i, row in enumerate(sets):
+        yield tuple(np.flatnonzero(row).tolist()), np.flatnonzero(inv == i)
+
+
+def _row_key(row: list, n: int, augmented: bool):
+    x = SystemState(tuple(row[:n]), tuple(row[n : 2 * n]))
+    return (x, row[2 * n]) if augmented else x
+
+
+class _Stage(Mapping):
+    """One stage of a DPTable as key -> (value, action or None).  The dict
+    behind it is built on first lookup, with keys of Python ints (repr of a
+    numpy integer differs) and values of Python floats; its length is the
+    stage's row count and needs no dict.  It holds the stage's arrays, not
+    the table, so the two form no reference cycle."""
+
+    def __init__(self, rows, values, action_ids, actions, augmented: bool):
+        self._arrays = rows, values, action_ids, actions, augmented
+
+    def __len__(self) -> int:
+        return len(self._arrays[1])
+
+    @cached_property
+    def _entries(self) -> dict:
+        rows, values, ids, actions, augmented = self._arrays
+        n = rows.shape[1] // 2
+        keys = [_row_key(row, n, augmented) for row in rows.tolist()]
+        acts = [None if j < 0 else actions[j] for j in ids.tolist()]
+        return dict(zip(keys, zip(values.tolist(), acts)))
+
+    def __getitem__(self, key):
+        return self._entries[key]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+
+@dataclass(frozen=True, eq=False)
 class DPTable:
-    """Per-stage value maps.  Keys are states, or (state, memory) pairs when the
-    evaluated policy threads a memory value (augmented round-robin cursor)."""
+    """Per-stage arrays of one solve.  Keys are states, or (state, memory)
+    pairs when the evaluated policy threads a memory value (augmented
+    round-robin cursor); stages[t-1] maps them to (value, action-or-None)."""
 
     horizon: int
     policy_name: str | None  # None marks the optimal table
     augmented: bool
-    stages: tuple[dict, ...]  # stages[t-1]: key -> (value, action-or-None)
     root_key: object
+    rows: tuple[np.ndarray, ...]        # per stage: one key row g | h (| memory) per key
+    values: tuple[np.ndarray, ...]      # per stage: float64 value of each row
+    action_ids: tuple[np.ndarray, ...]  # per stage: index into actions; -1 at stage T
+    actions: tuple[Action, ...]
+
+    @cached_property
+    def stages(self) -> tuple[Mapping, ...]:
+        return tuple(
+            _Stage(rows, values, ids, self.actions, self.augmented)
+            for rows, values, ids in zip(self.rows, self.values, self.action_ids)
+        )
 
     def value(self, t: int, key) -> float:
         return self.stages[t - 1][key][0]
@@ -72,7 +181,21 @@ class DPTable:
         return self.stages[t - 1].keys()
 
     def root_value(self) -> float:
-        return self.stages[0][self.root_key][0]
+        return float(self.values[0][0])
+
+    def lookup(self, t: int, rows: np.ndarray) -> np.ndarray:
+        """Index in stage t's arrays of each key row, given as integers of any
+        dtype; StateNotInTable for a row the solve never reached."""
+        table = self.rows[t - 1]
+        dtype = np.result_type(table, _signed_type(int(np.abs(rows).max(initial=0))))
+        _, inv = _unique_rows(np.concatenate([table, rows], dtype=dtype))
+        pos = np.full(len(inv), -1)
+        pos[inv[: len(table)]] = np.arange(len(table))
+        pos = pos[inv[len(table) :]]
+        if (pos < 0).any():
+            key = _row_key(rows[np.argmin(pos)].tolist(), table.shape[1] // 2, self.augmented)
+            raise StateNotInTable(f"stage {t} has no entry for {key}")
+        return pos
 
 
 class BoundConstants(NamedTuple):
@@ -98,75 +221,177 @@ class GapReport:
     constants: BoundConstants | None  # None when T <= 2
 
 
-def _forward(params: ModelParams, key0, augmented: bool, choose, cap: int) -> list[dict]:
-    """Stage layers reachable from key0.  Layer t maps each key to its
-    candidates (action, next memory, successor pairs), where choose(t, x, mem)
-    yields the (action, next memory) pairs to expand; last-stage keys map to ().
+class _Events(NamedTuple):
+    """The events of scheduling one action."""
 
-    A key is a state, or a (state, memory) pair when augmented.  Each
-    (state, action) is enumerated once, whichever stage or memory it recurs at,
-    and the cap counts distinct keys as they are added.
+    kind: np.ndarray  # [events, N]: 2 * (delivered from n) + (n got a packet)
+    step: int         # how far every undelivered destination age grows
+    pr: np.ndarray    # float64 [events]: the kernel's probabilities
+
+
+def _events(a: tuple[int, ...], params: ModelParams) -> _Events:
+    """Read the events of scheduling a off one exact-kernel call at the fresh
+    state, where every source holds an age-0 packet at destination age 1, so
+    every action is schedulable and each successor shows its event: a
+    delivery leaves h' = g + 1 = 1, an arrival leaves g' = 0, and an
+    undelivered destination age grows to 1 + step (step is 1, or 2 under
+    age-drift).  The probabilities, their 0.0 pruning and any fault of the
+    instance are the kernel's own, and they serve every state that
+    schedules a."""
+    n = params.n_sources
+    pairs = enumerate_transitions(fresh_state(n), Action(a), params)
+    g = np.array([x2.g for x2, _ in pairs], dtype=np.int64).reshape(len(pairs), n)
+    h = np.array([x2.h for x2, _ in pairs], dtype=np.int64).reshape(len(pairs), n)
+    kind = 2 * (h == 1) + (g == 0)
+    return _Events(kind, int(h.max(initial=1)) - 1, np.array([pr for _, pr in pairs], dtype=float))
+
+
+def _successors(rows: np.ndarray, ev: _Events, mem, out: np.ndarray) -> None:
+    """Write into out [rows, events, C] the successor key of each stage row
+    under each event, looked up per source by the event's kind: nothing
+    happens (an undelivered packet ages by one), a fresh packet arrives, the
+    buffered packet is delivered (h moves to g + 1 and the buffer empties),
+    or both; mem fills the memory column."""
+    n = ev.kind.shape[1]
+    g, h = rows[:, :n], rows[:, n : 2 * n]
+    fresh, gone = np.zeros_like(g), np.full_like(g, EMPTY)
+    delivered, undelivered = g + 1, h + ev.step
+    kept = np.where(g == EMPTY, EMPTY, delivered)
+    src = np.arange(n)
+    out[..., :n] = np.stack([kept, fresh, gone, fresh], axis=2)[:, src, ev.kind]
+    h2 = np.stack([undelivered, undelivered, delivered, delivered], axis=2)
+    out[..., n : 2 * n] = h2[:, src, ev.kind]
+    if mem is not None:
+        out[..., 2 * n] = mem[:, None]
+
+
+class _Block(NamedTuple):
+    """Rows of one stage that take the same action."""
+
+    action: int        # index into the pass's actions
+    rows: np.ndarray   # the stage rows
+    succ: np.ndarray   # [rows, events] index of each successor in the next stage
+    pr: np.ndarray     # [events]
+
+
+def _forward(params: ModelParams, root: np.ndarray, choose, cap: int):
+    """Stage rows reachable from the one-row root stage, the blocks of
+    stages 1..T-1, and the actions the blocks index.
+
+    choose(t, rows) yields (action, row indices, next memory or None) for the
+    rows of stage t; a row taking several actions appears in one block per
+    action, in the order it tries them.  Each action's events are read once
+    per pass.  The cap counts distinct keys over all stages, and each stage's
+    keys are counted before that stage is expanded.
     """
-    trans: dict[tuple[SystemState, Action], list] = {}
-    layers: list[dict] = [{key0: ()}]
-    total = 1
+    events: dict[tuple[int, ...], _Events] = {}
+    actions: dict[tuple[int, ...], int] = {}
+    stages, blocks = [root], []
+    total, limit = 1, max(cap, 1)  # the root counts but is never checked
     for t in range(1, params.horizon):
-        cur, nxt = layers[-1], {}
-        for key in cur:
-            x, mem = key if augmented else (key, None)
-            cands = []
-            for a, mem2 in choose(t, x, mem):
-                pairs = trans.get((x, a))
-                if pairs is None:
-                    pairs = trans[(x, a)] = enumerate_transitions(x, a, params)
-                for x2, _pr in pairs:
-                    key2 = (x2, mem2) if augmented else x2
-                    if key2 not in nxt:
-                        total += 1
-                        if total > cap:
-                            raise StateSpaceTooLarge(
-                                f"reachable set exceeds cap: {total} > {cap}"
-                            )
-                        nxt[key2] = ()
-                cands.append((a, mem2, pairs))
-            cur[key] = cands
-        layers.append(nxt)
-    return layers
+        cur = stages[-1]
+        taken = []
+        for a, rows, mem in choose(t, cur):
+            if a not in events:
+                events[a] = _events(a, params)
+            taken.append((a, rows, mem, events[a]))
+        sizes = [len(rows) * len(ev.pr) for _, rows, _, ev in taken]
+        ends = np.cumsum([0, *sizes]).tolist()
+        succ = np.empty((ends[-1], cur.shape[1]), dtype=cur.dtype)
+        for (a, rows, mem, ev), start, stop in zip(taken, ends, ends[1:]):
+            out = succ[start:stop].reshape(len(rows), len(ev.pr), cur.shape[1])
+            _successors(cur[rows], ev, mem, out)
+        nxt, inv = _unique_rows(succ)
+        del succ
+        total += len(nxt)
+        if total > limit:
+            raise StateSpaceTooLarge(f"reachable set exceeds cap: {limit + 1} > {cap}")
+        blocks.append([
+            _Block(actions.setdefault(a, len(actions)), rows,
+                   inv[start:stop].reshape(len(rows), len(ev.pr)), ev.pr)
+            for (a, rows, _, ev), start, stop in zip(taken, ends, ends[1:])
+        ])
+        stages.append(nxt)
+    return stages, blocks, tuple(Action(a) for a in actions)
 
 
-def _backward(layers: list[dict], augmented: bool) -> tuple[dict, ...]:
-    """V_T(x) = cost(x); V_t(x) = min over candidates of
-    cost(x) + sum_x' P(x'|x,a) V_{t+1}(x').
+def _stage_cost(rows: np.ndarray, n: int) -> np.ndarray:
+    return rows[:, n : 2 * n].sum(axis=1, dtype=np.int64).astype(float)
 
-    Expectations use math.fsum so candidate values that are equal in exact
-    arithmetic round identically; ties then resolve to the first candidate.
-    """
-    T = len(layers)
-    stages: list[dict] = [{} for _ in range(T)]
-    stages[T - 1] = {
-        key: (float(cost(key[0] if augmented else key)), None) for key in layers[T - 1]
-    }
-    for t in range(T - 1, 0, -1):
-        nxt = stages[t]
-        cur = {}
-        for key, cands in layers[t - 1].items():
-            base = float(cost(key[0] if augmented else key))
-            best = best_a = None
-            for a, mem2, pairs in cands:
-                q = base + math.fsum(
-                    pr * nxt[(x2, mem2) if augmented else x2][0] for x2, pr in pairs
-                )
-                if best is None or q < best:
-                    best, best_a = q, a
-            cur[key] = (best, best_a)
-        stages[t - 1] = cur
-    return tuple(stages)
+
+def _backward(stages: list, blocks: list, n: int):
+    """Values and action indices per stage.  V_T(x) = cost(x); V_t(x) = min
+    over the blocks holding x of cost(x) + sum_x' P(x'|x,a) V_{t+1}(x').
+
+    Each product is one IEEE multiply, as in Python, and each sum is
+    math.fsum, so candidate values that are equal in exact arithmetic round
+    identically; a strict comparison then keeps the first candidate."""
+    values = [_stage_cost(stages[-1], n)]
+    ids = [np.full(len(stages[-1]), -1)]
+    for rows, stage_blocks in zip(stages[-2::-1], blocks[::-1]):
+        nxt = values[-1]
+        base = _stage_cost(rows, n)
+        best = np.full(len(rows), np.inf)
+        act = np.full(len(rows), -1)
+        for b in stage_blocks:
+            terms = (b.pr * nxt[b.succ]).tolist()
+            q = base[b.rows] + np.fromiter(map(math.fsum, terms), float, len(terms))
+            win = q < best[b.rows]
+            best[b.rows[win]] = q[win]
+            act[b.rows[win]] = b.action
+        values.append(best)
+        ids.append(act)
+    return values[::-1], ids[::-1]
+
+
+def _root(params: ModelParams, x0: SystemState, mem0) -> np.ndarray:
+    """The one-row first stage, in the smallest signed integer type that
+    holds every value a pass can reach: ages grow by at most two per slot
+    (one, or two under age-drift) and a memory value (the rr cursor) stays
+    below N."""
+    bound = max(*x0.h, params.n_sources) + 2 * params.horizon
+    row = [*x0.g, *x0.h] + ([] if mem0 is None else [mem0])
+    return np.array([row], dtype=_signed_type(bound))
+
+
+def _solve(params: ModelParams, name, x0: SystemState, mem0, choose, cap: int) -> DPTable:
+    stages, blocks, actions = _forward(params, _root(params, x0, mem0), choose, cap)
+    values, ids = _backward(stages, blocks, params.n_sources)
+    augmented = mem0 is not None
+    key0 = (x0, mem0) if augmented else x0
+    return DPTable(params.horizon, name, augmented, key0, tuple(stages), tuple(values),
+                   tuple(ids), actions)
 
 
 def _all_actions(params: ModelParams):
-    """The optimal solve's chooser: every action, in enumerate_actions order."""
-    d = params.n_channels
-    return lambda t, x, mem: [(a, None) for a in enumerate_actions(x, d)]
+    """The optimal solve's chooser: every work-conserving action of each row.
+    For a holder set, combinations order is enumerate_actions order, so each
+    row tries its actions in that order."""
+    n, d = params.n_sources, params.n_channels
+
+    def choose(t, rows):
+        for holders, idx in _groups(rows[:, :n] != EMPTY):
+            for a in combinations(holders, min(len(holders), d)):
+                yield a, idx, None
+
+    return choose
+
+
+def _policy_actions(policy, n: int, augmented: bool):
+    """A fixed policy's chooser: its batch decision for every row, the memory
+    read from and written to the key's last column when augmented."""
+
+    def choose(t, rows):
+        g, h = rows[:, :n].astype(np.int64), rows[:, n : 2 * n].astype(np.int64)
+        if isinstance(policy, OptimalPolicy):
+            mask, mem = policy.decide_stage(t, g, h), None
+        else:
+            mem = rows[:, 2 * n].astype(np.int64) if augmented else None
+            mask, mem = policy.decide_batch(g, h, mem)
+        for a, idx in _groups(mask):
+            yield a, idx, None if mem is None else mem[idx]
+
+    return choose
 
 
 def reachable_states(
@@ -178,7 +403,9 @@ def reachable_states(
     """Per-stage sets of states reachable from x0 under any action sequence."""
     if horizon is not None:
         params = replace(params, horizon=horizon)
-    return [set(layer) for layer in _forward(params, x0, False, _all_actions(params), cap)]
+    stages, _, _ = _forward(params, _root(params, x0, None), _all_actions(params), cap)
+    n = params.n_sources
+    return [{_row_key(row, n, False) for row in rows.tolist()} for rows in stages]
 
 
 def solve_optimal(
@@ -186,8 +413,7 @@ def solve_optimal(
 ) -> DPTable:
     """Backward induction for the optimal values over every action, tried in
     enumerate_actions order, so ties resolve to the lexicographically smallest."""
-    layers = _forward(params, x0, False, _all_actions(params), cap)
-    return DPTable(params.horizon, None, False, _backward(layers, False), x0)
+    return _solve(params, None, x0, None, _all_actions(params), cap)
 
 
 def evaluate_policy(
@@ -201,15 +427,8 @@ def evaluate_policy(
     compare directly against the optimal one.
     """
     mem0 = policy.initial_memory()
-    augmented = mem0 is not None
-    key0 = (x0, mem0) if augmented else x0
-
-    def choose(t, x, mem):
-        decision, mem2 = policy.decide(t, x, mem)
-        return ((decision.action, mem2),)
-
-    layers = _forward(params, key0, augmented, choose, cap)
-    return DPTable(params.horizon, policy.name, augmented, _backward(layers, augmented), key0)
+    choose = _policy_actions(policy, params.n_sources, mem0 is not None)
+    return _solve(params, policy.name, x0, mem0, choose, cap)
 
 
 def bound_constants(k: int, p: float, d: int) -> BoundConstants:

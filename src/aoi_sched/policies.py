@@ -16,6 +16,8 @@ fewer), sorted ascending, with index order breaking score ties.
 The index rules also decide for a block of episodes at once: decide_batch
 takes g, h as integer arrays of shape [B, N] and returns the scheduled mask
 of the same shape, choosing in every row what decide chooses for that state.
+The table-backed policy does the same for one stage at a time with
+decide_stage(t, g, h), a lookup in its table's stage arrays.
 """
 
 from __future__ import annotations
@@ -212,6 +214,19 @@ class OptimalPolicy(Policy):
 
     def decide(self, t, x, memory=None):
         return dp_policy_decide(self.table, t, x), memory
+
+    def decide_stage(self, t: int, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """decide for every row of the [B, N] ages g, h at stage t: the
+        scheduled mask of each state's stored action, looked up in the table's
+        stage arrays; StateNotInTable for a state the solver never reached."""
+        table = self.table
+        if t >= table.horizon:
+            raise ValueError(f"stage {t} is terminal; no decision is defined")
+        ids = table.action_ids[t - 1][table.lookup(t, np.concatenate([g, h], axis=1))]
+        masks = np.zeros((len(table.actions), g.shape[1]), dtype=bool)
+        for i, a in enumerate(table.actions):
+            masks[i, list(a.scheduled)] = True
+        return masks[ids]
 
 
 POLICY_NAMES = ("delta", "pi", "rr", "rr-strict", "optimal")

@@ -42,6 +42,8 @@ from aoi_sched.policies import (
     min_schedule_margin,
 )
 
+from . import dict_solver
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -291,6 +293,39 @@ def frozen_table_digests() -> dict:
 
 
 def test_each_state_action_enumerated_once(monkeypatch):
+    """The dict reference solver expands each (state, action) it reaches once."""
+    calls = Counter()
+
+    def counting(x, a, params):
+        calls[(x, a)] += 1
+        return enumerate_transitions(x, a, params)
+
+    monkeypatch.setattr(dict_solver, "enumerate_transitions", counting)
+    params = ModelParams(2, 1, 0.6, (0.5, 0.5), 5)
+    x0 = fresh_state(2)
+    opt = dict_solver.solve_optimal(params, x0)
+    expect = {
+        (x, a)
+        for t in range(1, params.horizon)
+        for x in opt[t - 1]
+        for a in enumerate_actions(x, params.n_channels)
+    }
+    assert set(calls) == expect and set(calls.values()) == {1}
+    for pol in (DeltaPolicy(1), RRPolicy(2, 1), OptimalPolicy(solve_optimal(params, x0))):
+        calls.clear()
+        stages = dict_solver.evaluate_policy(pol, params, x0)
+        augmented = pol.initial_memory() is not None
+        expect = {
+            (key[0] if augmented else key, stages[t - 1][key][1])
+            for t in range(1, params.horizon)
+            for key in stages[t - 1]
+        }
+        assert set(calls) == expect and set(calls.values()) == {1}, pol.name
+
+
+def test_each_action_events_read_once_per_pass(monkeypatch):
+    """The array solver reads an action's events off the kernel once per
+    solve or evaluation, at the fresh state, however many states take it."""
     calls = Counter()
 
     def counting(x, a, params):
@@ -298,25 +333,24 @@ def test_each_state_action_enumerated_once(monkeypatch):
         return enumerate_transitions(x, a, params)
 
     monkeypatch.setattr(dp, "enumerate_transitions", counting)
-    params = ModelParams(2, 1, 0.6, (0.5, 0.5), 5)
-    x0 = fresh_state(2)
+    params = ModelParams(3, 2, 0.6, (0.5, 0.2, 0.9), 5)
+    x0, fresh = new_state((1, EMPTY, 0), (3, 2, 4)), fresh_state(3)
     opt = solve_optimal(params, x0)
     expect = {
-        (x, a)
+        a
         for t in range(1, params.horizon)
         for x in opt.states(t)
         for a in enumerate_actions(x, params.n_channels)
     }
-    assert set(calls) == expect and set(calls.values()) == {1}
-    for pol in (DeltaPolicy(1), RRPolicy(2, 1), OptimalPolicy(opt)):
+    assert set(calls) == {(fresh, a) for a in expect} and set(calls.values()) == {1}
+    for pol in (DeltaPolicy(2), RRPolicy(3, 2), OptimalPolicy(opt)):
         calls.clear()
         table = evaluate_policy(pol, params, x0)
         expect = {
-            (key[0] if table.augmented else key, table.action(t, key))
-            for t in range(1, params.horizon)
-            for key in table.states(t)
+            table.action(t, key) for t in range(1, params.horizon) for key in table.states(t)
         }
-        assert set(calls) == expect and set(calls.values()) == {1}, pol.name
+        assert set(calls) == {(fresh, a) for a in expect}, pol.name
+        assert set(calls.values()) == {1}, pol.name
 
 
 def test_tables_match_frozen_digests():

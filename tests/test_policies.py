@@ -1,5 +1,6 @@
 """Decision rules: margin-greedy, age-greedy, round-robin, table lookup."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,6 +115,37 @@ class TestDPPolicyDecide:
         table = solve_optimal(params, x0)
         with pytest.raises(ValueError):
             dp_policy_decide(table, params.horizon, x0)
+
+
+class TestOptimalDecideStage:
+    def test_returns_stored_action_for_every_key(self):
+        params = ModelParams(3, 2, 0.6, (0.5, 0.2, 0.9), 4)
+        policy = OptimalPolicy(solve_optimal(params, new_state((1, EMPTY, 0), (3, 2, 4))))
+        for t in range(1, params.horizon):
+            keys = list(policy.table.states(t))
+            g = np.array([x.g for x in keys])
+            h = np.array([x.h for x in keys])
+            masks = policy.decide_stage(t, g, h)
+            for x, mask in zip(keys, masks):
+                assert tuple(np.flatnonzero(mask)) == policy.table.action(t, x).scheduled
+
+    @pytest.mark.parametrize("x", [
+        new_state((0, 0), (9, 9)),           # never reached
+        new_state((0, 0), (10**6, 10**6)),   # beyond the table's integer type
+    ])
+    def test_unreached_state_raises(self, x):
+        params = ModelParams(2, 1, 0.5, (0.5, 0.5), 3)
+        policy = OptimalPolicy(solve_optimal(params, fresh_state(2)))
+        g = np.array([fresh_state(2).g, x.g])
+        h = np.array([fresh_state(2).h, x.h])
+        with pytest.raises(StateNotInTable, match=r"stage 1 has no entry for .*h=\((9|1000000),"):
+            policy.decide_stage(1, g, h)
+
+    def test_terminal_stage_has_no_action(self):
+        params = ModelParams(2, 1, 0.5, (0.5, 0.5), 3)
+        policy = OptimalPolicy(solve_optimal(params, fresh_state(2)))
+        with pytest.raises(ValueError):
+            policy.decide_stage(params.horizon, np.zeros((1, 2), int), np.ones((1, 2), int))
 
 
 @given(states(), st.integers(1, 3))

@@ -24,21 +24,32 @@ EXPECTED_ORDER = [
 ]
 
 
-def test_clean_run_passes_every_check():
-    checks = run_suite()
-    assert [c.name for c in checks] == EXPECTED_ORDER
-    assert all(not c.failed for c in checks), [
-        (c.name, c.detail) for c in checks if c.failed
+@pytest.fixture(scope="module")
+def clean_checks():
+    """One clean run of the battery, shared by every test that reads it."""
+    return run_suite()
+
+
+@pytest.fixture(scope="module")
+def fault_checks():
+    """One run of the battery per fault: fault -> checks."""
+    return {fault: run_suite(fault=fault) for fault in ("age-drift", "drop-event")}
+
+
+def test_clean_run_passes_every_check(clean_checks):
+    assert [c.name for c in clean_checks] == EXPECTED_ORDER
+    assert all(not c.failed for c in clean_checks), [
+        (c.name, c.detail) for c in clean_checks if c.failed
     ]
 
 
-def test_age_drift_fault_is_caught():
-    failed = {c.name for c in run_suite(fault="age-drift") if c.failed}
+def test_age_drift_fault_is_caught(fault_checks):
+    failed = {c.name for c in fault_checks["age-drift"] if c.failed}
     assert "expected_age_sum_identity" in failed
 
 
-def test_drop_event_fault_is_caught():
-    failed = {c.name for c in run_suite(fault="drop-event") if c.failed}
+def test_drop_event_fault_is_caught(fault_checks):
+    failed = {c.name for c in fault_checks["drop-event"] if c.failed}
     assert "transition_prob_closure" in failed
 
 
