@@ -47,7 +47,6 @@ from .model import (
 )
 from .policies import (
     DeltaPolicy,
-    OptimalPolicy,
     StateNotInTable,
     min_schedule_margin,
     schedule_margin,
@@ -383,11 +382,8 @@ def _policy_actions(policy, n: int, augmented: bool):
 
     def choose(t, rows):
         g, h = rows[:, :n].astype(np.int64), rows[:, n : 2 * n].astype(np.int64)
-        if isinstance(policy, OptimalPolicy):
-            mask, mem = policy.decide_stage(t, g, h), None
-        else:
-            mem = rows[:, 2 * n].astype(np.int64) if augmented else None
-            mask, mem = policy.decide_batch(g, h, mem)
+        mem = rows[:, 2 * n].astype(np.int64) if augmented else None
+        mask, mem = policy.decide_batch(t, g, h, mem)
         for a, idx in _groups(mask):
             yield a, idx, None if mem is None else mem[idx]
 
@@ -495,6 +491,19 @@ class MarginDecomposition(NamedTuple):
     success: float     # carries all action dependence
 
 
+def no_success_margin(x: SystemState, a: Action, params: ModelParams) -> float:
+    """The no_success part of margin_decomposition: the expected next-state
+    best margin of x under a, given that every transfer fails."""
+    if not sources_with_packets(x):
+        raise NoAction("no packet-holding source to schedule")
+    _check_schedulable(x, a)
+    d = params.n_channels
+    # base 1.0 with no successes: the pure arrival probability of each pattern
+    return math.fsum(
+        pr * min_schedule_margin(x2, d) for x2, pr in _expand_arrivals(x, (), 1.0, params)
+    )
+
+
 def margin_decomposition(
     x: SystemState, a: Action, params: ModelParams
 ) -> MarginDecomposition:
@@ -507,14 +516,8 @@ def margin_decomposition(
     absolute value; either may be negative.  At p = 0 the success part is a
     0/0 limit and is reported as 0.0.
     """
-    if not sources_with_packets(x):
-        raise NoAction("no packet-holding source to schedule")
-    _check_schedulable(x, a)
+    u = no_success_margin(x, a, params)
     d = params.n_channels
-    # base 1.0 with no successes: the pure arrival probability of each pattern
-    u = math.fsum(
-        pr * min_schedule_margin(x2, d) for x2, pr in _expand_arrivals(x, (), 1.0, params)
-    )
     succ_terms = [
         pr * min_schedule_margin(x2, d)
         for w, base in _success_sets(a, params.p)

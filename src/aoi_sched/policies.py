@@ -13,11 +13,12 @@ Three online heuristics plus a table-backed optimal policy:
 Every decision schedules min(N_x, d) sources (strict round-robin may schedule
 fewer), sorted ascending, with index order breaking score ties.
 
-The index rules also decide for a block of episodes at once: decide_batch
-takes g, h as integer arrays of shape [B, N] and returns the scheduled mask
-of the same shape, choosing in every row what decide chooses for that state.
-The table-backed policy does the same for one stage at a time with
-decide_stage(t, g, h), a lookup in its table's stage arrays.
+Every policy also decides for a block of episodes at once:
+decide_batch(t, g, h, memory) takes g, h as integer arrays of shape [B, N]
+at stage t and returns the scheduled mask of the same shape, choosing in
+every row what decide chooses for that state.  The index rules ignore t; the
+table-backed policy looks the whole stage up in its table's arrays
+(decide_stage).
 """
 
 from __future__ import annotations
@@ -146,9 +147,9 @@ class Policy:
     """Deterministic decision rule; subclasses may thread a memory value
     (round-robin's cursor) through decide() so episodes stay replayable.
 
-    The index rules also define decide_batch(g, h, memory) -> (mask, memory)
-    on [B, N] arrays, where a memory of None starts every row as
-    initial_memory() does; the simulator batches episodes for them."""
+    decide_batch(t, g, h, memory) -> (mask, memory) is decide on [B, N]
+    arrays, where a memory of None starts every row as initial_memory() does;
+    the simulator and the policy evaluation call it for whole blocks."""
 
     name = "policy"
 
@@ -167,7 +168,7 @@ class DeltaPolicy(Policy):
     def decide(self, t, x, memory=None):
         return delta_decide(x, self.d), memory
 
-    def decide_batch(self, g, h, memory=None):
+    def decide_batch(self, t, g, h, memory=None):
         n = g.shape[1]
         return smallest_holders((g - h) * n + np.arange(n), g != EMPTY, self.d), memory
 
@@ -180,7 +181,7 @@ class PIPolicy(Policy):
     def decide(self, t, x, memory=None):
         return pi_decide(x, self.d), memory
 
-    def decide_batch(self, g, h, memory=None):
+    def decide_batch(self, t, g, h, memory=None):
         n = g.shape[1]
         return smallest_holders(np.arange(n) - h * n, g != EMPTY, self.d), memory
 
@@ -202,7 +203,7 @@ class RRPolicy(Policy):
         cursor = 0 if memory is None else memory
         return rr_decide(cursor, x, self.d, strict=self.strict)
 
-    def decide_batch(self, g, h, memory=None):
+    def decide_batch(self, t, g, h, memory=None):
         cursor = np.zeros(len(g), dtype=np.int64) if memory is None else memory
         return rr_decide_batch(cursor, g, self.d, strict=self.strict)
 
@@ -214,6 +215,9 @@ class OptimalPolicy(Policy):
 
     def decide(self, t, x, memory=None):
         return dp_policy_decide(self.table, t, x), memory
+
+    def decide_batch(self, t, g, h, memory=None):
+        return self.decide_stage(t, g, h), memory
 
     def decide_stage(self, t: int, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         """decide for every row of the [B, N] ages g, h at stage t: the

@@ -11,11 +11,13 @@ would change the bytes of every simulate CSV.
 
 Two engines produce the same episodes.  run_episode is the scalar reference:
 one slot at a time through policy.decide and sample_step, optionally
-recording the trajectory; it serves the table-replay optimal policy.  For
-policies with decide_batch, run_experiment advances up to BLOCK_EPISODES
-episodes in lock step on [B, N] age arrays (batch_totals).  Every episode
-keeps its own PCG64 generator and consumes exactly the uniforms sample_step
-would, so per-episode total costs are equal to run_episode's bit for bit.
+recording the trajectory.  run_experiment and compare_policies run the
+block engine (policy_totals): up to BLOCK_EPISODES (policy, episode) rows
+advance in lock step on [B, N] age arrays, every policy of a comparison in
+the same block, each deciding on its own rows through decide_batch.  Every
+row keeps its own PCG64 generator and consumes exactly the uniforms
+sample_step would, so per-episode total costs are equal to run_episode's
+bit for bit.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ import numpy as np
 
 from .model import EMPTY, ModelParams, SystemState, sample_step
 
-# Episodes advanced together, and slots of uniforms held per episode between
-# refills; together they cap the uniform buffer at
-# BLOCK_EPISODES * CHUNK_SLOTS * (N + min(d, N)) doubles whatever R and T are.
+# (policy, episode) rows advanced together, and slots of uniforms held per row
+# between refills; together they cap the uniform buffer at
+# BLOCK_EPISODES * CHUNK_SLOTS * (N + min(d, N)) doubles whatever R, T and the
+# number of compared policies are.
 BLOCK_EPISODES = 256
 CHUNK_SLOTS = 32
 
@@ -95,36 +98,61 @@ def batch_totals(
     replications: int,
     base_seed: int,
 ) -> np.ndarray:
-    """Total cost of episodes base_seed, base_seed+1, ... for a policy with
-    decide_batch; entry i equals run_episode(..., (base_seed + i) % 2**64).total_cost."""
-    totals = np.empty(replications, dtype=np.int64)
-    for start in range(0, replications, BLOCK_EPISODES):
-        seeds = [(base_seed + i) % 2**64
-                 for i in range(start, min(start + BLOCK_EPISODES, replications))]
-        totals[start:start + len(seeds)] = _block_totals(policy, params, x0, seeds)
+    """Total cost of episodes base_seed, base_seed+1, ... for one policy;
+    entry i equals run_episode(..., (base_seed + i) % 2**64).total_cost."""
+    return policy_totals([policy], params, x0, replications, base_seed)[0]
+
+
+def policy_totals(
+    policies,
+    params: ModelParams,
+    x0: SystemState,
+    replications: int,
+    base_seed: int,
+) -> np.ndarray:
+    """Total costs [len(policies), replications] on common episode seeds:
+    entry [i, e] equals run_episode(policies[i], ..., (base_seed + e) % 2**64).
+
+    A block runs up to BLOCK_EPISODES (policy, episode) rows: for k policies,
+    BLOCK_EPISODES // k episodes of every one at once, the policies taken at
+    most BLOCK_EPISODES at a time."""
+    totals = np.empty((len(policies), replications), dtype=np.int64)
+    for lo in range(0, len(policies), BLOCK_EPISODES):
+        group = policies[lo : lo + BLOCK_EPISODES]
+        per_block = BLOCK_EPISODES // len(group)
+        for start in range(0, replications, per_block):
+            seeds = [(base_seed + e) % 2**64
+                     for e in range(start, min(start + per_block, replications))]
+            totals[lo : lo + len(group), start : start + len(seeds)] = _block_totals(
+                group, params, x0, seeds)
     return totals
 
 
-def _block_totals(policy, params: ModelParams, x0: SystemState, seeds) -> np.ndarray:
-    """Run one episode per seed in lock step and return their total costs.
+def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.ndarray:
+    """Run every policy on one episode per seed in lock step; entry [i, e] is
+    policy i's total cost on seeds[e].
 
-    Each slot, episode b takes its success uniforms for the scheduled sources
-    (ascending index) and then N arrival uniforms from its own buffer row at
-    pos[b], as sample_step draws them.  A row holds CHUNK_SLOTS slots' worth
-    of uniforms; after that many slots the unread tail moves to the front and
+    Rows are (policy, episode) pairs in policy-major order, each with its own
+    generator seeded with its episode seed.  Every slot, each policy decides
+    on its own rows; the draws and age updates then run once for all rows.
+    Row b takes its success uniforms for the scheduled sources (ascending
+    index) and then N arrival uniforms from its own buffer row at pos[b], as
+    sample_step draws them.  A buffer row holds CHUNK_SLOTS slots' worth of
+    uniforms; after that many slots the unread tail moves to the front and
     exactly the consumed count is drawn behind it, continuing the stream.
     """
     n, T = params.n_sources, params.horizon
-    b = len(seeds)
+    e = len(seeds)
+    b = len(policies) * e
     g = np.tile(np.array(x0.g, dtype=np.int64), (b, 1))
     h = np.tile(np.array(x0.h, dtype=np.int64), (b, 1))
     ages = h.copy()  # destination ages summed over the stages so far
     if T == 1:
-        return ages.sum(axis=1)
+        return ages.sum(axis=1).reshape(len(policies), e)
     p, q = params.p, np.array(params.q)
     chunk = min(CHUNK_SLOTS, T - 1)
     width = chunk * (n + min(params.n_channels, n))
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [np.random.default_rng(seed) for _ in policies for seed in seeds]
     buf = np.empty((b, width))
     for row, rng in zip(buf, rngs):
         rng.random(out=row)
@@ -132,14 +160,17 @@ def _block_totals(policy, params: ModelParams, x0: SystemState, seeds) -> np.nda
     row_start = np.arange(b) * width
     pos = row_start.copy()  # flat index of each row's next unread uniform
     sources = np.arange(n)
-    mem = None
+    rows = [slice(i * e, (i + 1) * e) for i in range(len(policies))]
+    mems = [None] * len(policies)
+    sched = np.empty((b, n), dtype=bool)
     for t in range(1, T):
         if t > 1 and (t - 1) % chunk == 0:
             for row, rng, used in zip(buf, rngs, (pos - row_start).tolist()):
                 row[: width - used] = row[used:]
                 rng.random(out=row[width - used :])
             pos[:] = row_start
-        sched, mem = policy.decide_batch(g, h, mem)
+        for i, (policy, r) in enumerate(zip(policies, rows)):
+            sched[r], mems[i] = policy.decide_batch(t, g[r], h[r], mems[i])
         # upto counts the scheduled sources up to each index, so a scheduled
         # source reads pos + its rank; unscheduled ones read a discarded value
         upto = np.cumsum(sched, axis=1)
@@ -150,7 +181,28 @@ def _block_totals(policy, params: ModelParams, x0: SystemState, seeds) -> np.nda
         h = np.where(success, g, h) + 1
         g = np.where(arrival, 0, np.where(success, EMPTY, g + (g != EMPTY)))
         ages += h
-    return ages.sum(axis=1)
+    return ages.sum(axis=1).reshape(len(policies), e)
+
+
+def _summaries(
+    policies,
+    params: ModelParams,
+    x0: SystemState,
+    replications: int,
+    base_seed: int,
+) -> tuple[ExperimentSummary, ...]:
+    """One summary per policy, all run on the episode seeds base_seed, base_seed+1, ..."""
+    if replications < 2:
+        raise ValueError(f"need at least 2 replications, got {replications}")
+    totals = policy_totals(policies, params, x0, replications, base_seed).astype(float)
+    summaries = []
+    for policy, row in zip(policies, totals):
+        mean = float(row.mean())
+        stderr = float(row.std(ddof=1) / math.sqrt(replications))
+        summaries.append(ExperimentSummary(
+            policy.name, params, replications, mean, stderr, mean / params.horizon, base_seed
+        ))
+    return tuple(summaries)
 
 
 def run_experiment(
@@ -161,20 +213,7 @@ def run_experiment(
     base_seed: int,
 ) -> ExperimentSummary:
     """Replicated episodes with seeds base_seed, base_seed+1, ..."""
-    if replications < 2:
-        raise ValueError(f"need at least 2 replications, got {replications}")
-    if hasattr(policy, "decide_batch"):
-        totals = batch_totals(policy, params, x0, replications, base_seed).astype(float)
-    else:
-        totals = np.empty(replications)
-        for i in range(replications):
-            totals[i] = run_episode(policy, params, x0, (base_seed + i) % 2**64).total_cost
-    mean = float(totals.mean())
-    stderr = float(totals.std(ddof=1) / math.sqrt(replications))
-    mean_sum_aaoi = mean / params.horizon
-    return ExperimentSummary(
-        policy.name, params, replications, mean, stderr, mean_sum_aaoi, base_seed
-    )
+    return _summaries([policy], params, x0, replications, base_seed)[0]
 
 
 def improvement_pct(mean_a: float, mean_b: float) -> float:
@@ -195,9 +234,7 @@ def compare_policies(
     the first listed policy over each of the others."""
     if len(policies) < 2:
         raise ValueError("need at least two policies to compare")
-    summaries = tuple(
-        run_experiment(pol, params, x0, replications, base_seed) for pol in policies
-    )
+    summaries = _summaries(policies, params, x0, replications, base_seed)
     first = summaries[0].mean_total_cost
     improvements = tuple(improvement_pct(first, s.mean_total_cost) for s in summaries)
     return PolicyComparison(summaries, improvements)

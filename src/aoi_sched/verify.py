@@ -18,6 +18,7 @@ from .dp import (
     evaluate_policy,
     expected_age_sum_check,
     margin_decomposition,
+    no_success_margin,
     optimality_gap,
     solve_optimal,
 )
@@ -151,7 +152,7 @@ def check_margin_split(
         worst_identity = max(worst_identity, abs(expected - ((1.0 - patt) * u + pd * v)))
         limit = d * norm_inf(x)
         worst_bound = max(worst_bound, abs(u) - limit, abs(v) - limit)
-        others = [margin_decomposition(x, b, params).no_success for b in enumerate_actions(x, d)]
+        others = [no_success_margin(x, b, params) for b in enumerate_actions(x, d)]
         worst_spread = max(worst_spread, max(others) - min(others))
     ok = worst_identity <= STEP_TOL and worst_bound <= STEP_TOL and worst_spread <= STEP_TOL
     return CheckResult(

@@ -165,17 +165,19 @@ def test_single_replication_is_config_error():
 @pytest.mark.parametrize("error", [ValueError, StateNotInTable])
 def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys, tmp_path, error):
     # an engine fault (numpy raises ValueError on shape bugs, a table lookup
-    # raises the KeyError StateNotInTable) must surface as a bug
+    # raises the KeyError StateNotInTable) must surface as a bug, whether the
+    # block runs one policy or a fused comparison
     def broken(*args, **kwargs):
         raise error("operands could not be broadcast together")
 
-    monkeypatch.setattr(simulate, "batch_totals", broken)
-    with pytest.raises(error, match="broadcast"):
-        cli.main([
-            "simulate", "--n-sources", "2", "--horizon", "5", "--replications", "2",
-            "--policies", "delta", "--out", str(tmp_path / "o.csv"),
-        ])
-    assert "config error" not in capsys.readouterr().err
+    monkeypatch.setattr(simulate, "_block_totals", broken)
+    for policies in ("delta", "delta,pi"):
+        with pytest.raises(error, match="broadcast"):
+            cli.main([
+                "simulate", "--n-sources", "2", "--horizon", "5", "--replications", "2",
+                "--policies", policies, "--out", str(tmp_path / "o.csv"),
+            ])
+        assert "config error" not in capsys.readouterr().err
 
 
 def test_byte_determinism_and_timestamp(tmp_path):

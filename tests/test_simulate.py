@@ -3,13 +3,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aoi_sched import simulate
+from aoi_sched.dp import solve_optimal
 from aoi_sched.model import EMPTY, ModelParams, fresh_state, new_state
-from aoi_sched.policies import make_policy
+from aoi_sched.policies import POLICY_NAMES, make_policy
 from aoi_sched.simulate import (
+    BLOCK_EPISODES,
     CHUNK_SLOTS,
     batch_totals,
     compare_policies,
     improvement_pct,
+    policy_totals,
     run_episode,
     run_experiment,
 )
@@ -51,6 +55,77 @@ def test_batched_engine_matches_scalar_episodes(case):
         ]
         got = batch_totals(pol, params, x0, replications, base_seed).tolist()
         assert got == expect, name
+
+
+@st.composite
+def comparison_cases(draw):
+    names = draw(st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=5))
+    x0 = draw(states(max_n=3, max_h=6))
+    n = len(x0.g)
+    params = ModelParams(
+        n,
+        draw(st.integers(1, n + 1)),
+        # p = 0 would make every episode's total the same
+        draw(st.floats(0.05, 1.0)),
+        tuple(draw(PROBS) for _ in range(n)),
+        # the optimal policy needs a solved table, so its horizon stays short
+        draw(st.integers(1, 8 if "optimal" in names else 40)),
+    )
+    # a shrunken block and chunk make small cases cross block boundaries and
+    # buffer refills; blocks of 2-12 rows take 1-6 episodes of every policy
+    cap = draw(st.integers(2, 12))
+    chunk = draw(st.integers(1, 3))
+    replications = draw(st.integers(1, 2 * cap + 1))
+    return params, x0, names, replications, draw(st.integers(0, 2**64 - 1)), cap, chunk
+
+
+@settings(max_examples=60)
+@given(comparison_cases())
+def test_fused_comparison_matches_scalar_episodes(case):
+    params, x0, names, replications, base_seed, cap, chunk = case
+    table = solve_optimal(params, x0) if "optimal" in names else None
+    policies = [make_policy(name, params, table=table) for name in names]
+    expect = [
+        [run_episode(pol, params, x0, (base_seed + i) % 2**64).total_cost
+         for i in range(replications)]
+        for pol in policies
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "BLOCK_EPISODES", cap)
+        mp.setattr(simulate, "CHUNK_SLOTS", chunk)
+        assert policy_totals(policies, params, x0, replications, base_seed).tolist() == expect
+        if len(policies) < 2 or replications < 2:
+            return
+        comp = compare_policies(policies, params, x0, replications, base_seed)
+    assert [s.policy for s in comp.summaries] == [pol.name for pol in policies]
+    for summary, totals in zip(comp.summaries, expect):
+        # integer totals sum exactly, so the mean is the exact quotient
+        assert summary.mean_total_cost == sum(totals) / replications
+
+
+def test_blocks_hold_at_most_block_episodes_rows(monkeypatch):
+    params = ModelParams(3, 1, 0.6, (0.5, 0.5, 0.5), 5)
+    x0 = fresh_state(3)
+    engine = simulate._block_totals
+    rows = []
+
+    def recording(policies, params, x0, seeds):
+        rows.append(len(policies) * len(seeds))
+        return engine(policies, params, x0, seeds)
+
+    monkeypatch.setattr(simulate, "_block_totals", recording)
+    cases = [(BLOCK_EPISODES, 3, 300)] + [
+        (cap, n_pol, r)
+        for cap in range(2, 6)
+        for n_pol in range(1, 8)
+        for r in (1, cap - 1, cap, 2 * cap + 1)
+    ]
+    for cap, n_pol, replications in cases:
+        monkeypatch.setattr(simulate, "BLOCK_EPISODES", cap)
+        rows.clear()
+        policy_totals([make_policy("delta", params)] * n_pol, params, x0, replications, 0)
+        assert max(rows) <= cap, (cap, n_pol, replications)
+        assert sum(rows) == n_pol * replications  # every (policy, episode) pair once
 
 
 def test_horizon_one_is_the_initial_cost():
