@@ -13,11 +13,11 @@ Two engines produce the same episodes.  run_episode is the scalar reference:
 one slot at a time through policy.decide and sample_step, optionally
 recording the trajectory.  run_experiment and compare_policies run the
 block engine (policy_totals): up to BLOCK_EPISODES (policy, episode) rows
-advance in lock step on [B, N] age arrays, every policy of a comparison in
-the same block, each deciding on its own rows through decide_batch.  Every
-row keeps its own PCG64 generator and consumes exactly the uniforms
-sample_step would, so per-episode total costs are equal to run_episode's
-bit for bit.
+advance in lock step on [B, N] age arrays, the policies of a comparison
+sharing a block whenever all of their episodes fit in it, each deciding on
+its own rows through decide_batch.  Every row keeps its own PCG64 generator
+and consumes exactly the uniforms sample_step would, so per-episode total
+costs are equal to run_episode's bit for bit.
 """
 
 from __future__ import annotations
@@ -113,18 +113,21 @@ def policy_totals(
     """Total costs [len(policies), replications] on common episode seeds:
     entry [i, e] equals run_episode(policies[i], ..., (base_seed + e) % 2**64).
 
-    A block runs up to BLOCK_EPISODES (policy, episode) rows: for k policies,
-    BLOCK_EPISODES // k episodes of every one at once, the policies taken at
-    most BLOCK_EPISODES at a time."""
+    A block runs up to BLOCK_EPISODES (policy, episode) rows.  Policies share
+    a block only when all of their episodes fit in it, BLOCK_EPISODES //
+    replications policies at a time; otherwise each policy runs alone,
+    BLOCK_EPISODES episodes per block.  Sharing thus never takes more blocks
+    than running the policies one at a time, and no policy's episodes are
+    split across blocks only to make room for another policy."""
     totals = np.empty((len(policies), replications), dtype=np.int64)
-    for lo in range(0, len(policies), BLOCK_EPISODES):
-        group = policies[lo : lo + BLOCK_EPISODES]
-        per_block = BLOCK_EPISODES // len(group)
-        for start in range(0, replications, per_block):
+    group = max(1, BLOCK_EPISODES // max(replications, 1))
+    for lo in range(0, len(policies), group):
+        members = policies[lo : lo + group]
+        for start in range(0, replications, BLOCK_EPISODES):
             seeds = [(base_seed + e) % 2**64
-                     for e in range(start, min(start + per_block, replications))]
-            totals[lo : lo + len(group), start : start + len(seeds)] = _block_totals(
-                group, params, x0, seeds)
+                     for e in range(start, min(start + BLOCK_EPISODES, replications))]
+            totals[lo : lo + len(members), start : start + len(seeds)] = _block_totals(
+                members, params, x0, seeds)
     return totals
 
 
@@ -169,8 +172,11 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
                 row[: width - used] = row[used:]
                 rng.random(out=row[width - used :])
             pos[:] = row_start
-        for i, (policy, r) in enumerate(zip(policies, rows)):
-            sched[r], mems[i] = policy.decide_batch(t, g[r], h[r], mems[i])
+        if len(policies) == 1:  # no row slices to take or copy back
+            sched, mems[0] = policies[0].decide_batch(t, g, h, mems[0])
+        else:
+            for i, (policy, r) in enumerate(zip(policies, rows)):
+                sched[r], mems[i] = policy.decide_batch(t, g[r], h[r], mems[i])
         # upto counts the scheduled sources up to each index, so a scheduled
         # source reads pos + its rank; unscheduled ones read a discarded value
         upto = np.cumsum(sched, axis=1)

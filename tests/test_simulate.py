@@ -72,7 +72,8 @@ def comparison_cases(draw):
         draw(st.integers(1, 8 if "optimal" in names else 40)),
     )
     # a shrunken block and chunk make small cases cross block boundaries and
-    # buffer refills; blocks of 2-12 rows take 1-6 episodes of every policy
+    # buffer refills; blocks of 2-12 rows hold several policies when
+    # replications <= cap // 2 and split one policy's episodes above cap
     cap = draw(st.integers(2, 12))
     chunk = draw(st.integers(1, 3))
     replications = draw(st.integers(1, 2 * cap + 1))
@@ -126,6 +127,8 @@ def test_blocks_hold_at_most_block_episodes_rows(monkeypatch):
         policy_totals([make_policy("delta", params)] * n_pol, params, x0, replications, 0)
         assert max(rows) <= cap, (cap, n_pol, replications)
         assert sum(rows) == n_pol * replications  # every (policy, episode) pair once
+        # sharing blocks never takes more than one policy at a time would
+        assert len(rows) <= n_pol * -(-replications // cap), (cap, n_pol, replications)
 
 
 def test_horizon_one_is_the_initial_cost():
