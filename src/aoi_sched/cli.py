@@ -22,18 +22,14 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 from .config import (
-    FORMATS,
-    RR_MODES,
+    FIELDS,
     ConfigError,
     GridPoint,
     SweepConfig,
-    _policy_list,
-    _prob,
     grid_point_seed,
     grid_points,
     load_config,
     resolve_initial_state,
-    validate_q_spec,
 )
 from .dp import (
     StateSpaceTooLarge,
@@ -63,8 +59,16 @@ SIM_COLUMNS = (
 )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, as config errors do; exit 2 means a failed check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="aoi-sched", description=__doc__)
+    parser = _ArgumentParser(prog="aoi-sched", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("simulate", "Monte Carlo runs over the configured grid"),
@@ -87,81 +91,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", metavar="PATH", help="INI config file")
-    sp.add_argument("--out", metavar="PATH", help="output path ('-' = stdout)")
-    sp.add_argument("--seed", type=int, help="base seed (default 42)")
-    sp.add_argument("--format", dest="fmt", choices=list(FORMATS))
-    sp.add_argument("--no-header-timestamp", action="store_true",
-                    help="suppress the generated-at header for byte-stable output")
-    sp.add_argument("--policies", help="comma-separated; first is the baseline")
-    sp.add_argument("--rr-mode", dest="rr_mode", choices=list(RR_MODES))
-    sp.add_argument("--n-sources", type=int)
-    sp.add_argument("--n-channels", type=int)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--q", help="uniform:<v> or explicit vector v1,v2,...")
-    sp.add_argument("--horizon", type=int)
-    sp.add_argument("--replications", type=int)
-    sp.add_argument("--initial-state", help='"fresh" or a g=[...];h=[...] literal')
-    sp.add_argument("--state-cap", type=int)
-    sp.add_argument("--p-grid", type=float, nargs="+")
-    sp.add_argument("--n-grid", type=int, nargs="+")
-    sp.add_argument("--d-grid", type=int, nargs="+")
-    sp.add_argument("--t-grid", type=int, nargs="+")
-    sp.add_argument("--q-grid", nargs="+")
+    for f in FIELDS:
+        if f.const is None:
+            sp.add_argument(f.flag, dest=f.name, nargs=f.nargs, metavar=f.key.upper(),
+                            help=f.help)
+        else:
+            sp.add_argument(f.flag, dest=f.name, action="store_const", const=f.const,
+                            help=f.help)
 
 
 def resolve_config(args: argparse.Namespace) -> SweepConfig:
-    """File config (if any) with CLI flags layered on top."""
+    """File config (if any) with CLI flags layered on top; each flag's text
+    goes through the parser of its INI key."""
     cfg = load_config(args.config) if args.config else SweepConfig()
-    if args.n_sources is not None:
-        cfg.n_sources = args.n_sources
-    if args.n_channels is not None:
-        cfg.n_channels = args.n_channels
-    if args.p is not None:
-        cfg.p = _flag(_prob, "--p", args.p)
-    if args.q is not None:
-        _flag(validate_q_spec, "--q", args.q)
-        cfg.q_spec = args.q
-    if args.horizon is not None:
-        cfg.horizon = args.horizon
-    if args.replications is not None:
-        cfg.replications = args.replications
-    if args.initial_state is not None:
-        cfg.initial_state = args.initial_state
-    if args.state_cap is not None:
-        cfg.state_cap = args.state_cap
-    if args.p_grid is not None:
-        cfg.p_grid = tuple(_flag(_prob, "--p-grid", v) for v in args.p_grid)
-    if args.n_grid is not None:
-        cfg.n_grid = tuple(args.n_grid)
-    if args.d_grid is not None:
-        cfg.d_grid = tuple(args.d_grid)
-    if args.t_grid is not None:
-        cfg.t_grid = tuple(args.t_grid)
-    if args.q_grid is not None:
-        for spec in args.q_grid:
-            _flag(validate_q_spec, "--q-grid", spec)
-        cfg.q_grid = tuple(args.q_grid)
-    if args.policies is not None:
-        cfg.policies = _flag(_policy_list, "--policies", args.policies)
-    if args.rr_mode is not None:
-        cfg.rr_mode = args.rr_mode
-    if args.seed is not None:
-        cfg.base_seed = args.seed
-    if args.fmt is not None:
-        cfg.fmt = args.fmt
-    if args.no_header_timestamp:
-        cfg.timestamp = False
-    if args.out is not None:
-        cfg.out = args.out
+    for f in FIELDS:
+        value = getattr(args, f.name)
+        if value is not None:
+            raw = " ".join(value) if f.nargs else value
+            f.apply(cfg, raw, f"{f.flag} {raw!r}")
     return cfg
-
-
-def _flag(conv, flag: str, value):
-    """conv(value), with its ValueError reported as a ConfigError naming the flag."""
-    try:
-        return conv(value)
-    except ValueError as exc:
-        raise ConfigError(f"{flag} {value!r}: {exc}") from None
 
 
 def _check_replications(cfg: SweepConfig) -> None:
@@ -192,7 +140,7 @@ def _map_jobs(fn, jobs):
 
 def _run_point(job: tuple) -> list[dict]:
     """Worker for one grid point; module-level so process pools can pickle it."""
-    point, policy_names, rr_mode, replications, seed, init_spec, cap = job
+    point, policy_names, replications, seed, init_spec, cap = job
     params = point.params()
     x0 = resolve_initial_state(init_spec, params.n_sources)
     table = None
@@ -200,7 +148,7 @@ def _run_point(job: tuple) -> list[dict]:
     for name in policy_names:
         if name == "optimal" and table is None:
             table = solve_optimal(params, x0, cap=cap)
-        policies.append(make_policy(name, params, table=table, rr_mode=rr_mode))
+        policies.append(make_policy(name, params, table=table))
     if len(policies) >= 2:
         comp = compare_policies(policies, params, x0, replications, seed)
         summaries, improvements = comp.summaries, comp.improvements_vs_first
@@ -234,7 +182,6 @@ def _jobs_for_points(cfg: SweepConfig, points: list[GridPoint]) -> list[tuple]:
         (
             pt,
             cfg.policies,
-            cfg.rr_mode,
             cfg.replications,
             grid_point_seed(cfg.base_seed, pt),
             cfg.initial_state,
@@ -302,7 +249,7 @@ def cmd_solve(cfg: SweepConfig, dump_path: str | None = None) -> None:
     opt = solve_optimal(params, x0, cap=cfg.state_cap)
     policy_values = {}
     for name in cfg.policies:
-        pol = make_policy(name, params, table=opt, rr_mode=cfg.rr_mode)
+        pol = make_policy(name, params, table=opt)
         policy_values[name] = evaluate_policy(pol, params, x0, cap=cfg.state_cap).root_value()
     v_delta = policy_values.get("delta")
     if v_delta is None:
@@ -368,16 +315,13 @@ def cmd_sweep(cfg: SweepConfig) -> None:
         rows = []
         for value, point_rows in zip(values, results):
             row: dict = {axis: value}
-            by_policy = {r["policy"]: r for r in point_rows}
-            for name in cfg.policies:
-                r = by_policy[name]
+            # a point's rows come in cfg.policies order, one per listed name
+            for name, r in zip(cfg.policies, point_rows):
                 row[f"mean_total_cost_{name}"] = r["mean_total_cost"]
                 row[f"stderr_{name}"] = r["stderr"]
                 row[f"mean_sum_aaoi_{name}"] = r["mean_sum_aaoi"]
-            for name in cfg.policies[1:]:
-                row[f"improvement_of_{first}_over_{name}_pct"] = (
-                    by_policy[name]["improvement_of_first_pct"]
-                )
+            for name, r in zip(cfg.policies[1:], point_rows[1:]):
+                row[f"improvement_of_{first}_over_{name}_pct"] = r["improvement_of_first_pct"]
             rows.append(row)
         axis_label = "q" if axis == "q_spec" else axis
         held = {

@@ -1,5 +1,8 @@
 """Experiment configuration: INI-style files with CLI-flag overrides.
 
+FIELDS declares every settable field once: its INI key, its CLI flag and the
+parser that both feed their raw text through.
+
 Grammar (all sections and keys optional; flags win over file values):
 
     [model]
@@ -20,7 +23,6 @@ Grammar (all sections and keys optional; flags win over file values):
     policies = delta, pi, rr # first listed is the improvement baseline
     replications = 200
     base_seed = 42
-    rr_mode = work-conserving   # or: strict
     initial_state = fresh       # or a literal like g=[psi,0];h=[3,1]
     state_cap = 5000000
 
@@ -35,12 +37,12 @@ from __future__ import annotations
 import configparser
 import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 from .dp import DEFAULT_STATE_CAP
 from .model import InvalidState, ModelParams, SystemState, fresh_state, parse_state
 from .policies import POLICY_NAMES
 
-RR_MODES = ("work-conserving", "strict")
 FORMATS = ("csv", "json")
 
 
@@ -63,7 +65,6 @@ class SweepConfig:
     policies: tuple[str, ...] = ("delta", "pi", "rr")
     replications: int = 200
     base_seed: int = 42
-    rr_mode: str = "work-conserving"
     initial_state: str = "fresh"
     state_cap: int = DEFAULT_STATE_CAP
     out: str | None = None
@@ -75,28 +76,12 @@ class SweepConfig:
         return 0.5 if self.p is None else self.p
 
 
-_SECTIONS = {
-    "model": {"n_sources", "n_channels", "p", "q", "horizon"},
-    "sweep": {"p", "n_sources", "n_channels", "horizon", "q"},
-    "run": {"policies", "replications", "base_seed", "rr_mode", "initial_state", "state_cap"},
-    "output": {"path", "format", "timestamp"},
-}
-
-
-def _get(parser, section, key, conv, cfg_field, cfg):
-    if parser.has_option(section, key):
-        raw = parser.get(section, key)
-        try:
-            setattr(cfg, cfg_field, conv(raw))
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
-
-
-def _float_list(raw: str) -> tuple[float, ...]:
-    vals = tuple(float(tok) for tok in raw.replace(",", " ").split())
-    if not vals:
+def _words(raw: str) -> list[str]:
+    """A comma- or space-separated list, which must not be empty."""
+    words = raw.replace(",", " ").split()
+    if not words:
         raise ValueError("empty list")
-    return vals
+    return words
 
 
 def _prob(raw: str) -> float:
@@ -107,24 +92,11 @@ def _prob(raw: str) -> float:
 
 
 def _prob_list(raw: str) -> tuple[float, ...]:
-    vals = _float_list(raw)
-    if any(not 0.0 <= v <= 1.0 for v in vals):
-        raise ValueError("probabilities must lie in [0,1]")
-    return vals
+    return tuple(_prob(tok) for tok in _words(raw))
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
-    vals = tuple(int(tok) for tok in raw.replace(",", " ").split())
-    if not vals:
-        raise ValueError("empty list")
-    return vals
-
-
-def _str_list(raw: str) -> tuple[str, ...]:
-    vals = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-    if not vals:
-        raise ValueError("empty list")
-    return vals
+    return tuple(int(tok) for tok in _words(raw))
 
 
 def _q_spec(raw: str) -> str:
@@ -133,7 +105,7 @@ def _q_spec(raw: str) -> str:
 
 
 def _q_spec_list(raw: str) -> tuple[str, ...]:
-    specs = tuple(tok for tok in raw.split() if tok)
+    specs = tuple(raw.split())  # a spec may hold commas, so only spaces separate
     if not specs:
         raise ValueError("empty list")
     for spec in specs:
@@ -142,17 +114,11 @@ def _q_spec_list(raw: str) -> tuple[str, ...]:
 
 
 def _policy_list(raw: str) -> tuple[str, ...]:
-    names = _str_list(raw)
+    names = tuple(_words(raw))
     for name in names:
         if name not in POLICY_NAMES:
             raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
     return names
-
-
-def _rr_mode(raw: str) -> str:
-    if raw not in RR_MODES:
-        raise ValueError(f"must be one of {RR_MODES}")
-    return raw
 
 
 def _format(raw: str) -> str:
@@ -170,6 +136,60 @@ def _bool(raw: str) -> bool:
     raise ValueError("expected a boolean")
 
 
+@dataclass(frozen=True)
+class ConfigField:
+    """One settable SweepConfig field, set by the INI key [section] key or by
+    the CLI flag; both hand their raw text to parse.  A grid flag (nargs "+")
+    joins its words with spaces; a flag with a const takes no value and stands
+    for that raw text."""
+
+    name: str
+    section: str
+    key: str
+    flag: str
+    parse: Callable[[str], object]
+    help: str
+    nargs: str | None = None
+    const: str | None = None
+
+    def apply(self, cfg: SweepConfig, raw: str, origin: str) -> None:
+        """Set the field from raw text; a bad value is a ConfigError naming origin."""
+        try:
+            setattr(cfg, self.name, self.parse(raw))
+        except ValueError as exc:
+            raise ConfigError(f"{origin}: {exc}") from None
+
+
+FIELDS = (
+    ConfigField("n_sources", "model", "n_sources", "--n-sources", int, "number of sources N"),
+    ConfigField("n_channels", "model", "n_channels", "--n-channels", int,
+                "number of channels d"),
+    ConfigField("p", "model", "p", "--p", _prob, "transfer success probability (default 0.5)"),
+    ConfigField("q_spec", "model", "q", "--q", _q_spec,
+                "arrival probabilities: uniform:<v> or a vector v1,v2,..."),
+    ConfigField("horizon", "model", "horizon", "--horizon", int, "horizon T"),
+    ConfigField("p_grid", "sweep", "p", "--p-grid", _prob_list, "grid of p values", "+"),
+    ConfigField("n_grid", "sweep", "n_sources", "--n-grid", _int_list, "grid of N values", "+"),
+    ConfigField("d_grid", "sweep", "n_channels", "--d-grid", _int_list, "grid of d values", "+"),
+    ConfigField("t_grid", "sweep", "horizon", "--t-grid", _int_list, "grid of T values", "+"),
+    ConfigField("q_grid", "sweep", "q", "--q-grid", _q_spec_list, "grid of q specs", "+"),
+    ConfigField("policies", "run", "policies", "--policies", _policy_list,
+                "comma-separated; the first is the improvement baseline"),
+    ConfigField("replications", "run", "replications", "--replications", int,
+                "episodes per policy and grid point"),
+    ConfigField("base_seed", "run", "base_seed", "--seed", int, "base seed (default 42)"),
+    ConfigField("initial_state", "run", "initial_state", "--initial-state", str.strip,
+                '"fresh" or a g=[...];h=[...] literal'),
+    ConfigField("state_cap", "run", "state_cap", "--state-cap", int,
+                "most states (or state-cursor pairs) an exact pass may reach"),
+    ConfigField("out", "output", "path", "--out", str.strip, "output path ('-' = stdout)"),
+    ConfigField("fmt", "output", "format", "--format", _format, "csv or json"),
+    ConfigField("timestamp", "output", "timestamp", "--no-header-timestamp", _bool,
+                "suppress the generated-at header for byte-stable output", const="false"),
+)
+_BY_KEY = {(f.section, f.key): f for f in FIELDS}
+
+
 def load_config(path: str) -> SweepConfig:
     """Parse an INI config file into a SweepConfig, validating every field."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -180,32 +200,16 @@ def load_config(path: str) -> SweepConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from None
+    cfg = SweepConfig()
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in {f.section for f in FIELDS}:
             raise ConfigError(f"unknown section [{section}] in {path!r}")
         for key in parser.options(section):
-            if key not in _SECTIONS[section]:
+            field = _BY_KEY.get((section, key))
+            if field is None:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] of {path!r}")
-    cfg = SweepConfig()
-    _get(parser, "model", "n_sources", int, "n_sources", cfg)
-    _get(parser, "model", "n_channels", int, "n_channels", cfg)
-    _get(parser, "model", "p", _prob, "p", cfg)
-    _get(parser, "model", "q", _q_spec, "q_spec", cfg)
-    _get(parser, "model", "horizon", int, "horizon", cfg)
-    _get(parser, "sweep", "p", _prob_list, "p_grid", cfg)
-    _get(parser, "sweep", "n_sources", _int_list, "n_grid", cfg)
-    _get(parser, "sweep", "n_channels", _int_list, "d_grid", cfg)
-    _get(parser, "sweep", "horizon", _int_list, "t_grid", cfg)
-    _get(parser, "sweep", "q", _q_spec_list, "q_grid", cfg)
-    _get(parser, "run", "policies", _policy_list, "policies", cfg)
-    _get(parser, "run", "replications", int, "replications", cfg)
-    _get(parser, "run", "base_seed", int, "base_seed", cfg)
-    _get(parser, "run", "rr_mode", _rr_mode, "rr_mode", cfg)
-    _get(parser, "run", "initial_state", str.strip, "initial_state", cfg)
-    _get(parser, "run", "state_cap", int, "state_cap", cfg)
-    _get(parser, "output", "path", str.strip, "out", cfg)
-    _get(parser, "output", "format", _format, "fmt", cfg)
-    _get(parser, "output", "timestamp", _bool, "timestamp", cfg)
+            raw = parser.get(section, key)
+            field.apply(cfg, raw, f"[{section}] {key} = {raw!r}")
     return cfg
 
 

@@ -236,24 +236,15 @@ class OptimalPolicy(Policy):
 POLICY_NAMES = ("delta", "pi", "rr", "rr-strict", "optimal")
 
 
-def make_policy(
-    name: str,
-    params: ModelParams,
-    *,
-    table=None,
-    rr_mode: str = "work-conserving",
-) -> Policy:
-    """Build a policy from its CLI name.  `optimal` needs a solved table; the
-    rr_mode switch controls what plain `rr` means."""
+def make_policy(name: str, params: ModelParams, *, table=None) -> Policy:
+    """Build a policy from its CLI name.  `optimal` needs a solved table."""
     d = params.n_channels
     if name == "delta":
         return DeltaPolicy(d)
     if name == "pi":
         return PIPolicy(d)
-    if name == "rr":
-        return RRPolicy(params.n_sources, d, strict=(rr_mode == "strict"))
-    if name == "rr-strict":
-        return RRPolicy(params.n_sources, d, strict=True)
+    if name in ("rr", "rr-strict"):
+        return RRPolicy(params.n_sources, d, strict=(name == "rr-strict"))
     if name == "optimal":
         if table is None:
             raise ValueError("optimal policy needs a solved value table")

@@ -10,14 +10,13 @@ no paired standard error of a difference is reported, since a paired column
 would change the bytes of every simulate CSV.
 
 Two engines produce the same episodes.  run_episode is the scalar reference:
-one slot at a time through policy.decide and sample_step, optionally
-recording the trajectory.  run_experiment and compare_policies run the
-block engine (policy_totals): up to BLOCK_EPISODES (policy, episode) rows
-advance in lock step on [B, N] age arrays, the policies of a comparison
-sharing a block whenever all of their episodes fit in it, each deciding on
-its own rows through decide_batch.  Every row keeps its own PCG64 generator
-and consumes exactly the uniforms sample_step would, so per-episode total
-costs are equal to run_episode's bit for bit.
+one slot at a time through policy.decide and sample_step.  run_experiment and
+compare_policies run the block engine (policy_totals): up to BLOCK_EPISODES
+(policy, episode) rows advance in lock step on [B, N] age arrays, the
+policies of a comparison sharing a block whenever all of their episodes fit
+in it, each deciding on its own rows through decide_batch.  Every row keeps
+its own PCG64 generator and consumes exactly the uniforms sample_step would,
+so per-episode total costs are equal to run_episode's bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ class EpisodeResult:
     total_cost: int
     aaoi_per_source: tuple[float, ...]  # per-source age sum / T
     seed: int
-    trajectory: tuple | None = None  # (t, state, action, event) when recorded
 
 
 @dataclass(frozen=True)
@@ -63,44 +61,22 @@ class PolicyComparison:
     improvements_vs_first: tuple[float, ...]
 
 
-def run_episode(
-    policy,
-    params: ModelParams,
-    x0: SystemState,
-    seed: int,
-    record_trajectory: bool = False,
-) -> EpisodeResult:
+def run_episode(policy, params: ModelParams, x0: SystemState, seed: int) -> EpisodeResult:
     """One seeded rollout.  Identical inputs give a bit-identical result."""
     rng = np.random.default_rng(seed)
     T = params.horizon
     x = x0
     mem = policy.initial_memory()
     per_source = [0] * params.n_sources
-    traj: list | None = [] if record_trajectory else None
     for t in range(1, T + 1):
         for n, hn in enumerate(x.h):
             per_source[n] += hn
         if t < T:
             decision, mem = policy.decide(t, x, mem)
-            x2, event = sample_step(x, decision.action, params, rng)
-            if traj is not None:
-                traj.append((t, x, decision.action, event))
-            x = x2
+            x, _event = sample_step(x, decision.action, params, rng)
     total = sum(per_source)
     aaoi = tuple(s / T for s in per_source)
-    return EpisodeResult(total, aaoi, seed, tuple(traj) if traj is not None else None)
-
-
-def batch_totals(
-    policy,
-    params: ModelParams,
-    x0: SystemState,
-    replications: int,
-    base_seed: int,
-) -> np.ndarray:
-    """Total cost of episodes base_seed, base_seed+1, ... for one policy;
-    entry i equals run_episode(..., (base_seed + i) % 2**64).total_cost."""
-    return policy_totals([policy], params, x0, replications, base_seed)[0]
+    return EpisodeResult(total, aaoi, seed)
 
 
 def policy_totals(

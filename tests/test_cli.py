@@ -122,6 +122,23 @@ def test_sweep_one_file_per_axis(tmp_path):
     assert "mean_total_cost_delta" in p_header and "stderr_pi" in p_header
 
 
+def test_sweep_strict_round_robin_columns(tmp_path):
+    out = tmp_path / "sw.csv"
+    res = run_cli([
+        "sweep", "--p-grid", "0.3", "0.7", "--n-sources", "2", "--horizon", "15",
+        "--replications", "3", "--policies", "delta,rr-strict",
+        "--no-header-timestamp", "--out", str(out),
+    ])
+    assert res.returncode == 0, res.stderr
+    header, rows = read_csv(tmp_path / "sw_p.csv")
+    assert header == [
+        "p", "mean_total_cost_delta", "stderr_delta", "mean_sum_aaoi_delta",
+        "mean_total_cost_rr-strict", "stderr_rr-strict", "mean_sum_aaoi_rr-strict",
+        "improvement_of_delta_over_rr-strict_pct",
+    ]
+    assert len(rows) == 2
+
+
 def test_sweep_usage_errors(tmp_path):
     res = run_cli(["sweep", "--out", str(tmp_path / "x.csv")])
     assert res.returncode == 1 and "grid" in res.stderr
@@ -149,6 +166,14 @@ def test_exit_codes():
     assert run_cli(["simulate", "--config", "/does/not/exist.ini"]).returncode == 1
     assert run_cli(["solve", "--p", "1.5"]).returncode == 1
     assert run_cli(["simulate", "--policies", "delta,fifo"]).returncode == 1
+    res = run_cli(["simulate", "--n-sources", "abc"])
+    assert res.returncode == 1 and "config error: --n-sources 'abc'" in res.stderr
+    # usage errors exit 1 too; 2 is kept for a failed verification check
+    for argv in (["solve", "--bogus"], ["verify", "--inject-fault", "nope"],
+                 ["simulate", "--rr-mode", "strict"], []):
+        res = run_cli(argv)
+        assert res.returncode == 1 and "usage:" in res.stderr, argv
+    assert run_cli(["solve", "--help"]).returncode == 0
     res = run_cli([
         "solve", "--n-sources", "6", "--n-channels", "2", "--horizon", "12",
         "--state-cap", "1000",

@@ -1,8 +1,13 @@
 """Config parsing, grid expansion, and derived per-point seeds."""
 
+import dataclasses
+import re
+
 import pytest
 
+from aoi_sched.cli import build_parser, resolve_config
 from aoi_sched.config import (
+    FIELDS,
     ConfigError,
     GridPoint,
     SweepConfig,
@@ -38,7 +43,6 @@ p = 0.2, 0.8
 policies = delta, rr
 replications = 64
 base_seed = 7
-rr_mode = strict
 initial_state = g=[0,psi,1];h=[2,4,6]
 state_cap = 1000
 
@@ -52,7 +56,7 @@ timestamp = false
     assert cfg.p_grid == (0.2, 0.8)
     assert cfg.policies == ("delta", "rr")
     assert cfg.replications == 64 and cfg.base_seed == 7
-    assert cfg.rr_mode == "strict" and cfg.state_cap == 1000
+    assert cfg.state_cap == 1000
     assert cfg.initial_state.startswith("g=[0,psi,1]")
     assert cfg.out == "out.csv" and cfg.fmt == "json" and cfg.timestamp is False
 
@@ -72,6 +76,7 @@ def test_defaults_without_file():
         "[model]\nn_souces = 2\n",
         "[run]\npolicies = delta, fifo\n",
         "[run]\nrr_mode = polite\n",
+        "[run]\nrr_mode = strict\n",
         "[output]\nformat = yaml\n",
         "[model]\nq = uniform:1.2\n",
         "[model]\nq = 0.2, nope\n",
@@ -80,6 +85,61 @@ def test_defaults_without_file():
 def test_rejections_name_the_offender(tmp_path, body):
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, body))
+
+
+# per field: raw text that sets a non-default value, and raw text its parser
+# rejects (None where every text parses; those fields are checked at run time)
+SAMPLES = {
+    "n_sources": ("3", "three"),
+    "n_channels": ("2", "2.5"),
+    "p": ("0.25", "1.5"),
+    "q_spec": ("0.1,0.9", "uniform:1.2"),
+    "horizon": ("7", "7x"),
+    "p_grid": ("0.2 0.8", "0.2 1.5"),
+    "n_grid": ("2 3", "2 x"),
+    "d_grid": ("1 2", "1.5"),
+    "t_grid": ("4 8", "4 T"),
+    "q_grid": ("uniform:0.3 0.1,0.9", "uniform:0.3 uniform:2"),
+    "policies": ("delta,rr-strict", "delta,fifo"),
+    "replications": ("9", "nine"),
+    "base_seed": ("7", "0x7"),
+    "initial_state": ("g=[psi,0];h=[3,1]", None),
+    "state_cap": ("1000", "1e3"),
+    "out": ("o.csv", None),
+    "fmt": ("json", "yaml"),
+    "timestamp": ("false", "maybe"),
+}
+
+
+def test_table_declares_each_field_once():
+    assert sorted(f.name for f in FIELDS) == sorted(
+        f.name for f in dataclasses.fields(SweepConfig)
+    )
+    assert len({(f.section, f.key) for f in FIELDS}) == len(FIELDS)
+    assert len({f.flag for f in FIELDS}) == len(FIELDS)
+
+
+def _from_flag(field, text):
+    words = [] if field.const else text.split() if field.nargs else [text]
+    return resolve_config(build_parser().parse_args(["simulate", field.flag, *words]))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_ini_key_and_flag_set_the_same_value(tmp_path, field):
+    good, bad = SAMPLES[field.name]
+    assert field.const in (None, good)  # a switch flag stands for its const
+    from_file = load_config(write(tmp_path, f"[{field.section}]\n{field.key} = {good}\n"))
+    from_flag = _from_flag(field, good)
+    assert from_flag == from_file
+    assert getattr(from_file, field.name) != getattr(SweepConfig(), field.name)
+    if bad is None:
+        return
+    origin = f"[{field.section}] {field.key} = {bad!r}: "
+    with pytest.raises(ConfigError, match=re.escape(origin)):
+        load_config(write(tmp_path, f"[{field.section}]\n{field.key} = {bad}\n"))
+    if field.const is None:
+        with pytest.raises(ConfigError, match=re.escape(f"{field.flag} {bad!r}: ")):
+            _from_flag(field, bad)
 
 
 def test_q_spec_forms():

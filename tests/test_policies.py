@@ -202,12 +202,6 @@ class TestMakePolicy:
             pol = make_policy(name, params, table=table)
             assert pol.name == name
 
-    def test_rr_mode_switches_variant(self):
-        params = ModelParams(2, 1, 0.5, (0.5, 0.5), 3)
-        assert make_policy("rr", params).name == "rr"
-        assert make_policy("rr", params, rr_mode="strict").name == "rr-strict"
-        assert make_policy("rr-strict", params).name == "rr-strict"
-
     def test_optimal_requires_table(self):
         params = ModelParams(2, 1, 0.5, (0.5, 0.5), 3)
         with pytest.raises(ValueError):

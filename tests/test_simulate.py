@@ -10,7 +10,6 @@ from aoi_sched.policies import POLICY_NAMES, make_policy
 from aoi_sched.simulate import (
     BLOCK_EPISODES,
     CHUNK_SLOTS,
-    batch_totals,
     compare_policies,
     improvement_pct,
     policy_totals,
@@ -53,7 +52,7 @@ def test_batched_engine_matches_scalar_episodes(case):
             run_episode(pol, params, x0, (base_seed + i) % 2**64).total_cost
             for i in range(replications)
         ]
-        got = batch_totals(pol, params, x0, replications, base_seed).tolist()
+        got = policy_totals([pol], params, x0, replications, base_seed)[0].tolist()
         assert got == expect, name
 
 
