@@ -41,7 +41,7 @@ from .dp import (
 from .model import format_state
 from .policies import DeltaPolicy, make_policy
 from .simulate import compare_policies, run_experiment
-from .verify import run_suite
+from .verify import SCALING_P_GRID, run_suite
 
 # sweep axis (its CSV column) -> (SweepConfig grid, GridPoint field), in file order
 SWEEP_AXES = {
@@ -76,8 +76,19 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "one-dimensional sweeps, one CSV per axis"),
         ("verify", "run the numeric self-check suite"),
     ):
-        sp = sub.add_parser(name, help=help_text)
-        _add_common_flags(sp)
+        # no prefix matching: a field a subcommand does not read must not
+        # reach a longer flag it does, as --p would reach --p-grid
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        sp.add_argument("--config", metavar="PATH", help="INI config file")
+        for f in FIELDS:
+            if name not in f.commands:
+                continue
+            if f.const is None:
+                sp.add_argument(f.flag, dest=f.name, nargs=f.nargs, metavar=f.key.upper(),
+                                help=f.help)
+            else:
+                sp.add_argument(f.flag, dest=f.name, action="store_const", const=f.const,
+                                help=f.help)
         if name == "solve":
             sp.add_argument("--dump-tables", metavar="PATH",
                             help="also write the optimal value table as text")
@@ -89,32 +100,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", metavar="PATH", help="INI config file")
-    for f in FIELDS:
-        if f.const is None:
-            sp.add_argument(f.flag, dest=f.name, nargs=f.nargs, metavar=f.key.upper(),
-                            help=f.help)
-        else:
-            sp.add_argument(f.flag, dest=f.name, action="store_const", const=f.const,
-                            help=f.help)
-
-
 def resolve_config(args: argparse.Namespace) -> SweepConfig:
-    """File config (if any) with CLI flags layered on top; each flag's text
-    goes through the parser of its INI key."""
+    """File config (if any) with the subcommand's CLI flags layered on top;
+    each flag's text goes through the parser of its INI key."""
     cfg = load_config(args.config) if args.config else SweepConfig()
     for f in FIELDS:
-        value = getattr(args, f.name)
+        value = getattr(args, f.name, None)
         if value is not None:
             raw = " ".join(value) if f.nargs else value
             f.apply(cfg, raw, f"{f.flag} {raw!r}")
     return cfg
-
-
-def _check_replications(cfg: SweepConfig) -> None:
-    if cfg.replications < 2:
-        raise ConfigError(f"replications must be >= 2, got {cfg.replications}")
 
 
 def _thread_count() -> int:
@@ -130,30 +125,30 @@ def _thread_count() -> int:
     return (os.cpu_count() or 1) if v == 0 else v
 
 
-def _map_jobs(fn, jobs):
+def _run_points(cfg: SweepConfig, points: list[GridPoint]) -> list[list[dict]]:
     workers = _thread_count()
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return list(pool.map(fn, jobs))  # order-preserving
+    if workers <= 1 or len(points) <= 1:
+        return [_run_point(cfg, pt) for pt in points]
+    with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
+        return list(pool.map(_run_point, [cfg] * len(points), points))  # order-preserving
 
 
-def _run_point(job: tuple) -> list[dict]:
+def _run_point(cfg: SweepConfig, point: GridPoint) -> list[dict]:
     """Worker for one grid point; module-level so process pools can pickle it."""
-    point, policy_names, replications, seed, init_spec, cap = job
     params = point.params()
-    x0 = resolve_initial_state(init_spec, params.n_sources)
+    x0 = resolve_initial_state(cfg.initial_state, params.n_sources)
+    seed = grid_point_seed(cfg.base_seed, point)
     table = None
     policies = []
-    for name in policy_names:
+    for name in cfg.policies:
         if name == "optimal" and table is None:
-            table = solve_optimal(params, x0, cap=cap)
+            table = solve_optimal(params, x0, cap=cfg.state_cap)
         policies.append(make_policy(name, params, table=table))
     if len(policies) >= 2:
-        comp = compare_policies(policies, params, x0, replications, seed)
+        comp = compare_policies(policies, params, x0, cfg.replications, seed)
         summaries, improvements = comp.summaries, comp.improvements_vs_first
     else:
-        summaries = (run_experiment(policies[0], params, x0, replications, seed),)
+        summaries = (run_experiment(policies[0], params, x0, cfg.replications, seed),)
         improvements = (0.0,)
     rows = []
     for summary, imp in zip(summaries, improvements):
@@ -164,7 +159,7 @@ def _run_point(job: tuple) -> list[dict]:
             "T": point.horizon,
             "q_spec": point.q_spec,
             "policy": summary.policy,
-            "replications": replications,
+            "replications": cfg.replications,
             "mean_total_cost": summary.mean_total_cost,
             "stderr": summary.stderr_total_cost,
             "mean_sum_aaoi": summary.mean_sum_aaoi,
@@ -174,21 +169,11 @@ def _run_point(job: tuple) -> list[dict]:
     return rows
 
 
-def _jobs_for_points(cfg: SweepConfig, points: list[GridPoint]) -> list[tuple]:
-    """One job per point; every point is validated before the caller runs any."""
+def _checked(cfg: SweepConfig, points: list[GridPoint]) -> list[GridPoint]:
+    """The points, each validated, so that a caller can check all before running any."""
     for pt in points:
         resolve_initial_state(cfg.initial_state, pt.params().n_sources)
-    return [
-        (
-            pt,
-            cfg.policies,
-            cfg.replications,
-            grid_point_seed(cfg.base_seed, pt),
-            cfg.initial_state,
-            cfg.state_cap,
-        )
-        for pt in points
-    ]
+    return points
 
 
 def _fmt_cell(v) -> str:
@@ -223,11 +208,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_simulate(cfg: SweepConfig) -> None:
-    if not cfg.policies:
-        raise ConfigError("no policies configured")
-    _check_replications(cfg)
-    points = grid_points(cfg)
-    results = _map_jobs(_run_point, _jobs_for_points(cfg, points))
+    results = _run_points(cfg, _checked(cfg, grid_points(cfg)))
     rows = [row for point_rows in results for row in point_rows]
     if cfg.fmt == "json":
         obj: dict = {}
@@ -240,11 +221,7 @@ def cmd_simulate(cfg: SweepConfig) -> None:
 
 
 def cmd_solve(cfg: SweepConfig, dump_path: str | None = None) -> None:
-    if not cfg.policies:
-        raise ConfigError("no policies configured")
-    params = GridPoint(
-        cfg.n_sources, cfg.n_channels, cfg.base_p, cfg.horizon, cfg.q_spec
-    ).params()
+    params = GridPoint(cfg.n_sources, cfg.n_channels, cfg.p, cfg.horizon, cfg.q_spec).params()
     x0 = resolve_initial_state(cfg.initial_state, params.n_sources)
     opt = solve_optimal(params, x0, cap=cfg.state_cap)
     policy_values = {}
@@ -284,13 +261,8 @@ def cmd_solve(cfg: SweepConfig, dump_path: str | None = None) -> None:
 
 
 def cmd_sweep(cfg: SweepConfig) -> None:
-    if not cfg.policies:
-        raise ConfigError("no policies configured")
-    if cfg.fmt == "json":
-        raise ConfigError("sweep emits figure-ready CSV only; drop --format json")
     if cfg.out is None or cfg.out == "-":
         raise ConfigError("sweep derives one file per axis; give a real --out path")
-    _check_replications(cfg)
     axes = [
         (axis, field, getattr(cfg, grid))
         for axis, (grid, field) in SWEEP_AXES.items()
@@ -298,14 +270,14 @@ def cmd_sweep(cfg: SweepConfig) -> None:
     ]
     if not axes:
         raise ConfigError("sweep needs at least one grid ([sweep] section or --*-grid)")
-    base = GridPoint(cfg.n_sources, cfg.n_channels, cfg.base_p, cfg.horizon, cfg.q_spec)
+    base = GridPoint(cfg.n_sources, cfg.n_channels, cfg.p, cfg.horizon, cfg.q_spec)
     root, ext = os.path.splitext(cfg.out)
-    axis_jobs = [
-        _jobs_for_points(cfg, [replace(base, **{field: v}) for v in values])
+    axis_points = [
+        _checked(cfg, [replace(base, **{field: v}) for v in values])
         for _axis, field, values in axes
     ]
-    for (axis, _field, values), jobs in zip(axes, axis_jobs):
-        results = _map_jobs(_run_point, jobs)
+    for (axis, _field, values), points in zip(axes, axis_points):
+        results = _run_points(cfg, points)
         first = cfg.policies[0]
         columns = [axis]
         for name in cfg.policies:
@@ -347,13 +319,8 @@ def cmd_verify(cfg: SweepConfig, inject_fault: str | None) -> int:
             f"seed {cfg.base_seed}: verify draws from seeds seed+1..seed+3, "
             "which must be >= 0"
         )
-    if cfg.p_grid:
-        scaling_grid = tuple(cfg.p_grid)
-    elif cfg.p is not None:
-        scaling_grid = (cfg.p,)
-    else:
-        scaling_grid = (0.02, 0.04, 0.08, 0.16)
-    checks = run_suite(seed=cfg.base_seed, scaling_p_grid=scaling_grid, fault=inject_fault)
+    checks = run_suite(seed=cfg.base_seed, scaling_p_grid=cfg.p_grid or SCALING_P_GRID,
+                       fault=inject_fault)
     report: dict = {}
     if cfg.timestamp:
         report["generated"] = _now_iso()

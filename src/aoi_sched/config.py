@@ -1,7 +1,11 @@
 """Experiment configuration: INI-style files with CLI-flag overrides.
 
-FIELDS declares every settable field once: its INI key, its CLI flag and the
-parser that both feed their raw text through.
+FIELDS declares every settable field once: its INI key, its CLI flag, the
+parser that both feed their raw text through, and the subcommands that read
+it.  A subcommand takes only the flags of its fields.  A config file is shared
+by all subcommands: every key in it is validated, and each subcommand uses
+the keys it reads (`verify` reads only base_seed, the p grid as its scaling
+grid, and [output] path and timestamp).
 
 Grammar (all sections and keys optional; flags win over file values):
 
@@ -21,14 +25,14 @@ Grammar (all sections and keys optional; flags win over file values):
 
     [run]
     policies = delta, pi, rr # first listed is the improvement baseline
-    replications = 200
+    replications = 200       # at least 2
     base_seed = 42
     initial_state = fresh       # or a literal like g=[psi,0];h=[3,1]
     state_cap = 5000000
 
     [output]
     path = results.csv
-    format = csv             # or: json
+    format = csv             # or: json; read by `simulate` only
     timestamp = true         # first header line; suppress for byte-stable diffs
 """
 
@@ -54,7 +58,7 @@ class ConfigError(ValueError):
 class SweepConfig:
     n_sources: int = 5
     n_channels: int = 1
-    p: float | None = None  # None = unset; resolves to 0.5
+    p: float = 0.5
     q_spec: str = "uniform:0.5"
     horizon: int = 1000
     p_grid: tuple[float, ...] | None = None
@@ -70,10 +74,6 @@ class SweepConfig:
     out: str | None = None
     fmt: str = "csv"
     timestamp: bool = True
-
-    @property
-    def base_p(self) -> float:
-        return 0.5 if self.p is None else self.p
 
 
 def _words(raw: str) -> list[str]:
@@ -115,10 +115,19 @@ def _q_spec_list(raw: str) -> tuple[str, ...]:
 
 def _policy_list(raw: str) -> tuple[str, ...]:
     names = tuple(_words(raw))
-    for name in names:
+    for i, name in enumerate(names):
         if name not in POLICY_NAMES:
             raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
+        if name in names[:i]:
+            raise ValueError(f"policy {name!r} listed twice")
     return names
+
+
+def _replications(raw: str) -> int:
+    v = int(raw)
+    if v < 2:
+        raise ValueError(f"must be >= 2 for a standard error, got {v}")
+    return v
 
 
 def _format(raw: str) -> str:
@@ -139,15 +148,17 @@ def _bool(raw: str) -> bool:
 @dataclass(frozen=True)
 class ConfigField:
     """One settable SweepConfig field, set by the INI key [section] key or by
-    the CLI flag; both hand their raw text to parse.  A grid flag (nargs "+")
-    joins its words with spaces; a flag with a const takes no value and stands
-    for that raw text."""
+    the CLI flag; both hand their raw text to parse.  Only the subcommands in
+    commands read the field and take the flag.  A grid flag (nargs "+") joins
+    its words with spaces; a flag with a const takes no value and stands for
+    that raw text."""
 
     name: str
     section: str
     key: str
     flag: str
     parse: Callable[[str], object]
+    commands: tuple[str, ...]
     help: str
     nargs: str | None = None
     const: str | None = None
@@ -160,31 +171,44 @@ class ConfigField:
             raise ConfigError(f"{origin}: {exc}") from None
 
 
+# the subcommands that read a field; each parser takes only its fields' flags
+MODEL = ("simulate", "sweep", "solve")
+MONTE_CARLO = ("simulate", "sweep")
+SEEDED = ("simulate", "sweep", "verify")  # verify reads the p grid as its scaling grid
+COMMANDS = ("simulate", "sweep", "solve", "verify")
+
 FIELDS = (
-    ConfigField("n_sources", "model", "n_sources", "--n-sources", int, "number of sources N"),
-    ConfigField("n_channels", "model", "n_channels", "--n-channels", int,
+    ConfigField("n_sources", "model", "n_sources", "--n-sources", int, MODEL,
+                "number of sources N"),
+    ConfigField("n_channels", "model", "n_channels", "--n-channels", int, MODEL,
                 "number of channels d"),
-    ConfigField("p", "model", "p", "--p", _prob, "transfer success probability (default 0.5)"),
-    ConfigField("q_spec", "model", "q", "--q", _q_spec,
+    ConfigField("p", "model", "p", "--p", _prob, MODEL,
+                "transfer success probability (default 0.5)"),
+    ConfigField("q_spec", "model", "q", "--q", _q_spec, MODEL,
                 "arrival probabilities: uniform:<v> or a vector v1,v2,..."),
-    ConfigField("horizon", "model", "horizon", "--horizon", int, "horizon T"),
-    ConfigField("p_grid", "sweep", "p", "--p-grid", _prob_list, "grid of p values", "+"),
-    ConfigField("n_grid", "sweep", "n_sources", "--n-grid", _int_list, "grid of N values", "+"),
-    ConfigField("d_grid", "sweep", "n_channels", "--d-grid", _int_list, "grid of d values", "+"),
-    ConfigField("t_grid", "sweep", "horizon", "--t-grid", _int_list, "grid of T values", "+"),
-    ConfigField("q_grid", "sweep", "q", "--q-grid", _q_spec_list, "grid of q specs", "+"),
-    ConfigField("policies", "run", "policies", "--policies", _policy_list,
+    ConfigField("horizon", "model", "horizon", "--horizon", int, MODEL, "horizon T"),
+    ConfigField("p_grid", "sweep", "p", "--p-grid", _prob_list, SEEDED, "grid of p values", "+"),
+    ConfigField("n_grid", "sweep", "n_sources", "--n-grid", _int_list, MONTE_CARLO,
+                "grid of N values", "+"),
+    ConfigField("d_grid", "sweep", "n_channels", "--d-grid", _int_list, MONTE_CARLO,
+                "grid of d values", "+"),
+    ConfigField("t_grid", "sweep", "horizon", "--t-grid", _int_list, MONTE_CARLO,
+                "grid of T values", "+"),
+    ConfigField("q_grid", "sweep", "q", "--q-grid", _q_spec_list, MONTE_CARLO,
+                "grid of q specs", "+"),
+    ConfigField("policies", "run", "policies", "--policies", _policy_list, MODEL,
                 "comma-separated; the first is the improvement baseline"),
-    ConfigField("replications", "run", "replications", "--replications", int,
-                "episodes per policy and grid point"),
-    ConfigField("base_seed", "run", "base_seed", "--seed", int, "base seed (default 42)"),
-    ConfigField("initial_state", "run", "initial_state", "--initial-state", str.strip,
+    ConfigField("replications", "run", "replications", "--replications", _replications,
+                MONTE_CARLO, "episodes per policy and grid point (at least 2)"),
+    ConfigField("base_seed", "run", "base_seed", "--seed", int, SEEDED, "base seed (default 42)"),
+    ConfigField("initial_state", "run", "initial_state", "--initial-state", str.strip, MODEL,
                 '"fresh" or a g=[...];h=[...] literal'),
-    ConfigField("state_cap", "run", "state_cap", "--state-cap", int,
+    ConfigField("state_cap", "run", "state_cap", "--state-cap", int, MODEL,
                 "most states (or state-cursor pairs) an exact pass may reach"),
-    ConfigField("out", "output", "path", "--out", str.strip, "output path ('-' = stdout)"),
-    ConfigField("fmt", "output", "format", "--format", _format, "csv or json"),
-    ConfigField("timestamp", "output", "timestamp", "--no-header-timestamp", _bool,
+    ConfigField("out", "output", "path", "--out", str.strip, COMMANDS,
+                "output path ('-' = stdout)"),
+    ConfigField("fmt", "output", "format", "--format", _format, ("simulate",), "csv or json"),
+    ConfigField("timestamp", "output", "timestamp", "--no-header-timestamp", _bool, COMMANDS,
                 "suppress the generated-at header for byte-stable output", const="false"),
 )
 _BY_KEY = {(f.section, f.key): f for f in FIELDS}
@@ -275,7 +299,7 @@ def grid_points(cfg: SweepConfig) -> list[GridPoint]:
     ds = cfg.d_grid or (cfg.n_channels,)
     ts = cfg.t_grid or (cfg.horizon,)
     qs = cfg.q_grid or (cfg.q_spec,)
-    ps = cfg.p_grid or (cfg.base_p,)
+    ps = cfg.p_grid or (cfg.p,)
     return [
         GridPoint(n, d, p, t, q)
         for n in ns

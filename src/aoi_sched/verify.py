@@ -197,6 +197,7 @@ GAP_INSTANCES = (
     ModelParams(3, 2, 0.9, (0.5, 0.5, 0.5), 4),
 )
 SCALING_BASE = ModelParams(2, 1, 0.5, (0.5, 0.5), 6)
+SCALING_P_GRID = (0.02, 0.04, 0.08, 0.16)
 CONSISTENCY_PARAMS = ModelParams(2, 1, 0.6, (0.5, 0.5), 5)
 
 
@@ -256,7 +257,7 @@ def check_gap_sign_and_bound(instances: Sequence[ModelParams] = GAP_INSTANCES) -
 
 def check_gap_scaling(
     base: ModelParams = SCALING_BASE,
-    p_grid: tuple[float, ...] = (0.02, 0.04, 0.08, 0.16),
+    p_grid: tuple[float, ...] = SCALING_P_GRID,
 ) -> CheckResult:
     """Gap should vanish roughly quadratically in p: log-log slope >= 1.8."""
     usable = [p for p in p_grid if p > 0.0]
@@ -322,7 +323,7 @@ def run_suite(
     seed: int = 20260800,
     gap_instances: Sequence[ModelParams] = GAP_INSTANCES,
     scaling_base: ModelParams = SCALING_BASE,
-    scaling_p_grid: tuple[float, ...] = (0.02, 0.04, 0.08, 0.16),
+    scaling_p_grid: tuple[float, ...] = SCALING_P_GRID,
     fault: str | None = None,
 ) -> list[CheckResult]:
     """The full battery in a fixed order; every instance fed to the kernel carries `fault`."""

@@ -148,7 +148,31 @@ def test_sweep_usage_errors(tmp_path):
         "sweep", "--p-grid", "0.5", "--format", "json",
         "--out", str(tmp_path / "x.csv"),
     ])
-    assert res.returncode == 1 and "CSV" in res.stderr
+    assert res.returncode == 1 and "--format" in res.stderr
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["solve", "--n-sources", "2", "--horizon", "4", "--p-grid", "0.3", "0.7",
+      "--replications", "9", "--seed", "3", "--format", "csv"], "--p-grid"),
+    (["verify", "--n-sources", "9", "--horizon", "3", "--replications", "2"], "--n-sources"),
+])
+def test_flag_the_subcommand_ignores_is_usage_error(tmp_path, argv, flag):
+    res = run_cli([*argv, "--out", str(tmp_path / "o.json")])
+    assert res.returncode == 1 and "usage:" in res.stderr and flag in res.stderr
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_verify_ignores_model_p_of_a_shared_config(tmp_path):
+    ini = tmp_path / "shared.ini"
+    ini.write_text("[model]\np = 0.65\n")
+    out = tmp_path / "verify.json"
+    assert cli.main([
+        "verify", "--config", str(ini), "--no-header-timestamp", "--out", str(out),
+    ]) == 0
+    scaling = {c["name"]: c for c in json.loads(out.read_text())["checks"]}[
+        "gap_quadratic_scaling"]
+    assert scaling["status"] == "pass"
+    assert scaling["measured"]["p_grid"] == [0.02, 0.04, 0.08, 0.16]
 
 
 def test_bad_grid_point_fails_before_any_run(tmp_path):
@@ -162,15 +186,23 @@ def test_bad_grid_point_fails_before_any_run(tmp_path):
     assert not (tmp_path / "sw_p.csv").exists()
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
     assert run_cli(["simulate", "--config", "/does/not/exist.ini"]).returncode == 1
     assert run_cli(["solve", "--p", "1.5"]).returncode == 1
     assert run_cli(["simulate", "--policies", "delta,fifo"]).returncode == 1
     res = run_cli(["simulate", "--n-sources", "abc"])
     assert res.returncode == 1 and "config error: --n-sources 'abc'" in res.stderr
-    # usage errors exit 1 too; 2 is kept for a failed verification check
+    res = run_cli(["sweep", "--p-grid", "0.3", "--policies", "delta,delta",
+                   "--out", str(tmp_path / "x.csv")])
+    assert res.returncode == 1 and "config error: --policies" in res.stderr
+    assert "'delta' listed twice" in res.stderr
+    res = run_cli(["simulate", "--policies", ","])
+    assert res.returncode == 1 and "empty list" in res.stderr
+    # usage errors exit 1 too; 2 is kept for a failed verification check.
+    # Flags are never abbreviated: --p would otherwise reach --p-grid.
     for argv in (["solve", "--bogus"], ["verify", "--inject-fault", "nope"],
-                 ["simulate", "--rr-mode", "strict"], []):
+                 ["simulate", "--rr-mode", "strict"], [],
+                 ["verify", "--p", "0.3"], ["simulate", "--rep", "3"]):
         res = run_cli(argv)
         assert res.returncode == 1 and "usage:" in res.stderr, argv
     assert run_cli(["solve", "--help"]).returncode == 0

@@ -7,6 +7,7 @@ import pytest
 
 from aoi_sched.cli import build_parser, resolve_config
 from aoi_sched.config import (
+    COMMANDS,
     FIELDS,
     ConfigError,
     GridPoint,
@@ -63,7 +64,7 @@ timestamp = false
 
 def test_defaults_without_file():
     cfg = SweepConfig()
-    assert cfg.base_p == 0.5 and cfg.policies == ("delta", "pi", "rr")
+    assert cfg.p == 0.5 and cfg.policies == ("delta", "pi", "rr")
     assert cfg.fmt == "csv" and cfg.timestamp
 
 
@@ -75,6 +76,8 @@ def test_defaults_without_file():
         "[modle]\nn_sources = 2\n",
         "[model]\nn_souces = 2\n",
         "[run]\npolicies = delta, fifo\n",
+        "[run]\npolicies = delta, delta\n",
+        "[run]\nreplications = 1\n",
         "[run]\nrr_mode = polite\n",
         "[run]\nrr_mode = strict\n",
         "[output]\nformat = yaml\n",
@@ -117,11 +120,17 @@ def test_table_declares_each_field_once():
     )
     assert len({(f.section, f.key) for f in FIELDS}) == len(FIELDS)
     assert len({f.flag for f in FIELDS}) == len(FIELDS)
+    reads = {cmd: sum(cmd in f.commands for f in FIELDS) for cmd in COMMANDS}
+    assert reads == {"simulate": 18, "sweep": 17, "solve": 10, "verify": 4}
+
+
+def _flag_argv(field, text):
+    words = [] if field.const else text.split() if field.nargs else [text]
+    return [field.flag, *words]
 
 
 def _from_flag(field, text):
-    words = [] if field.const else text.split() if field.nargs else [text]
-    return resolve_config(build_parser().parse_args(["simulate", field.flag, *words]))
+    return resolve_config(build_parser().parse_args(["simulate", *_flag_argv(field, text)]))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -140,6 +149,19 @@ def test_ini_key_and_flag_set_the_same_value(tmp_path, field):
     if field.const is None:
         with pytest.raises(ConfigError, match=re.escape(f"{field.flag} {bad!r}: ")):
             _from_flag(field, bad)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_subcommand_takes_only_the_flags_it_reads(capsys, command, field):
+    argv = [command, *_flag_argv(field, SAMPLES[field.name][0])]
+    if command in field.commands:
+        build_parser().parse_args(argv)
+        return
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {field.flag}" in capsys.readouterr().err
 
 
 def test_q_spec_forms():

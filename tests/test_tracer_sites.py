@@ -1,19 +1,30 @@
-"""The benchmark's tracer wraps aoi_sched functions by name where their
-callers look them up (perfbench/tracer.py); deleting or renaming one of those
-names must fail here, not only in a traced benchmark run."""
+"""The benchmark reaches into aoi_sched by name: its tracer wraps functions
+where their callers look them up (perfbench/tracer.py), and its workloads
+pass CLI flags (perfbench/run.py).  Deleting or renaming one of those names or
+flags must fail here, not only in a benchmark run."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import pytest
+
+from aoi_sched.cli import build_parser
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_tracer_site_exists_and_is_restored(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load("tracer", monkeypatch)
     tr = tracer.Tracer()
     try:
         tr.install()  # a missing site raises KeyError
@@ -22,3 +33,11 @@ def test_every_tracer_site_exists_and_is_restored(monkeypatch):
         restored = tr.restore()
     assert installed == len(tracer.SPAN_SITES) + len(tracer.LEAF_SITES)
     assert restored is True
+
+
+@pytest.mark.parametrize("toy", [False, True])
+def test_every_workload_argv_parses(monkeypatch, toy):
+    run = _load("run", monkeypatch)
+    for wl in run.WORKLOADS.values():
+        args = build_parser().parse_args(wl.argv(42, toy) + ["--out", "x"])
+        assert args.command == wl.command
