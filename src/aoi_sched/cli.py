@@ -62,9 +62,18 @@ SIM_COLUMNS = (
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors exit 1, as config errors do; exit 2 means a failed check."""
 
+    commands: dict  # subcommand name -> its parser, set by build_parser
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def parse_args(self, args=None, namespace=None):
+        # an unknown flag is reported with the usage line of its subcommand
+        ns, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.commands[ns.command].error(f"unrecognized arguments: {' '.join(extra)}")
+        return ns
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=["age-drift", "drop-event"],
                             help="negative control: corrupt the transition law "
                                  "and confirm the suite catches it")
+    parser.commands = sub.choices
     return parser
 
 

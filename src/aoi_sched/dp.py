@@ -11,17 +11,20 @@ grid finite (ages grow by at most one per slot).
 Both passes work on per-stage arrays.  A stage is one integer row per distinct
 key, g | h, plus the memory value when a policy threads one.  An event's
 probability depends only on the scheduled set, not on the state, so each
-action's events are read once per pass off the exact kernel, and the
+action's events are read once per pass off the batched kernel, and the
 successors of every row taking that action are one array expression.  The
 backward pass sums each expectation with math.fsum, which is exact, so every
 value and tie-break is the one a state-by-state pass over the kernel's
 (successor, probability) pairs gives.
+
+The batched one-step identities behind `verify` read a batch of cases off
+the kernel's rows, one math.fsum per case; singular names are one-case views.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
@@ -29,26 +32,26 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (
+from .model import (  # enumerate_transitions stays importable from here
     EMPTY,
     Action,
+    Events,
     ModelParams,
     SystemState,
     _check_schedulable,
-    _expand_arrivals,
-    _success_sets,
     cost,
     enumerate_transitions,
     format_state,
-    fresh_state,
+    next_states,
     norm_inf,
     sources_with_packets,
     success_probs,
+    transition_events,
 )
 from .policies import (
     DeltaPolicy,
     StateNotInTable,
-    min_schedule_margin,
+    min_schedule_margins,
     schedule_margin,
 )
 
@@ -229,20 +232,10 @@ class _Events(NamedTuple):
 
 
 def _events(a: tuple[int, ...], params: ModelParams) -> _Events:
-    """Read the events of scheduling a off one exact-kernel call at the fresh
-    state, where every source holds an age-0 packet at destination age 1, so
-    every action is schedulable and each successor shows its event: a
-    delivery leaves h' = g + 1 = 1, an arrival leaves g' = 0, and an
-    undelivered destination age grows to 1 + step (step is 1, or 2 under
-    age-drift).  The probabilities, their 0.0 pruning and any fault of the
-    instance are the kernel's own, and they serve every state that
-    schedules a."""
-    n = params.n_sources
-    pairs = enumerate_transitions(fresh_state(n), Action(a), params)
-    g = np.array([x2.g for x2, _ in pairs], dtype=np.int64).reshape(len(pairs), n)
-    h = np.array([x2.h for x2, _ in pairs], dtype=np.int64).reshape(len(pairs), n)
-    kind = 2 * (h == 1) + (g == 0)
-    return _Events(kind, int(h.max(initial=1)) - 1, np.array([pr for _, pr in pairs], dtype=float))
+    """The kernel's events of scheduling a, which serve every state that
+    schedules it, with the instance's fault."""
+    ev = transition_events([(Action(a), params)]).law()
+    return _Events(2 * ev.delivered + ev.arrived, int(ev.step[0]), ev.pr)
 
 
 def _successors(rows: np.ndarray, ev: _Events, mem, out: np.ndarray) -> None:
@@ -476,14 +469,34 @@ def optimality_gap(
     return gap_report(params, x0, v_star, v_delta)
 
 
+Case = tuple[SystemState, Action, ModelParams]
+
+
+def expected_age_sums(cases: Sequence[Case], ev: Events) -> tuple[list[float], list[float]]:
+    """expected_age_sum_check of every case, from ev, the law of its (a, params)."""
+    _, h = next_states([x for x, _, _ in cases], ev)
+    lhs = ev.fsums(ev.pr * h.sum(axis=1))
+    rhs = [float(cost(x) + params.n_sources) + params.p * schedule_margin(x, a.scheduled)
+           for x, a, params in cases]
+    return lhs, rhs
+
+
 def expected_age_sum_check(
     x: SystemState, a: Action, params: ModelParams
 ) -> tuple[float, float]:
     """One-step identity: expected next destination-age sum against its closed
     form cost(x) + N + p * schedule_margin.  Returns (enumerated, closed form)."""
-    lhs = math.fsum(pr * cost(x2) for x2, pr in enumerate_transitions(x, a, params))
-    rhs = float(cost(x) + params.n_sources) + params.p * schedule_margin(x, a.scheduled)
+    _check_schedulable(x, a)
+    (lhs,), (rhs,) = expected_age_sums([(x, a, params)], transition_events([(a, params)]).law())
     return lhs, rhs
+
+
+def expected_margins(cases: Sequence[Case], ev: Events) -> list[float]:
+    """Each case's sum over ev's rows of probability times the successor's
+    min_schedule_margin."""
+    g, h = next_states([x for x, _, _ in cases], ev)
+    d = np.array([params.n_channels for _, _, params in cases], dtype=np.int64)
+    return ev.fsums(ev.pr * min_schedule_margins(g, h, d[ev.case]))
 
 
 class MarginDecomposition(NamedTuple):
@@ -491,17 +504,42 @@ class MarginDecomposition(NamedTuple):
     success: float     # carries all action dependence
 
 
+def no_success_cases(cases: Sequence[Case]) -> list[tuple[Action, ModelParams]]:
+    """No action on each instance: base 1.0, each row a pure arrival pattern."""
+    return [(Action(()), params) for _, _, params in cases]
+
+
+def no_success_margins(cases: Sequence[Case], ev: Events) -> list[float]:
+    """no_success_margin of every case, from every row of
+    ev = transition_events(no_success_cases(cases))."""
+    for x, a, _ in cases:
+        if not sources_with_packets(x):
+            raise NoAction("no packet-holding source to schedule")
+        _check_schedulable(x, a)
+    return expected_margins(cases, ev)
+
+
 def no_success_margin(x: SystemState, a: Action, params: ModelParams) -> float:
     """The no_success part of margin_decomposition: the expected next-state
     best margin of x under a, given that every transfer fails."""
-    if not sources_with_packets(x):
-        raise NoAction("no packet-holding source to schedule")
-    _check_schedulable(x, a)
-    d = params.n_channels
-    # base 1.0 with no successes: the pure arrival probability of each pattern
-    return math.fsum(
-        pr * min_schedule_margin(x2, d) for x2, pr in _expand_arrivals(x, (), 1.0, params)
-    )
+    cases = [(x, a, params)]
+    return no_success_margins(cases, transition_events(no_success_cases(cases)))[0]
+
+
+def margin_cases(cases: Sequence[Case]) -> list[tuple[Action, ModelParams]]:
+    """Each case's (a, params), then no_success_cases(cases)."""
+    return [(a, params) for _, a, params in cases] + no_success_cases(cases)
+
+
+def margin_decompositions(cases: Sequence[Case], ev: Events) -> list[MarginDecomposition]:
+    """margin_decomposition of every case, from every row of
+    ev = transition_events(margin_cases(cases)): the split sees age-drift,
+    but not the event drop-event leaves out of the law."""
+    acted, idle = ev.split(len(cases))
+    u = no_success_margins(cases, idle)
+    hit = expected_margins(cases, acted.rows(acted.delivered.any(axis=1)))
+    pds = [success_probs(params, 0).batch for _, _, params in cases]
+    return [MarginDecomposition(ui, s / pd if pd > 0.0 else 0.0) for ui, s, pd in zip(u, hit, pds)]
 
 
 def margin_decomposition(
@@ -516,17 +554,8 @@ def margin_decomposition(
     absolute value; either may be negative.  At p = 0 the success part is a
     0/0 limit and is reported as 0.0.
     """
-    u = no_success_margin(x, a, params)
-    d = params.n_channels
-    succ_terms = [
-        pr * min_schedule_margin(x2, d)
-        for w, base in _success_sets(a, params.p)
-        if w
-        for x2, pr in _expand_arrivals(x, w, base, params)
-    ]
-    pd = success_probs(params, 0).batch
-    v = math.fsum(succ_terms) / pd if pd > 0.0 else 0.0
-    return MarginDecomposition(u, v)
+    cases = [(x, a, params)]
+    return margin_decompositions(cases, transition_events(margin_cases(cases)))[0]
 
 
 def dump_table(table: DPTable, path) -> None:

@@ -15,10 +15,12 @@ resets to the delivered packet's age plus one; otherwise it grows by one.
 Because the draws are independent per source, the one-slot law is a product
 over sources, and each (successes, arrivals) event leads to its own successor
 state: on a source, success moves h to g+1 <= h instead of h+1, and an arrival
-alone leaves g = 0.  The exact kernel, enumerate_transitions, builds that
-product one source at a time; apply_transition and transition_prob resolve a
-single event and remain the event-by-event definition it must reproduce.  A
-fault carried by ModelParams corrupts that kernel only, never the sampler.
+alone leaves g = 0.  The exact kernel, transition_events, expands that product
+for a batch of (action, instance) cases at once into event rows; next_states
+applies them to states, and enumerate_transitions is the one-case view.
+apply_transition and transition_prob resolve a single event and remain the
+event-by-event definition it must reproduce.  A fault carried by ModelParams
+corrupts that kernel only, never the sampler.
 """
 
 from __future__ import annotations
@@ -27,16 +29,18 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 EMPTY = -1  # sentinel age: source buffer holds no packet ("psi" in file I/O)
 
 # Faults for negative-control verification (`verify --inject-fault`), carried
-# by ModelParams.fault and seen only by the exact kernel, enumerate_transitions.
+# by ModelParams.fault and seen only by the exact kernel, transition_events.
 # "age-drift": non-delivered destination ages advance by 2 instead of 1, which
-# breaks the one-step expected-age identity.  "drop-event": the enumeration
-# omits the event where every scheduled transfer succeeds and every source
-# gets a packet, which breaks probability closure.
+# breaks the one-step expected-age identity.  "drop-event": the law omits the
+# event where every scheduled transfer succeeds and every source gets a
+# packet, which breaks probability closure.
 FAULT_MODES = (None, "age-drift", "drop-event")
 
 
@@ -77,7 +81,7 @@ class ModelParams:
     p: float
     q: tuple[float, ...]
     horizon: int
-    fault: str | None = None  # one of FAULT_MODES; corrupts enumerate_transitions only
+    fault: str | None = None  # one of FAULT_MODES; corrupts transition_events only
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", tuple(float(v) for v in self.q))
@@ -191,45 +195,105 @@ def transition_prob(a: Action, e: TransitionEvent, params: ModelParams) -> float
     return pr
 
 
-def _success_sets(a: Action, p: float):
-    """Each success set w of the action, in combinations order, with its
-    probability p^|w| (1-p)^(|a|-|w|) as transition_prob computes it; sets of
-    probability 0.0 are skipped."""
-    k = len(a.scheduled)
-    for nw in range(k + 1):
-        base = p**nw * (1.0 - p) ** (k - nw)
-        if base != 0.0:
-            for w in combinations(a.scheduled, nw):
-                yield w, base
+class Events(NamedTuple):
+    """Each case's events of nonzero probability, case after case, in
+    enumerate_transitions order; W is the largest N of the batch."""
+
+    case: np.ndarray       # intp [rows]: the case of each row, ascending
+    delivered: np.ndarray  # bool [rows, W]: n's buffered packet got through
+    arrived: np.ndarray    # bool [rows, W]: n received a fresh packet
+    pr: np.ndarray         # float64 [rows]: the event's probability
+    dropped: np.ndarray    # bool [rows]: the event a drop-event fault leaves out of the law
+    step: np.ndarray       # int64 [cases]: slots an undelivered destination age grows by
+
+    def rows(self, keep: np.ndarray) -> Events:
+        """The rows where keep is true, still numbered by case."""
+        return Events(self.case[keep], self.delivered[keep], self.arrived[keep],
+                      self.pr[keep], self.dropped[keep], self.step)
+
+    def law(self) -> Events:
+        """The law the exact kernel enumerates: every row the fault keeps."""
+        return self.rows(~self.dropped) if self.dropped.any() else self
+
+    def split(self, *starts: int) -> list[Events]:
+        """The rows of cases [0, s1), [s1, s2), ..., [sk, cases), each part
+        numbering its cases from 0."""
+        bounds = [0, *starts, len(self.step)]
+        ends = np.searchsorted(self.case, bounds).tolist()
+        return [
+            Events(self.case[r0:r1] - c0, self.delivered[r0:r1], self.arrived[r0:r1],
+                   self.pr[r0:r1], self.dropped[r0:r1], self.step[c0:c1])
+            for c0, c1, r0, r1 in zip(bounds, bounds[1:], ends, ends[1:])
+        ]
+
+    def fsums(self, terms: np.ndarray) -> list[float]:
+        """math.fsum of each case's terms, given one term per row."""
+        ends = np.searchsorted(self.case, np.arange(1, len(self.step) + 1)).tolist()
+        return [math.fsum(terms[i:j].tolist()) for i, j in zip([0, *ends], ends)]
 
 
-def _expand_arrivals(
-    x: SystemState, w: tuple[int, ...], base: float, params: ModelParams
-) -> list[tuple[SystemState, float]]:
-    """Successors of x when exactly the sources in w deliver, one per arrival
-    pattern, each weighted base * prod_n (q[n] or 1 - q[n]).
+def transition_events(cases: Sequence[tuple[Action, ModelParams]]) -> Events:
+    """The exact one-slot law of a batch of (action, instance) cases.
 
-    The pattern is extended one source at a time, so each probability is
-    multiplied left to right in source order, as transition_prob does, and a
-    branch is dropped as soon as its product is 0.0 (it would stay 0.0).
-    Destination ages do not depend on arrivals, so h' is built once.
+    Success sets w come in combinations order with the base p^|w| (1-p)^(|a|-|w|)
+    as transition_prob computes it, sets of base 0.0 skipped; arrivals are then
+    expanded one source at a time for every row at once, so each probability
+    is multiplied left to right as transition_prob does, and a branch is
+    dropped once its product is 0.0.  Both faults live here: age-drift sets a
+    case's step to 2, and drop-event marks the all-succeed, all-arrive event.
     """
-    bump = 2 if params.fault == "age-drift" else 1
-    h2 = tuple(gn + 1 if n in w else hn + bump for n, (gn, hn) in enumerate(zip(x.g, x.h)))
-    layer = [(base, ())]
-    for n, (gn, qn) in enumerate(zip(x.g, params.q)):
-        kept = EMPTY if gn == EMPTY or n in w else gn + 1
-        nq = 1.0 - qn
-        nxt = []
-        for pr, gs in layer:
-            v = pr * nq
-            if v != 0.0:
-                nxt.append((v, gs + (kept,)))
-            v = pr * qn
-            if v != 0.0:
-                nxt.append((v, gs + (0,)))
-        layer = nxt
-    return [(SystemState(gs, h2), pr) for pr, gs in layer]
+    width = max((params.n_sources for _, params in cases), default=0)
+    case, pr, hits, cols = [], [], [], []
+    for i, (a, params) in enumerate(cases):
+        k, p = len(a.scheduled), params.p
+        for nw in range(k + 1):
+            base = p**nw * (1.0 - p) ** (k - nw)
+            if base != 0.0:
+                for w in combinations(a.scheduled, nw):
+                    hits += [len(pr)] * nw
+                    cols += w
+                    case.append(i)
+                    pr.append(base)
+    delivered = np.zeros((len(pr), width), dtype=bool)
+    delivered[hits, cols] = True
+    q = np.array([params.q + (0.0,) * (width - params.n_sources) for _, params in cases])[case]
+    row, pr = np.arange(len(pr)), np.array(pr, dtype=float)
+    arrived = np.zeros((len(pr), width), dtype=bool)
+    for n in range(width):
+        qn = q[row, n]
+        both = np.empty(2 * len(pr))
+        np.multiply(pr, 1.0 - qn, out=both[0::2])
+        np.multiply(pr, qn, out=both[1::2])
+        kept = both.nonzero()[0]
+        src = kept >> 1
+        row, pr, arrived = row[src], both[kept], arrived[src]
+        arrived[:, n] = kept & 1
+    case, delivered = np.array(case, dtype=np.intp)[row], delivered[row]
+    faults = [params.fault for _, params in cases]
+    step = np.array([1 + (f == "age-drift") for f in faults], dtype=np.int64)
+    dropped = np.zeros(len(pr), dtype=bool)
+    if "drop-event" in faults:
+        every = np.array([(f == "drop-event", len(a.scheduled), params.n_sources)
+                          for f, (a, params) in zip(faults, cases)])[case]
+        dropped = ((every[:, 0] == 1) & (delivered.sum(axis=1) == every[:, 1])
+                   & (arrived.sum(axis=1) == every[:, 2]))
+    return Events(case, delivered, arrived, pr, dropped, step)
+
+
+def next_states(xs: Sequence[SystemState], ev: Events) -> tuple[np.ndarray, np.ndarray]:
+    """The successor ages g', h' [rows, W] of xs[case] under each row's
+    event, undelivered ages grown by the case's step; sources past a case's
+    own N read g' = EMPTY, h' = 0 and add nothing to a cost or a margin."""
+    width = ev.delivered.shape[1]
+    pad = [width - len(x.g) for x in xs]
+    # the smallest signed type holding every age after the slot (step <= 2)
+    dtype = np.min_scalar_type(-3 - max((max(x.h) for x in xs), default=0))
+    g = np.array([x.g + (EMPTY,) * k for x, k in zip(xs, pad)], dtype=dtype)[ev.case]
+    h = np.array([x.h + (0,) * k for x, k in zip(xs, pad)], dtype=dtype)[ev.case]
+    h = np.where(ev.delivered, g + 1, h + ev.step.astype(dtype)[ev.case, None])
+    live = np.arange(width) < width - np.array(pad)[ev.case, None]
+    g = np.where(ev.arrived, 0, np.where(ev.delivered | (g == EMPTY), EMPTY, g + 1))
+    return g, np.where(live, h, 0)
 
 
 def enumerate_transitions(
@@ -238,24 +302,19 @@ def enumerate_transitions(
     """Exact successor distribution for (x, a): one entry per (successes,
     arrivals) event of nonzero probability, so the support sums to one.
 
-    The law is a per-source product.  For each success set w, in combinations
-    order, the arrival patterns are expanded source by source from the base
-    p^|w| (1-p)^(|a|-|w|), so every probability equals transition_prob's bit
-    for bit.  Nothing is merged: distinct events give distinct successors,
-    since success sets h' = g+1 <= h < h+1 and only an arrival sets g' = 0.
-    Entries follow success-set order, then arrival patterns with source 0
-    most significant, no arrival before arrival.
+    The one-case view of transition_events, so every probability equals
+    transition_prob's bit for bit.  Nothing is merged: distinct events give
+    distinct successors, since success sets h' = g+1 <= h < h+1 and only an
+    arrival sets g' = 0.  Entries follow success-set order, then arrival
+    patterns with source 0 most significant, no arrival before arrival.
     """
     _check_schedulable(x, a)
-    out: list[tuple[SystemState, float]] = []
-    for w, base in _success_sets(a, params.p):
-        out += _expand_arrivals(x, w, base, params)
-    if params.fault == "drop-event":
-        # omit the event where every transfer succeeds and every source gets a packet
-        every = TransitionEvent(a.scheduled, tuple(range(params.n_sources)))
-        dropped = apply_transition(x, a, every)
-        out = [(x2, pr) for x2, pr in out if x2 != dropped]
-    return out
+    ev = transition_events([(a, params)]).law()
+    g, h = next_states([x], ev)
+    return [
+        (SystemState(tuple(gs), tuple(hs)), pr)
+        for gs, hs, pr in zip(g.tolist(), h.tolist(), ev.pr.tolist())
+    ]
 
 
 def sample_step(

@@ -53,6 +53,14 @@ def min_schedule_margin(x: SystemState, d: int) -> int:
     return sum(margins[:k])
 
 
+def min_schedule_margins(g: np.ndarray, h: np.ndarray, d: np.ndarray | int) -> np.ndarray:
+    """min_schedule_margin of every row of the ages g, h [rows, N], row i
+    with d[i] (or d) channels: a non-holder counts as margin 0, above every
+    holder's, so the d smallest entries sum the min(N_x, d) most negative."""
+    m = np.sort(np.where(g == EMPTY, 0, g - h), axis=1).cumsum(axis=1)
+    return m[np.arange(len(m)), np.minimum(d, m.shape[1]) - 1]
+
+
 def delta_decide(x: SystemState, d: int) -> PolicyDecision:
     """Minimize the summed margin: pick the min(N_x, d) holders with largest h - g."""
     holders = sources_with_packets(x)

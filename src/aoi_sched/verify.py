@@ -3,7 +3,11 @@
 Each check returns a CheckResult with a pass/fail/skipped status and the
 measured quantities, so the `verify` subcommand can emit a machine-readable
 report and the test suite can reuse the same oracles.  Randomized checks are
-seeded and therefore reproducible.
+seeded and therefore reproducible: each draws all of its cases one after
+another from its own stream, then expands them in one call of the batched
+kernel and reads its measurements off the rows as arrays, every per-case
+expectation one math.fsum.  The exact checks solve each gap instance once
+and compare value arrays aligned by DPTable.lookup.
 """
 
 from __future__ import annotations
@@ -15,19 +19,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dp import (
+    Case,
+    DPTable,
     evaluate_policy,
-    expected_age_sum_check,
-    margin_decomposition,
-    no_success_margin,
+    expected_age_sums,
+    expected_margins,
+    gap_report,
+    margin_cases,
+    margin_decompositions,
+    no_success_cases,
+    no_success_margins,
     optimality_gap,
     solve_optimal,
 )
-from .model import (
+from .model import (  # enumerate_transitions stays importable from here
     EMPTY,
     Action,
     ModelParams,
     SystemState,
-    cost,
     enumerate_actions,
     enumerate_transitions,
     fresh_state,
@@ -35,8 +44,9 @@ from .model import (
     norm_inf,
     sources_with_packets,
     success_probs,
+    transition_events,
 )
-from .policies import DeltaPolicy, OptimalPolicy, min_schedule_margin
+from .policies import DeltaPolicy, OptimalPolicy, min_schedule_margins
 
 STEP_TOL = 1e-12   # single-step identities
 VALUE_TOL = 1e-9   # multi-stage value comparisons
@@ -93,16 +103,20 @@ def random_case(
     return params, x, a
 
 
+def _draw(n_cases: int, seed: int, ensure_holder: bool, fault: str | None) -> list[Case]:
+    """n_cases random (x, a, params) cases, drawn one after another."""
+    rng = np.random.default_rng(seed)
+    drawn = (random_case(rng, ensure_holder=ensure_holder, fault=fault) for _ in range(n_cases))
+    return [(x, a, params) for params, x, a in drawn]
+
+
 def check_prob_closure(
     n_cases: int = 1000, seed: int = 20260801, fault: str | None = None
 ) -> CheckResult:
     """Enumerated transition probabilities must sum to one for every (x, a)."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_cases):
-        params, x, a = random_case(rng, fault=fault)
-        total = math.fsum(pr for _, pr in enumerate_transitions(x, a, params))
-        worst = max(worst, abs(total - 1.0))
+    cases = _draw(n_cases, seed, False, fault)
+    ev = transition_events([(a, params) for _, a, params in cases]).law()
+    worst = max([0.0] + [abs(total - 1.0) for total in ev.fsums(ev.pr)])
     status = "pass" if worst <= STEP_TOL else "fail"
     return CheckResult(
         "transition_prob_closure",
@@ -116,12 +130,10 @@ def check_age_sum_identity(
     n_cases: int = 1000, seed: int = 20260802, fault: str | None = None
 ) -> CheckResult:
     """One-step expected destination-age sum equals its closed form."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_cases):
-        params, x, a = random_case(rng, fault=fault)
-        lhs, rhs = expected_age_sum_check(x, a, params)
-        worst = max(worst, abs(lhs - rhs))
+    cases = _draw(n_cases, seed, False, fault)
+    ev = transition_events([(a, params) for _, a, params in cases]).law()
+    lhs, rhs = expected_age_sums(cases, ev)
+    worst = max([0.0] + [abs(l - r) for l, r in zip(lhs, rhs)])
     status = "pass" if worst <= STEP_TOL else "fail"
     return CheckResult(
         "expected_age_sum_identity",
@@ -135,25 +147,29 @@ def check_margin_split(
     n_cases: int = 500, seed: int = 20260803, fault: str | None = None
 ) -> CheckResult:
     """Success/no-success split of the expected best margin: mixture identity,
-    magnitude bounds, and action-invariance of the no-success part."""
-    rng = np.random.default_rng(seed)
+    magnitude bounds, and action-invariance of the no-success part.  One
+    kernel call serves the split's cases and the no-success part of every
+    action of each case; E[margin] reads the law of the cases' actions."""
+    cases = _draw(n_cases, seed, True, fault)
+    actions = [enumerate_actions(x, params.n_channels) for x, _, params in cases]
+    others = [(x, b, params) for (x, _, params), bs in zip(cases, actions) for b in bs]
+    ev = transition_events(margin_cases(cases) + no_success_cases(others))
+    split, per_action = ev.split(2 * n_cases)
+    expected = expected_margins(cases, split.split(n_cases)[0].law())
+    parts = margin_decompositions(cases, split)
+    spread = iter(no_success_margins(others, per_action))
     worst_identity = 0.0
     worst_bound = -math.inf
     worst_spread = 0.0
-    for _ in range(n_cases):
-        params, x, a = random_case(rng, ensure_holder=True, fault=fault)
+    for (x, a, params), (u, v), mean, bs in zip(cases, parts, expected, actions):
         d = params.n_channels
-        u, v = margin_decomposition(x, a, params)
-        expected = math.fsum(
-            pr * min_schedule_margin(x2, d) for x2, pr in enumerate_transitions(x, a, params)
-        )
         patt = success_probs(params, len(a.scheduled)).attempted
         pd = success_probs(params, 0).batch
-        worst_identity = max(worst_identity, abs(expected - ((1.0 - patt) * u + pd * v)))
+        worst_identity = max(worst_identity, abs(mean - ((1.0 - patt) * u + pd * v)))
         limit = d * norm_inf(x)
         worst_bound = max(worst_bound, abs(u) - limit, abs(v) - limit)
-        others = [no_success_margin(x, b, params) for b in enumerate_actions(x, d)]
-        worst_spread = max(worst_spread, max(others) - min(others))
+        us = [next(spread) for _ in bs]
+        worst_spread = max(worst_spread, max(us) - min(us))
     ok = worst_identity <= STEP_TOL and worst_bound <= STEP_TOL and worst_spread <= STEP_TOL
     return CheckResult(
         "margin_decomposition",
@@ -201,46 +217,57 @@ SCALING_P_GRID = (0.02, 0.04, 0.08, 0.16)
 CONSISTENCY_PARAMS = ModelParams(2, 1, 0.6, (0.5, 0.5), 5)
 
 
-def check_penultimate_stage(instances: Sequence[ModelParams] = GAP_INSTANCES) -> CheckResult:
+def solve_gap_instances(instances: Sequence[ModelParams]) -> list[tuple]:
+    """(params, optimal table, best-margin policy table) of each instance,
+    solved from the fresh state."""
+    fresh = [fresh_state(params.n_sources) for params in instances]
+    return [(params, solve_optimal(params, x0),
+             evaluate_policy(DeltaPolicy(params.n_channels), params, x0))
+            for params, x0 in zip(instances, fresh)]
+
+
+def _stage_gap(table: DPTable, opt: DPTable, t: int) -> float:
+    """Largest |table - opt| over the keys of table's stage t, the optimal
+    values aligned to them by lookup."""
+    values = opt.values[t - 1][opt.lookup(t, table.rows[t - 1])]
+    return float(np.abs(table.values[t - 1] - values).max(initial=0.0))
+
+
+def check_penultimate_stage(solved: Sequence[tuple]) -> CheckResult:
     """Last two stages: best-margin and optimal values agree exactly, and the
     stage-(T-1) optimal value matches its closed form 2*cost + N + p*best margin."""
     worst_eq = 0.0
     worst_form = 0.0
-    for params in instances:
-        x0 = fresh_state(params.n_sources)
-        opt = solve_optimal(params, x0)
-        dtab = evaluate_policy(DeltaPolicy(params.n_channels), params, x0)
-        T = params.horizon
-        for x in dtab.states(T):
-            worst_eq = max(worst_eq, abs(dtab.value(T, x) - opt.value(T, x)))
+    for params, opt, dtab in solved:
+        T, n = params.horizon, params.n_sources
+        worst_eq = max(worst_eq, _stage_gap(dtab, opt, T))
         if T >= 2:
-            for x in dtab.states(T - 1):
-                worst_eq = max(worst_eq, abs(dtab.value(T - 1, x) - opt.value(T - 1, x)))
-                form = (
-                    2.0 * cost(x)
-                    + params.n_sources
-                    + params.p * min_schedule_margin(x, params.n_channels)
-                )
-                worst_form = max(worst_form, abs(opt.value(T - 1, x) - form))
+            worst_eq = max(worst_eq, _stage_gap(dtab, opt, T - 1))
+            rows = dtab.rows[T - 2].astype(np.int64)
+            g, h = rows[:, :n], rows[:, n:]
+            margin = min_schedule_margins(g, h, params.n_channels)
+            form = 2.0 * h.sum(axis=1) + n + params.p * margin
+            values = opt.values[T - 2][opt.lookup(T - 1, rows)]
+            worst_form = max(worst_form, float(np.abs(values - form).max(initial=0.0)))
     ok = worst_eq == 0.0 and worst_form <= VALUE_TOL
     return CheckResult(
         "penultimate_stage_match",
         "pass" if ok else "fail",
         f"max last-two-stage gap {worst_eq:.3e} (must be 0), closed-form err {worst_form:.3e}",
         {"max_stage_gap": worst_eq, "max_closed_form_err": worst_form,
-         "instances": len(instances), "tol": VALUE_TOL},
+         "instances": len(solved), "tol": VALUE_TOL},
     )
 
 
-def check_gap_sign_and_bound(instances: Sequence[ModelParams] = GAP_INSTANCES) -> CheckResult:
+def check_gap_sign_and_bound(solved: Sequence[tuple]) -> CheckResult:
     """Root-stage gap is nonnegative and below its analytic bound on every instance."""
     rows = []
     ok = True
-    for params in instances:
-        x0 = fresh_state(params.n_sources)
+    for params, opt, dtab in solved:
         if params.p == 0.0:
             continue  # degenerate; covered by the closed-form checks
-        rep = optimality_gap(params, x0)
+        x0 = fresh_state(params.n_sources)
+        rep = gap_report(params, x0, opt.root_value(), dtab.root_value())
         rows.append(
             {"N": params.n_sources, "d": params.n_channels, "T": params.horizon,
              "p": params.p, "diff": rep.diff, "bound": rep.bound}
@@ -306,10 +333,7 @@ def check_policy_eval_consistency(params: ModelParams = CONSISTENCY_PARAMS) -> C
     x0 = fresh_state(params.n_sources)
     opt = solve_optimal(params, x0)
     redo = evaluate_policy(OptimalPolicy(opt), params, x0)
-    worst = 0.0
-    for t in range(1, params.horizon + 1):
-        for x in redo.states(t):
-            worst = max(worst, abs(redo.value(t, x) - opt.value(t, x)))
+    worst = max(_stage_gap(redo, opt, t) for t in range(1, params.horizon + 1))
     status = "pass" if worst == 0.0 else "fail"
     return CheckResult(
         "policy_eval_consistency",
@@ -327,14 +351,16 @@ def run_suite(
     fault: str | None = None,
 ) -> list[CheckResult]:
     """The full battery in a fixed order; every instance fed to the kernel carries `fault`."""
-    gaps = [replace(params, fault=fault) for params in gap_instances]
-    return [
+    checks = [
         check_prob_closure(seed=seed + 1, fault=fault),
         check_age_sum_identity(seed=seed + 2, fault=fault),
         check_margin_split(seed=seed + 3, fault=fault),
         check_success_prob_identity(),
-        check_penultimate_stage(gaps),
-        check_gap_sign_and_bound(gaps),
+    ]
+    solved = solve_gap_instances([replace(params, fault=fault) for params in gap_instances])
+    return checks + [
+        check_penultimate_stage(solved),
+        check_gap_sign_and_bound(solved),
         check_gap_scaling(replace(scaling_base, fault=fault), scaling_p_grid),
         check_policy_eval_consistency(replace(CONSISTENCY_PARAMS, fault=fault)),
     ]

@@ -1,10 +1,10 @@
 """The dict-based exact solver, kept as the differential reference for the
 array solver in `aoi_sched.dp`.
 
-Every (state, action) pair is expanded through the exact kernel
-`enumerate_transitions`, one call each, into per-stage dicts; the backward
-induction then sums each expectation with `math.fsum` and keeps the first
-strict minimum in `enumerate_actions` order.  Fixed policies decide through
+Every (state, action) pair is expanded through the scalar reference kernel
+`tests/scalar_kernel.enumerate_transitions`, one call each, into per-stage
+dicts; the backward induction then sums each expectation with `math.fsum`
+and keeps the first strict minimum in `enumerate_actions` order.  Fixed policies decide through
 their scalar `decide`.  Results are tuples of stage dicts,
 `key -> (value, action or None)`, keyed like `DPTable.stages`.
 """
@@ -14,14 +14,9 @@ from __future__ import annotations
 import math
 
 from aoi_sched.dp import DEFAULT_STATE_CAP, StateSpaceTooLarge
-from aoi_sched.model import (
-    Action,
-    ModelParams,
-    SystemState,
-    cost,
-    enumerate_actions,
-    enumerate_transitions,
-)
+from aoi_sched.model import Action, ModelParams, SystemState, cost, enumerate_actions
+
+from .scalar_kernel import enumerate_transitions
 
 
 def _forward(params: ModelParams, key0, augmented: bool, choose, cap: int) -> list[dict]:

@@ -1,0 +1,162 @@
+"""The scalar per-source product kernel and the one-case loops built on it,
+kept as the differential reference for the batched kernel
+`aoi_sched.model.transition_events` and the batched checks in
+`aoi_sched.verify`.
+
+`enumerate_transitions` walks the success sets of one (state, action) in
+`combinations` order and extends each arrival pattern one source at a time,
+in pure Python, so one call costs a few microseconds; `tests/dict_solver.py`
+makes its tens of thousands of calls through it.  The margin split and the
+one-step identity read the same expansion, and the three `check_*` loops
+draw one random case at a time and evaluate it on its own, as the battery
+did before it ran batched.  Every function keeps the fault semantics of the
+batched code: age-drift ages every non-delivered destination by 2, and
+drop-event leaves an event out of the enumeration only, never out of the
+margin split.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import combinations
+
+import numpy as np
+
+from aoi_sched.model import (
+    EMPTY,
+    TransitionEvent,
+    apply_transition,
+    cost,
+    enumerate_actions,
+    norm_inf,
+    success_probs,
+)
+from aoi_sched.policies import min_schedule_margin, schedule_margin
+from aoi_sched.verify import STEP_TOL, random_case
+
+
+def _check_schedulable(x, a) -> None:
+    if any(x.g[n] == EMPTY for n in a.scheduled):
+        raise ValueError(f"action {a} schedules an empty buffer of {x}")
+
+
+def _success_sets(a, p: float):
+    """Each success set w of the action, in combinations order, with its
+    probability p^|w| (1-p)^(|a|-|w|); sets of probability 0.0 are skipped."""
+    k = len(a.scheduled)
+    for nw in range(k + 1):
+        base = p**nw * (1.0 - p) ** (k - nw)
+        if base != 0.0:
+            for w in combinations(a.scheduled, nw):
+                yield w, base
+
+
+def _expand_arrivals(x, w, base: float, params) -> list:
+    """Successors of x when exactly the sources in w deliver, one per arrival
+    pattern, each weighted base * prod_n (q[n] or 1 - q[n]) multiplied left to
+    right, a branch dropped as soon as its product is 0.0."""
+    bump = 2 if params.fault == "age-drift" else 1
+    h2 = tuple(gn + 1 if n in w else hn + bump for n, (gn, hn) in enumerate(zip(x.g, x.h)))
+    layer = [(base, ())]
+    for n, (gn, qn) in enumerate(zip(x.g, params.q)):
+        kept = EMPTY if gn == EMPTY or n in w else gn + 1
+        nq = 1.0 - qn
+        nxt = []
+        for pr, gs in layer:
+            v = pr * nq
+            if v != 0.0:
+                nxt.append((v, gs + (kept,)))
+            v = pr * qn
+            if v != 0.0:
+                nxt.append((v, gs + (0,)))
+        layer = nxt
+    return [(type(x)(gs, h2), pr) for pr, gs in layer]
+
+
+def enumerate_transitions(x, a, params) -> list:
+    """Exact successor distribution of (x, a), in the batched kernel's order."""
+    _check_schedulable(x, a)
+    out = []
+    for w, base in _success_sets(a, params.p):
+        out += _expand_arrivals(x, w, base, params)
+    if params.fault == "drop-event":
+        every = TransitionEvent(a.scheduled, tuple(range(params.n_sources)))
+        dropped = apply_transition(x, a, every)
+        out = [(x2, pr) for x2, pr in out if x2 != dropped]
+    return out
+
+
+def expected_age_sum_check(x, a, params) -> tuple[float, float]:
+    lhs = math.fsum(pr * cost(x2) for x2, pr in enumerate_transitions(x, a, params))
+    rhs = float(cost(x) + params.n_sources) + params.p * schedule_margin(x, a.scheduled)
+    return lhs, rhs
+
+
+def no_success_margin(x, a, params) -> float:
+    _check_schedulable(x, a)
+    d = params.n_channels
+    return math.fsum(
+        pr * min_schedule_margin(x2, d) for x2, pr in _expand_arrivals(x, (), 1.0, params)
+    )
+
+
+def margin_decomposition(x, a, params) -> tuple[float, float]:
+    u = no_success_margin(x, a, params)
+    d = params.n_channels
+    succ_terms = [
+        pr * min_schedule_margin(x2, d)
+        for w, base in _success_sets(a, params.p)
+        if w
+        for x2, pr in _expand_arrivals(x, w, base, params)
+    ]
+    pd = success_probs(params, 0).batch
+    v = math.fsum(succ_terms) / pd if pd > 0.0 else 0.0
+    return u, v
+
+
+def prob_closure_measured(n_cases: int, seed: int, fault) -> dict:
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_cases):
+        params, x, a = random_case(rng, fault=fault)
+        total = math.fsum(pr for _, pr in enumerate_transitions(x, a, params))
+        worst = max(worst, abs(total - 1.0))
+    return {"max_abs_err": worst, "cases": n_cases, "tol": STEP_TOL}
+
+
+def age_sum_identity_measured(n_cases: int, seed: int, fault) -> dict:
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_cases):
+        params, x, a = random_case(rng, fault=fault)
+        lhs, rhs = expected_age_sum_check(x, a, params)
+        worst = max(worst, abs(lhs - rhs))
+    return {"max_abs_err": worst, "cases": n_cases, "tol": STEP_TOL}
+
+
+def margin_split_measured(n_cases: int, seed: int, fault) -> dict:
+    rng = np.random.default_rng(seed)
+    worst_identity = 0.0
+    worst_bound = -math.inf
+    worst_spread = 0.0
+    for _ in range(n_cases):
+        params, x, a = random_case(rng, ensure_holder=True, fault=fault)
+        d = params.n_channels
+        u, v = margin_decomposition(x, a, params)
+        expected = math.fsum(
+            pr * min_schedule_margin(x2, d) for x2, pr in enumerate_transitions(x, a, params)
+        )
+        patt = success_probs(params, len(a.scheduled)).attempted
+        pd = success_probs(params, 0).batch
+        worst_identity = max(worst_identity, abs(expected - ((1.0 - patt) * u + pd * v)))
+        limit = d * norm_inf(x)
+        worst_bound = max(worst_bound, abs(u) - limit, abs(v) - limit)
+        others = [no_success_margin(x, b, params) for b in enumerate_actions(x, d)]
+        worst_spread = max(worst_spread, max(others) - min(others))
+    return {
+        "max_identity_err": worst_identity,
+        "max_bound_excess": worst_bound,
+        "max_no_success_spread": worst_spread,
+        "cases": n_cases,
+        "tol": STEP_TOL,
+    }

@@ -162,6 +162,21 @@ def test_flag_the_subcommand_ignores_is_usage_error(tmp_path, argv, flag):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["sweep", "--p-grid", "0.5", "--format", "json"], "--format json"),
+    (["verify", "--p", "0.3"], "--p 0.3"),
+])
+def test_unknown_flag_reports_the_subcommand_usage(tmp_path, capsys, argv, flag):
+    """The usage line printed is the subcommand's, listing the flags it takes."""
+    name = argv[0]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1 and not (tmp_path / "o").exists()
+    assert err.startswith(f"usage: aoi-sched {name} [-h] [--config PATH]")
+    assert f"aoi-sched {name}: error: unrecognized arguments: {flag}" in err
+
+
 def test_verify_ignores_model_p_of_a_shared_config(tmp_path):
     ini = tmp_path / "shared.ini"
     ini.write_text("[model]\np = 0.65\n")

@@ -295,10 +295,11 @@ def frozen_table_digests() -> dict:
 def test_each_state_action_enumerated_once(monkeypatch):
     """The dict reference solver expands each (state, action) it reaches once."""
     calls = Counter()
+    kernel = dict_solver.enumerate_transitions
 
     def counting(x, a, params):
         calls[(x, a)] += 1
-        return enumerate_transitions(x, a, params)
+        return kernel(x, a, params)
 
     monkeypatch.setattr(dict_solver, "enumerate_transitions", counting)
     params = ModelParams(2, 1, 0.6, (0.5, 0.5), 5)
@@ -324,17 +325,19 @@ def test_each_state_action_enumerated_once(monkeypatch):
 
 
 def test_each_action_events_read_once_per_pass(monkeypatch):
-    """The array solver reads an action's events off the kernel once per
-    solve or evaluation, at the fresh state, however many states take it."""
+    """The array solver reads an action's events off the batched kernel once
+    per solve or evaluation, one case per call, however many states take it."""
     calls = Counter()
+    kernel = dp.transition_events
 
-    def counting(x, a, params):
-        calls[(x, a)] += 1
-        return enumerate_transitions(x, a, params)
+    def counting(cases):
+        [(a, _)] = cases
+        calls[a] += 1
+        return kernel(cases)
 
-    monkeypatch.setattr(dp, "enumerate_transitions", counting)
+    monkeypatch.setattr(dp, "transition_events", counting)
     params = ModelParams(3, 2, 0.6, (0.5, 0.2, 0.9), 5)
-    x0, fresh = new_state((1, EMPTY, 0), (3, 2, 4)), fresh_state(3)
+    x0 = new_state((1, EMPTY, 0), (3, 2, 4))
     opt = solve_optimal(params, x0)
     expect = {
         a
@@ -342,14 +345,14 @@ def test_each_action_events_read_once_per_pass(monkeypatch):
         for x in opt.states(t)
         for a in enumerate_actions(x, params.n_channels)
     }
-    assert set(calls) == {(fresh, a) for a in expect} and set(calls.values()) == {1}
+    assert set(calls) == expect and set(calls.values()) == {1}
     for pol in (DeltaPolicy(2), RRPolicy(3, 2), OptimalPolicy(opt)):
         calls.clear()
         table = evaluate_policy(pol, params, x0)
         expect = {
             table.action(t, key) for t in range(1, params.horizon) for key in table.states(t)
         }
-        assert set(calls) == {(fresh, a) for a in expect}, pol.name
+        assert set(calls) == expect, pol.name
         assert set(calls.values()) == {1}, pol.name
 
 

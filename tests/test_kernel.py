@@ -1,9 +1,10 @@
 """The per-source product kernel against event-by-event references.
 
-`enumerate_transitions` and `margin_decomposition` expand arrival patterns one
-source at a time.  The references below walk every (successes, arrivals)
-event through the public `transition_prob` and `apply_transition`, the way
-both functions used to, and every probability must agree bit for bit.  The
+The batched kernel `transition_events` expands arrival patterns one source
+at a time for a whole batch of cases, and `enumerate_transitions` and
+`margin_decomposition` are its one-case views.  The references below walk
+every (successes, arrivals) event through the public `transition_prob` and
+`apply_transition`, and every probability must agree bit for bit.  The
 clean `apply_transition` never sees a fault, so the references apply the
 instance's fault themselves.
 """
@@ -14,20 +15,25 @@ from itertools import combinations
 
 from hypothesis import example, given, settings, strategies as st
 
-from aoi_sched.dp import margin_decomposition
+from aoi_sched.dp import margin_cases, margin_decomposition, margin_decompositions
 from aoi_sched.model import (
     EMPTY,
+    FAULT_MODES,
     Action,
     ModelParams,
     TransitionEvent,
     apply_transition,
     enumerate_transitions,
     new_state,
+    next_states,
     sources_with_packets,
     success_probs,
+    transition_events,
     transition_prob,
 )
 from aoi_sched.policies import min_schedule_margin
+
+from . import scalar_kernel
 
 EDGE_PROBS = [0.0, 1.0, 1e-300, 1.0 - 1e-16, 0.5]
 
@@ -157,3 +163,68 @@ def test_margin_decomposition_matches_event_reference(case, mode):
     ru, rv = reference_margin_decomposition(x, a, params)
     assert (u.hex(), v.hex()) == (ru.hex(), rv.hex())
 
+
+
+BATCH_PROBS = [0.0, 1.0, 1e-300, 1.0 - 1e-16]
+batch_prob = st.one_of(st.sampled_from(BATCH_PROBS), st.floats(0.0, 1.0))
+
+
+@st.composite
+def mixed_batches(draw, need_holder=False):
+    """Up to 8 cases of N from 1 to 4, each with its own fault and edge
+    probabilities, so one batch pads narrow instances to the widest."""
+    batch = []
+    for _ in range(draw(st.integers(1, 8))):
+        x, a, params = draw(cases(need_holder))
+        n = draw(st.integers(1, 4))
+        x = new_state(x.g[:n] + (0,) * (n - len(x.g)), x.h[:n] + (1,) * (n - len(x.h)))
+        holders = sources_with_packets(x)
+        a = Action(tuple(s for s in a.scheduled if s < n))
+        if need_holder and not a.scheduled:
+            a = Action(holders[:1])
+        q = tuple(draw(batch_prob) for _ in range(n))
+        fault = draw(st.sampled_from(FAULT_MODES))
+        batch.append((x, a, ModelParams(n, params.n_channels, draw(batch_prob), q, 2, fault)))
+    return batch
+
+
+@settings(max_examples=80)
+@given(mixed_batches())
+@example([CERTAIN, UNDERFLOW, (*CERTAIN[:2], replace(CERTAIN[2], fault="drop-event"))])
+def test_batched_kernel_matches_event_reference(batch):
+    """One call over a mixed batch gives each case the reference's law to the
+    last bit, in the scalar kernel's order, and marks as dropped exactly the
+    event the reference leaves out."""
+    ev = transition_events([(a, params) for _, a, params in batch])
+    parts = ev.split(*range(1, len(batch)))
+    for (x, a, params), part in zip(batch, parts):
+        g, h = next_states([x], part)
+        succ = [(type(x)(tuple(gs[: len(x.g)]), tuple(hs[: len(x.h)])), pr)
+                for gs, hs, pr in zip(g.tolist(), h.tolist(), part.pr.tolist())]
+        law = [pair for pair, gone in zip(succ, part.dropped.tolist()) if not gone]
+        assert as_hex(law) == as_hex(reference_transitions(x, a, params).items())
+        expect = scalar_kernel.enumerate_transitions(x, a, params)
+        assert [(x2, pr.hex()) for x2, pr in law] == [(x2, pr.hex()) for x2, pr in expect]
+        assert [x2 for x2, _ in succ if x2 not in dict(law)] == [
+            apply_transition(x, a, TransitionEvent(a.scheduled, tuple(range(params.n_sources))))
+        ] * int(part.dropped.any())
+        assert not part.dropped.any() or params.fault == "drop-event"
+
+
+@settings(max_examples=50)
+@given(mixed_batches(need_holder=True))
+def test_batched_margin_decompositions_match_event_reference(batch):
+    got = margin_decompositions(batch, transition_events(margin_cases(batch)))
+    for (x, a, params), (u, v) in zip(batch, got):
+        ru, rv = reference_margin_decomposition(x, a, params)
+        assert (u.hex(), v.hex()) == (ru.hex(), rv.hex())
+
+
+def test_certain_arrivals_stay_one_row_at_any_width():
+    """Zero branches are pruned source by source, so 24 sources with q = 1
+    never grow past one row per success set."""
+    params = ModelParams(24, 2, 0.5, (1.0,) * 24, 2)
+    ev = transition_events([(Action((3, 7)), params)])
+    assert len(ev.pr) == 4 and ev.arrived.all()
+    assert ev.delivered[:, [3, 7]].tolist() == [[False, False], [True, False], [False, True],
+                                                [True, True]]

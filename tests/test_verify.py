@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from aoi_sched import verify
+from aoi_sched import dp, verify
+from aoi_sched.model import enumerate_transitions
 from aoi_sched.verify import check_prob_closure, run_suite
 
+from . import scalar_kernel
 from .conftest import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -102,16 +104,42 @@ def test_fault_injection_report_matches_golden(fault_runs, fault):
 
 
 def test_closure_check_looks_up_kernel_in_verify_module(monkeypatch):
-    """The benchmark tracer counts kernel calls by wrapping
-    aoi_sched.verify.enumerate_transitions, so the check must call it there,
-    once per case."""
+    """Each randomized check draws all of its cases first and expands them in
+    one call of the batched kernel, looked up in aoi_sched.verify.  The
+    one-case enumerate_transitions stays importable from aoi_sched.verify and
+    aoi_sched.dp, where the benchmark tracer wraps it."""
+    assert verify.enumerate_transitions is dp.enumerate_transitions is enumerate_transitions
     calls = []
-    kernel = verify.enumerate_transitions
+    kernel = verify.transition_events
 
-    def counting(x, a, params):
-        calls.append(x)
-        return kernel(x, a, params)
+    def counting(cases):
+        calls.append(len(cases))
+        return kernel(cases)
 
-    monkeypatch.setattr(verify, "enumerate_transitions", counting)
+    monkeypatch.setattr(verify, "transition_events", counting)
+    monkeypatch.setattr(dp, "transition_events", None)  # a call from dp would fail
     assert not check_prob_closure(n_cases=50).failed
-    assert len(calls) == 50
+    assert calls == [50]
+    assert not verify.check_age_sum_identity(n_cases=40).failed
+    assert calls[1:] == [40]
+    assert not verify.check_margin_split(n_cases=30).failed
+    # each case's action and its idle instance, then one idle instance per action
+    assert len(calls) == 3 and calls[2] >= 3 * 30
+
+
+@pytest.mark.parametrize("fault", [None, "age-drift", "drop-event"])
+@pytest.mark.parametrize("seed", [7, 42, 301])
+def test_batched_checks_match_scalar_loops(fault, seed):
+    """The batched checks report what drawing and evaluating one case at a
+    time on the scalar reference kernel reports, to the last bit."""
+    def as_hex(measured):
+        return {k: v.hex() if isinstance(v, float) else v for k, v in measured.items()}
+
+    pairs = [
+        (verify.check_prob_closure, scalar_kernel.prob_closure_measured, 60),
+        (verify.check_age_sum_identity, scalar_kernel.age_sum_identity_measured, 60),
+        (verify.check_margin_split, scalar_kernel.margin_split_measured, 40),
+    ]
+    for check, loop, n_cases in pairs:
+        got = check(n_cases=n_cases, seed=seed, fault=fault).measured
+        assert as_hex(got) == as_hex(loop(n_cases, seed, fault)), check.__name__
