@@ -13,18 +13,17 @@ Three online heuristics plus a table-backed optimal policy:
 Every decision schedules min(N_x, d) sources (strict round-robin may schedule
 fewer), sorted ascending, with index order breaking score ties.
 
-Every policy also decides for a block of episodes at once:
+Each rule is written once, for a block of episodes:
 decide_batch(t, g, h, memory) takes g, h as integer arrays of shape [B, N]
-at stage t and returns the scheduled mask of the same shape, choosing in
-every row what decide chooses for that state.  The index rules ignore t; the
-table-backed policy looks the whole stage up in its table's arrays
-(decide_stage).
+at stage t and returns the scheduled mask of the same shape and the next
+memory.  The index rules ignore t; the table-backed policy looks the whole
+stage up in its table's arrays (decide_stage).  decide(t, x, memory) is
+decide_batch on the one-row block of a single state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,11 +32,6 @@ from .model import EMPTY, Action, ModelParams, SystemState, sources_with_packets
 
 class StateNotInTable(KeyError):
     """Looked up a (stage, state) the solver never reached."""
-
-
-class PolicyDecision(NamedTuple):
-    action: Action
-    scores: tuple[int, ...] | None  # per chosen source, the ranked quantity
 
 
 def schedule_margin(x: SystemState, scheduled: tuple[int, ...]) -> int:
@@ -61,54 +55,6 @@ def min_schedule_margins(g: np.ndarray, h: np.ndarray, d: np.ndarray | int) -> n
     return m[np.arange(len(m)), np.minimum(d, m.shape[1]) - 1]
 
 
-def delta_decide(x: SystemState, d: int) -> PolicyDecision:
-    """Minimize the summed margin: pick the min(N_x, d) holders with largest h - g."""
-    holders = sources_with_packets(x)
-    k = min(len(holders), d)
-    ranked = sorted(holders, key=lambda n: (x.g[n] - x.h[n], n))
-    chosen = tuple(sorted(ranked[:k]))
-    return PolicyDecision(Action(chosen), tuple(x.g[n] - x.h[n] for n in chosen))
-
-
-def pi_decide(x: SystemState, d: int) -> PolicyDecision:
-    """Pick the min(N_x, d) holders with the largest destination age."""
-    holders = sources_with_packets(x)
-    k = min(len(holders), d)
-    ranked = sorted(holders, key=lambda n: (-x.h[n], n))
-    chosen = tuple(sorted(ranked[:k]))
-    return PolicyDecision(Action(chosen), tuple(x.h[n] for n in chosen))
-
-
-def rr_decide(
-    cursor: int, x: SystemState, d: int, strict: bool = False
-) -> tuple[PolicyDecision, int]:
-    """Cyclic selection starting at the cursor.
-
-    Work-conserving (default): scan from the cursor, skipping empty buffers,
-    until min(N_x, d) sources are chosen; the cursor lands one past the last
-    pick.  Strict: take the next d indices regardless of buffer contents,
-    schedule whichever of them hold packets, and advance the cursor by d.
-    """
-    n = len(x.g)
-    if not 0 <= cursor < n:
-        raise ValueError(f"cursor {cursor} outside [0, {n})")
-    if strict:
-        candidates = {(cursor + i) % n for i in range(min(d, n))}
-        chosen = tuple(sorted(i for i in candidates if x.g[i] != EMPTY))
-        return PolicyDecision(Action(chosen), None), (cursor + d) % n
-    want = min(len(sources_with_packets(x)), d)
-    picked: list[int] = []
-    idx = cursor
-    for _ in range(n):
-        if len(picked) == want:
-            break
-        if x.g[idx] != EMPTY:
-            picked.append(idx)
-        idx = (idx + 1) % n
-    new_cursor = (picked[-1] + 1) % n if picked else cursor
-    return PolicyDecision(Action(tuple(sorted(picked))), None), new_cursor
-
-
 _NO_PACKET_KEY = np.iinfo(np.int64).max
 
 
@@ -116,8 +62,8 @@ def smallest_holders(keys: np.ndarray, holders: np.ndarray, d: int) -> np.ndarra
     """Row-wise mask of the min(N_x, d) packet holders with the smallest keys.
 
     Keys must be distinct among each row's holders; a key of score*N + index
-    gives the (score, index) order of the scalar rules.  With fewer than d
-    holders the d-th smallest key is the no-packet key, so every holder is in.
+    ranks by score, ties going to the lower index.  With fewer than d holders
+    the d-th smallest key is the no-packet key, so every holder is in.
     """
     if d >= keys.shape[1]:
         return holders
@@ -129,7 +75,13 @@ def smallest_holders(keys: np.ndarray, holders: np.ndarray, d: int) -> np.ndarra
 def rr_decide_batch(
     cursor: np.ndarray, g: np.ndarray, d: int, strict: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """rr_decide for every row: the holders nearest the cursor in cyclic order."""
+    """Cyclic selection from each row's cursor.
+
+    Work-conserving (default): the min(N_x, d) holders nearest the cursor in
+    cyclic order; the cursor lands one past the last pick, and stays when
+    nothing is buffered.  Strict: the next d indices from the cursor,
+    whichever of them hold packets, and the cursor advances by d.
+    """
     n = g.shape[1]
     holders = g != EMPTY
     dist = (np.arange(n) - cursor[:, None]) % n
@@ -140,41 +92,37 @@ def rr_decide_batch(
     return mask, np.where(last >= 0, (cursor + last + 1) % n, cursor)
 
 
-def dp_policy_decide(table, t: int, x: SystemState) -> PolicyDecision:
-    """Replay the stored minimizing action from a solved value table."""
-    if t >= table.horizon:
-        raise ValueError(f"stage {t} is terminal; no decision is defined")
-    try:
-        action = table.action(t, x)
-    except KeyError:
-        raise StateNotInTable(f"stage {t} has no entry for {x}") from None
-    return PolicyDecision(action, None)
-
-
 class Policy:
     """Deterministic decision rule; subclasses may thread a memory value
     (round-robin's cursor) through decide() so episodes stay replayable.
 
-    decide_batch(t, g, h, memory) -> (mask, memory) is decide on [B, N]
-    arrays, where a memory of None starts every row as initial_memory() does;
-    the simulator and the policy evaluation call it for whole blocks."""
+    decide_batch(t, g, h, memory) -> (mask, memory) decides on [B, N] arrays,
+    where a memory of None starts every row as initial_memory() does; the
+    simulator and the policy evaluation call it for whole blocks."""
 
     name = "policy"
 
     def initial_memory(self):
         return None
 
-    def decide(self, t: int, x: SystemState, memory=None) -> tuple[PolicyDecision, object]:
-        raise NotImplementedError
+    def decide(self, t: int, x: SystemState, memory=None) -> tuple[Action, object]:
+        """decide_batch on the one-row block of state x: the scheduled action
+        and the next memory."""
+        mask, memory = self.decide_batch(
+            t, np.array([x.g], dtype=np.int64), np.array([x.h], dtype=np.int64),
+            None if memory is None else np.array([memory], dtype=np.int64))
+        action = Action(tuple(np.flatnonzero(mask[0]).tolist()))
+        return action, None if memory is None else memory.item()
+
+
+# Each class binds decide in its own __dict__, where perfbench/tracer.py wraps it.
 
 
 @dataclass(frozen=True)
 class DeltaPolicy(Policy):
     d: int
     name = "delta"
-
-    def decide(self, t, x, memory=None):
-        return delta_decide(x, self.d), memory
+    decide = Policy.decide
 
     def decide_batch(self, t, g, h, memory=None):
         n = g.shape[1]
@@ -185,9 +133,7 @@ class DeltaPolicy(Policy):
 class PIPolicy(Policy):
     d: int
     name = "pi"
-
-    def decide(self, t, x, memory=None):
-        return pi_decide(x, self.d), memory
+    decide = Policy.decide
 
     def decide_batch(self, t, g, h, memory=None):
         n = g.shape[1]
@@ -196,9 +142,9 @@ class PIPolicy(Policy):
 
 @dataclass(frozen=True)
 class RRPolicy(Policy):
-    n_sources: int
     d: int
     strict: bool = False
+    decide = Policy.decide
 
     @property
     def name(self):
@@ -206,10 +152,6 @@ class RRPolicy(Policy):
 
     def initial_memory(self):
         return 0
-
-    def decide(self, t, x, memory=None):
-        cursor = 0 if memory is None else memory
-        return rr_decide(cursor, x, self.d, strict=self.strict)
 
     def decide_batch(self, t, g, h, memory=None):
         cursor = np.zeros(len(g), dtype=np.int64) if memory is None else memory
@@ -220,17 +162,15 @@ class RRPolicy(Policy):
 class OptimalPolicy(Policy):
     table: object  # solved DPTable
     name = "optimal"
-
-    def decide(self, t, x, memory=None):
-        return dp_policy_decide(self.table, t, x), memory
+    decide = Policy.decide
 
     def decide_batch(self, t, g, h, memory=None):
         return self.decide_stage(t, g, h), memory
 
     def decide_stage(self, t: int, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """decide for every row of the [B, N] ages g, h at stage t: the
-        scheduled mask of each state's stored action, looked up in the table's
-        stage arrays; StateNotInTable for a state the solver never reached."""
+        """The scheduled mask of every row of the [B, N] ages g, h at stage t:
+        each state's stored action, looked up in the table's stage arrays;
+        StateNotInTable for a state the solver never reached."""
         table = self.table
         if t >= table.horizon:
             raise ValueError(f"stage {t} is terminal; no decision is defined")
@@ -252,7 +192,7 @@ def make_policy(name: str, params: ModelParams, *, table=None) -> Policy:
     if name == "pi":
         return PIPolicy(d)
     if name in ("rr", "rr-strict"):
-        return RRPolicy(params.n_sources, d, strict=(name == "rr-strict"))
+        return RRPolicy(d=d, strict=(name == "rr-strict"))
     if name == "optimal":
         if table is None:
             raise ValueError("optimal policy needs a solved value table")

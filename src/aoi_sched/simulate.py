@@ -9,14 +9,12 @@ zero improvement.  Each summary's stderr is that policy's own standard error;
 no paired standard error of a difference is reported, since a paired column
 would change the bytes of every simulate CSV.
 
-Two engines produce the same episodes.  run_episode is the scalar reference:
-one slot at a time through policy.decide and sample_step.  run_experiment and
-compare_policies run the block engine (policy_totals): up to BLOCK_EPISODES
-(policy, episode) rows advance in lock step on [B, N] age arrays, the
-policies of a comparison sharing a block whenever all of their episodes fit
-in it, each deciding on its own rows through decide_batch.  Every row keeps
-its own PCG64 generator and consumes exactly the uniforms sample_step would,
-so per-episode total costs are equal to run_episode's bit for bit.
+One block engine runs every episode: up to BLOCK_EPISODES (policy, episode)
+rows advance in lock step on [B, N] age arrays, the policies of a comparison
+sharing a block whenever all of their episodes fit in it, each deciding on
+its own rows through decide_batch.  Every row keeps its own PCG64 generator
+and consumes exactly the uniforms model.sample_step would, slot by slot.
+run_episode is the engine's one-row case.
 """
 
 from __future__ import annotations
@@ -26,7 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EMPTY, ModelParams, SystemState, sample_step
+from .model import (  # sample_step stays importable from here
+    EMPTY,
+    ModelParams,
+    SystemState,
+    sample_step,
+)
 
 # (policy, episode) rows advanced together, and slots of uniforms held per row
 # between refills; together they cap the uniform buffer at
@@ -63,20 +66,8 @@ class PolicyComparison:
 
 def run_episode(policy, params: ModelParams, x0: SystemState, seed: int) -> EpisodeResult:
     """One seeded rollout.  Identical inputs give a bit-identical result."""
-    rng = np.random.default_rng(seed)
-    T = params.horizon
-    x = x0
-    mem = policy.initial_memory()
-    per_source = [0] * params.n_sources
-    for t in range(1, T + 1):
-        for n, hn in enumerate(x.h):
-            per_source[n] += hn
-        if t < T:
-            decision, mem = policy.decide(t, x, mem)
-            x, _event = sample_step(x, decision.action, params, rng)
-    total = sum(per_source)
-    aaoi = tuple(s / T for s in per_source)
-    return EpisodeResult(total, aaoi, seed)
+    ages = _block_totals([policy], params, x0, [seed])[0, 0].tolist()
+    return EpisodeResult(sum(ages), tuple(s / params.horizon for s in ages), seed)
 
 
 def policy_totals(
@@ -87,7 +78,7 @@ def policy_totals(
     base_seed: int,
 ) -> np.ndarray:
     """Total costs [len(policies), replications] on common episode seeds:
-    entry [i, e] equals run_episode(policies[i], ..., (base_seed + e) % 2**64).
+    entry [i, e] is policies[i]'s total cost on seed (base_seed + e) % 2**64.
 
     A block runs up to BLOCK_EPISODES (policy, episode) rows.  Policies share
     a block only when all of their episodes fit in it, BLOCK_EPISODES //
@@ -103,13 +94,13 @@ def policy_totals(
             seeds = [(base_seed + e) % 2**64
                      for e in range(start, min(start + BLOCK_EPISODES, replications))]
             totals[lo : lo + len(members), start : start + len(seeds)] = _block_totals(
-                members, params, x0, seeds)
+                members, params, x0, seeds).sum(axis=2)
     return totals
 
 
 def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.ndarray:
-    """Run every policy on one episode per seed in lock step; entry [i, e] is
-    policy i's total cost on seeds[e].
+    """Run every policy on one episode per seed in lock step; entry [i, e, n]
+    is policy i's destination-age sum of source n on seeds[e].
 
     Rows are (policy, episode) pairs in policy-major order, each with its own
     generator seeded with its episode seed.  Every slot, each policy decides
@@ -127,7 +118,7 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
     h = np.tile(np.array(x0.h, dtype=np.int64), (b, 1))
     ages = h.copy()  # destination ages summed over the stages so far
     if T == 1:
-        return ages.sum(axis=1).reshape(len(policies), e)
+        return ages.reshape(len(policies), e, n)
     p, q = params.p, np.array(params.q)
     chunk = min(CHUNK_SLOTS, T - 1)
     width = chunk * (n + min(params.n_channels, n))
@@ -163,7 +154,7 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
         h = np.where(success, g, h) + 1
         g = np.where(arrival, 0, np.where(success, EMPTY, g + (g != EMPTY)))
         ages += h
-    return ages.sum(axis=1).reshape(len(policies), e)
+    return ages.reshape(len(policies), e, n)
 
 
 def _summaries(

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -9,13 +11,20 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-def run_cli(args, **kwargs):
-    """Invoke the installed CLI as a subprocess and return CompletedProcess."""
+
+def run_cli(args, env=None, **kwargs):
+    """Invoke the CLI of this checkout's src/ as a subprocess and return
+    CompletedProcess; env (default os.environ) gets src/ put first on its
+    PYTHONPATH."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "aoi_sched", *args],
         capture_output=True,
         text=True,
+        env=env,
         **kwargs,
     )
 

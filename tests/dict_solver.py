@@ -5,7 +5,7 @@ Every (state, action) pair is expanded through the scalar reference kernel
 `tests/scalar_kernel.enumerate_transitions`, one call each, into per-stage
 dicts; the backward induction then sums each expectation with `math.fsum`
 and keeps the first strict minimum in `enumerate_actions` order.  Fixed policies decide through
-their scalar `decide`.  Results are tuples of stage dicts,
+their scalar rules in `tests/reference.py`.  Results are tuples of stage dicts,
 `key -> (value, action or None)`, keyed like `DPTable.stages`.
 """
 
@@ -16,6 +16,7 @@ import math
 from aoi_sched.dp import DEFAULT_STATE_CAP, StateSpaceTooLarge
 from aoi_sched.model import Action, ModelParams, SystemState, cost, enumerate_actions
 
+from . import reference
 from .scalar_kernel import enumerate_transitions
 
 
@@ -101,7 +102,6 @@ def evaluate_policy(
     key0 = (x0, mem0) if augmented else x0
 
     def choose(t, x, mem):
-        decision, mem2 = policy.decide(t, x, mem)
-        return ((decision.action, mem2),)
+        return (reference.decide(policy, t, x, mem),)
 
     return _backward(_forward(params, key0, augmented, choose, cap), augmented)

@@ -1,0 +1,102 @@
+"""The scalar policy rules and the slot-by-slot episode, kept as the
+differential reference for `decide_batch` in `aoi_sched.policies` and the
+block engine in `aoi_sched.simulate`.
+
+Each rule decides for one state in pure Python, ranking the packet holders
+with `sorted` and walking round-robin's cursor one index at a time;
+`decide` dispatches a policy object to its rule.  `run_episode` advances one
+state a slot at a time through `decide` and `model.sample_step`, which draws
+the uniforms of a slot from the episode's generator in the order the block
+engine reads them.  `tests/dict_solver.py` evaluates fixed policies through
+`decide`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from aoi_sched.model import EMPTY, Action, sample_step, sources_with_packets
+from aoi_sched.policies import DeltaPolicy, OptimalPolicy, PIPolicy, RRPolicy, StateNotInTable
+from aoi_sched.simulate import EpisodeResult
+
+
+def delta_decide(x, d: int) -> Action:
+    """Minimize the summed margin: pick the min(N_x, d) holders with largest h - g."""
+    holders = sources_with_packets(x)
+    ranked = sorted(holders, key=lambda n: (x.g[n] - x.h[n], n))
+    return Action(tuple(sorted(ranked[: min(len(holders), d)])))
+
+
+def pi_decide(x, d: int) -> Action:
+    """Pick the min(N_x, d) holders with the largest destination age."""
+    holders = sources_with_packets(x)
+    ranked = sorted(holders, key=lambda n: (-x.h[n], n))
+    return Action(tuple(sorted(ranked[: min(len(holders), d)])))
+
+
+def rr_decide(cursor: int, x, d: int, strict: bool = False) -> tuple[Action, int]:
+    """Cyclic selection starting at the cursor.
+
+    Work-conserving (default): scan from the cursor, skipping empty buffers,
+    until min(N_x, d) sources are chosen; the cursor lands one past the last
+    pick.  Strict: take the next d indices regardless of buffer contents,
+    schedule whichever of them hold packets, and advance the cursor by d.
+    """
+    n = len(x.g)
+    if not 0 <= cursor < n:
+        raise ValueError(f"cursor {cursor} outside [0, {n})")
+    if strict:
+        candidates = {(cursor + i) % n for i in range(min(d, n))}
+        chosen = tuple(sorted(i for i in candidates if x.g[i] != EMPTY))
+        return Action(chosen), (cursor + d) % n
+    want = min(len(sources_with_packets(x)), d)
+    picked: list[int] = []
+    idx = cursor
+    for _ in range(n):
+        if len(picked) == want:
+            break
+        if x.g[idx] != EMPTY:
+            picked.append(idx)
+        idx = (idx + 1) % n
+    new_cursor = (picked[-1] + 1) % n if picked else cursor
+    return Action(tuple(sorted(picked))), new_cursor
+
+
+def dp_policy_decide(table, t: int, x) -> Action:
+    """Replay the stored minimizing action through the table's dict view."""
+    if t >= table.horizon:
+        raise ValueError(f"stage {t} is terminal; no decision is defined")
+    try:
+        return table.action(t, x)
+    except KeyError:
+        raise StateNotInTable(f"stage {t} has no entry for {x}") from None
+
+
+def decide(policy, t: int, x, memory=None) -> tuple[Action, object]:
+    """The reference rule of a policy object: (action, next memory)."""
+    if isinstance(policy, DeltaPolicy):
+        return delta_decide(x, policy.d), memory
+    if isinstance(policy, PIPolicy):
+        return pi_decide(x, policy.d), memory
+    if isinstance(policy, RRPolicy):
+        return rr_decide(0 if memory is None else memory, x, policy.d, policy.strict)
+    if isinstance(policy, OptimalPolicy):
+        return dp_policy_decide(policy.table, t, x), memory
+    raise TypeError(f"no reference rule for {policy!r}")
+
+
+def run_episode(policy, params, x0, seed: int) -> EpisodeResult:
+    """One seeded rollout, one slot at a time: the destination-age sum is
+    accrued at every stage 1..T and decisions happen at stages 1..T-1."""
+    rng = np.random.default_rng(seed)
+    T = params.horizon
+    x = x0
+    mem = policy.initial_memory()
+    per_source = [0] * params.n_sources
+    for t in range(1, T + 1):
+        for n, hn in enumerate(x.h):
+            per_source[n] += hn
+        if t < T:
+            action, mem = decide(policy, t, x, mem)
+            x, _event = sample_step(x, action, params, rng)
+    return EpisodeResult(sum(per_source), tuple(s / T for s in per_source), seed)

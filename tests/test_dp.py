@@ -108,8 +108,8 @@ class TestSolveOptimal:
         for pol in (
             DeltaPolicy(2),
             PIPolicy(2),
-            RRPolicy(2, 2),
-            RRPolicy(2, 2, strict=True),
+            RRPolicy(d=2),
+            RRPolicy(d=2, strict=True),
         ):
             assert v_star <= evaluate_policy(pol, params, x0).root_value() + 1e-12
 
@@ -140,7 +140,7 @@ class TestEvaluatePolicy:
     def test_round_robin_needs_cursor_in_key(self):
         params = ModelParams(2, 1, 0.5, (0.5, 0.5), 4)
         x0 = fresh_state(2)
-        table = evaluate_policy(RRPolicy(2, 1), params, x0)
+        table = evaluate_policy(RRPolicy(d=1), params, x0)
         assert table.augmented
         assert table.root_key == (x0, 0)
 
@@ -312,7 +312,7 @@ def test_each_state_action_enumerated_once(monkeypatch):
         for a in enumerate_actions(x, params.n_channels)
     }
     assert set(calls) == expect and set(calls.values()) == {1}
-    for pol in (DeltaPolicy(1), RRPolicy(2, 1), OptimalPolicy(solve_optimal(params, x0))):
+    for pol in (DeltaPolicy(1), RRPolicy(d=1), OptimalPolicy(solve_optimal(params, x0))):
         calls.clear()
         stages = dict_solver.evaluate_policy(pol, params, x0)
         augmented = pol.initial_memory() is not None
@@ -346,7 +346,7 @@ def test_each_action_events_read_once_per_pass(monkeypatch):
         for a in enumerate_actions(x, params.n_channels)
     }
     assert set(calls) == expect and set(calls.values()) == {1}
-    for pol in (DeltaPolicy(2), RRPolicy(3, 2), OptimalPolicy(opt)):
+    for pol in (DeltaPolicy(2), RRPolicy(d=2), OptimalPolicy(opt)):
         calls.clear()
         table = evaluate_policy(pol, params, x0)
         expect = {

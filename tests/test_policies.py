@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aoi_sched.dp import solve_optimal
 from aoi_sched.model import EMPTY, ModelParams, enumerate_actions, fresh_state, new_state
@@ -13,16 +13,19 @@ from aoi_sched.policies import (
     PIPolicy,
     RRPolicy,
     StateNotInTable,
-    delta_decide,
-    dp_policy_decide,
     make_policy,
     min_schedule_margin,
-    pi_decide,
-    rr_decide,
     schedule_margin,
 )
 
+from . import reference
 from .test_model import states
+
+
+def chosen(policy, x, memory=None):
+    """The scheduled sources of policy.decide at stage 1, and the next memory."""
+    action, memory = policy.decide(1, x, memory)
+    return action.scheduled, memory
 
 
 def test_schedule_margin_sums_age_differences():
@@ -37,62 +40,55 @@ def test_schedule_margin_sums_age_differences():
 class TestDeltaDecide:
     def test_prefers_largest_age_difference(self):
         x = new_state((0, 3, EMPTY), (5, 4, 7))
-        assert delta_decide(x, 1).action.scheduled == (0,)
+        assert chosen(DeltaPolicy(1), x) == ((0,), None)
 
     def test_single_packet_is_forced(self):
         x = new_state((0, EMPTY), (9, 9))
-        assert delta_decide(x, 2).action.scheduled == (0,)
+        assert chosen(DeltaPolicy(2), x) == ((0,), None)
 
     def test_full_tie_takes_lowest_indices(self):
         x = new_state((2, 2, 2), (5, 5, 5))
-        assert delta_decide(x, 2).action.scheduled == (0, 1)
-
-    def test_scores_are_margins_of_chosen(self):
-        x = new_state((0, 3, EMPTY), (5, 4, 7))
-        d = delta_decide(x, 2)
-        assert d.action.scheduled == (0, 1)
-        assert d.scores == (-5, -1)
+        assert chosen(DeltaPolicy(2), x) == ((0, 1), None)
 
 
 class TestPIDecide:
     def test_prefers_largest_destination_age_among_holders(self):
         x = new_state((0, 3, EMPTY), (5, 4, 7))
-        assert pi_decide(x, 1).action.scheduled == (0,)
+        assert chosen(PIPolicy(1), x) == ((0,), None)
 
     def test_tie_takes_lowest_index(self):
         x = new_state((0, 0), (3, 3))
-        assert pi_decide(x, 1).action.scheduled == (0,)
+        assert chosen(PIPolicy(1), x) == ((0,), None)
 
     def test_all_empty_gives_empty_action(self):
         x = new_state((EMPTY, EMPTY), (3, 3))
-        assert pi_decide(x, 1).action.scheduled == ()
+        assert chosen(PIPolicy(1), x) == ((), None)
 
 
 class TestRRDecide:
     def test_cyclic_scan(self):
-        d, cur = rr_decide(0, new_state((0, 1, 2), (9, 9, 9)), 2)
-        assert (d.action.scheduled, cur) == ((0, 1), 2)
+        assert chosen(RRPolicy(d=2), new_state((0, 1, 2), (9, 9, 9)), 0) == ((0, 1), 2)
 
     def test_wraparound(self):
-        d, cur = rr_decide(2, new_state((0, 1, 2), (9, 9, 9)), 2)
-        assert (d.action.scheduled, cur) == ((0, 2), 1)
+        assert chosen(RRPolicy(d=2), new_state((0, 1, 2), (9, 9, 9)), 2) == ((0, 2), 1)
 
     def test_skips_empty_buffers(self):
-        d, cur = rr_decide(0, new_state((EMPTY, 1), (5, 9)), 1)
-        assert (d.action.scheduled, cur) == ((1,), 0)
+        assert chosen(RRPolicy(d=1), new_state((EMPTY, 1), (5, 9)), 0) == ((1,), 0)
 
     def test_no_packets_leaves_cursor(self):
-        d, cur = rr_decide(1, new_state((EMPTY, EMPTY), (5, 9)), 1)
-        assert (d.action.scheduled, cur) == ((), 1)
+        assert chosen(RRPolicy(d=1), new_state((EMPTY, EMPTY), (5, 9)), 1) == ((), 1)
+
+    def test_no_memory_starts_at_the_first_source(self):
+        assert chosen(RRPolicy(d=1), new_state((0, 1, 2), (9, 9, 9))) == ((0,), 1)
 
     def test_strict_may_idle_channels(self):
         # cursor points at an empty buffer; strict mode wastes that channel
-        d, cur = rr_decide(0, new_state((EMPTY, 1), (5, 9)), 1, strict=True)
-        assert (d.action.scheduled, cur) == ((), 1)
+        x = new_state((EMPTY, 1), (5, 9))
+        assert chosen(RRPolicy(d=1, strict=True), x, 0) == ((), 1)
 
     def test_strict_advances_by_channel_count(self):
-        d, cur = rr_decide(2, new_state((0, 1, 2, 0), (9, 9, 9, 9)), 2, strict=True)
-        assert (d.action.scheduled, cur) == ((2, 3), 0)
+        x = new_state((0, 1, 2, 0), (9, 9, 9, 9))
+        assert chosen(RRPolicy(d=2, strict=True), x, 2) == ((2, 3), 0)
 
 
 class TestDPPolicyDecide:
@@ -100,21 +96,22 @@ class TestDPPolicyDecide:
         params = ModelParams(2, 1, 0.5, (0.5, 0.5), 3)
         x0 = fresh_state(2)
         table = solve_optimal(params, x0)
-        d = dp_policy_decide(table, 1, x0)
-        assert d.action in enumerate_actions(x0, 1)
+        action, memory = OptimalPolicy(table).decide(1, x0)
+        assert action in enumerate_actions(x0, 1)
+        assert (action, memory) == (table.action(1, x0), None)
 
     def test_unknown_state_raises(self):
         params = ModelParams(2, 1, 0.5, (0.5, 0.5), 3)
         table = solve_optimal(params, fresh_state(2))
         with pytest.raises(StateNotInTable):
-            dp_policy_decide(table, 1, new_state((0, 0), (9, 9)))
+            OptimalPolicy(table).decide(1, new_state((0, 0), (9, 9)))
 
     def test_terminal_stage_has_no_action(self):
         params = ModelParams(2, 1, 0.5, (0.5, 0.5), 3)
         x0 = fresh_state(2)
         table = solve_optimal(params, x0)
         with pytest.raises(ValueError):
-            dp_policy_decide(table, params.horizon, x0)
+            OptimalPolicy(table).decide(params.horizon, x0)
 
 
 class TestOptimalDecideStage:
@@ -152,12 +149,12 @@ class TestOptimalDecideStage:
 def test_work_conservation(x, d):
     holders = [n for n, gn in enumerate(x.g) if gn != EMPTY]
     k = min(len(holders), d)
-    for decide in (lambda: delta_decide(x, d), lambda: pi_decide(x, d)):
-        a = decide().action.scheduled
+    for policy in (DeltaPolicy(d), PIPolicy(d)):
+        a, _ = chosen(policy, x)
         assert len(a) == k
         assert set(a) <= set(holders)
-    a, _ = rr_decide(0, x, d)
-    assert len(a.action.scheduled) == k
+    a, _ = chosen(RRPolicy(d=d), x, 0)
+    assert len(a) == k
 
 
 @given(states(), st.integers(1, 3), st.integers(0, 3))
@@ -167,17 +164,16 @@ def test_single_action_agreement(x, d, cursor):
     if len(holders) > d:
         return
     expected = tuple(holders)
-    assert delta_decide(x, d).action.scheduled == expected
-    assert pi_decide(x, d).action.scheduled == expected
-    rd, _ = rr_decide(cursor % len(x.g), x, d)
-    assert rd.action.scheduled == expected
+    assert chosen(DeltaPolicy(d), x)[0] == expected
+    assert chosen(PIPolicy(d), x)[0] == expected
+    assert chosen(RRPolicy(d=d), x, cursor % len(x.g))[0] == expected
 
 
 @given(states(), st.integers(1, 3))
 def test_fresh_buffers_align_delta_with_pi(x, d):
     if any(gn not in (EMPTY, 0) for gn in x.g):
         return
-    assert delta_decide(x, d).action == pi_decide(x, d).action
+    assert chosen(DeltaPolicy(d), x) == chosen(PIPolicy(d), x)
 
 
 @given(states(max_n=4), st.integers(1, 2), st.permutations(range(4)))
@@ -189,9 +185,58 @@ def test_permutation_equivariance(x, d, perm):
     if len(set(margins)) != len(margins):
         return
     xp = new_state([x.g[sigma[i]] for i in range(n)], [x.h[sigma[i]] for i in range(n)])
-    direct = delta_decide(xp, d).action.scheduled
-    mapped = tuple(sorted(sigma.index(srcn) for srcn in delta_decide(x, d).action.scheduled))
+    direct, _ = chosen(DeltaPolicy(d), xp)
+    mapped = tuple(sorted(sigma.index(srcn) for srcn in chosen(DeltaPolicy(d), x)[0]))
     assert direct == mapped
+
+
+@st.composite
+def blocks(draw):
+    """A block of states with N sources on ages up to 4, so that empty buffers
+    and tied scores are common, with d in 1..N+1 and a cursor per row in [0, N)."""
+    n = draw(st.integers(1, 5))
+    xs = []
+    for _ in range(draw(st.integers(1, 8))):
+        h = [draw(st.integers(0, 4)) for _ in range(n)]
+        g = [draw(st.one_of(st.just(EMPTY), st.integers(0, hn - 1))) if hn else EMPTY
+             for hn in h]
+        xs.append(new_state(g, h))
+    cursors = [draw(st.integers(0, n - 1)) for _ in xs]
+    return xs, draw(st.integers(1, n + 1)), cursors
+
+
+@settings(max_examples=300)
+@given(blocks())
+def test_decide_batch_matches_reference_rules(block):
+    """Every row of decide_batch schedules what the scalar rule in
+    tests/reference.py schedules for that state, and moves round-robin's
+    cursor where the rule moves it."""
+    xs, d, cursors = block
+    g = np.array([x.g for x in xs])
+    h = np.array([x.h for x in xs])
+    for policy in (DeltaPolicy(d), PIPolicy(d), RRPolicy(d=d), RRPolicy(d=d, strict=True)):
+        rr = isinstance(policy, RRPolicy)
+        mask, memory = policy.decide_batch(1, g, h, np.array(cursors) if rr else None)
+        for i, x in enumerate(xs):
+            action, want = reference.decide(policy, 1, x, cursors[i] if rr else None)
+            assert tuple(np.flatnonzero(mask[i]).tolist()) == action.scheduled, (policy.name, x)
+            assert (memory[i] if rr else memory) == want, (policy.name, x, cursors[i])
+
+
+@settings(max_examples=30)
+@given(states(max_n=3, max_h=4), st.integers(1, 3), st.floats(0.1, 1.0), st.integers(2, 4))
+def test_optimal_decide_batch_gives_stored_action_for_every_key(x0, d, p, horizon):
+    n = len(x0.g)
+    params = ModelParams(n, d, p, (0.5,) * n, horizon)
+    table = solve_optimal(params, x0)
+    policy = OptimalPolicy(table)
+    for t in range(1, horizon):
+        keys = list(table.states(t))
+        mask, _ = policy.decide_batch(
+            t, np.array([x.g for x in keys]), np.array([x.h for x in keys]))
+        for x, row in zip(keys, mask):
+            want = reference.dp_policy_decide(table, t, x).scheduled
+            assert tuple(np.flatnonzero(row).tolist()) == want, (t, x)
 
 
 class TestMakePolicy:
@@ -216,5 +261,5 @@ class TestMakePolicy:
         params = ModelParams(2, 1, 0.5, (0.5, 0.5), 3)
         assert DeltaPolicy(1).initial_memory() is None
         assert PIPolicy(1).initial_memory() is None
-        assert RRPolicy(2, 1).initial_memory() == 0
+        assert RRPolicy(d=1).initial_memory() == 0
         assert OptimalPolicy(solve_optimal(params, fresh_state(2))).initial_memory() is None

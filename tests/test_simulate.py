@@ -17,6 +17,7 @@ from aoi_sched.simulate import (
     run_experiment,
 )
 
+from . import reference
 from .test_model import states
 
 PROBS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -49,11 +50,14 @@ def test_batched_engine_matches_scalar_episodes(case):
     for name in ("delta", "pi", "rr", "rr-strict"):
         pol = make_policy(name, params)
         expect = [
-            run_episode(pol, params, x0, (base_seed + i) % 2**64).total_cost
+            reference.run_episode(pol, params, x0, (base_seed + i) % 2**64).total_cost
             for i in range(replications)
         ]
         got = policy_totals([pol], params, x0, replications, base_seed)[0].tolist()
         assert got == expect, name
+        # the one-row view keeps the per-source sums too
+        one = run_episode(pol, params, x0, base_seed)
+        assert one == reference.run_episode(pol, params, x0, base_seed), name
 
 
 @st.composite
@@ -86,7 +90,7 @@ def test_fused_comparison_matches_scalar_episodes(case):
     table = solve_optimal(params, x0) if "optimal" in names else None
     policies = [make_policy(name, params, table=table) for name in names]
     expect = [
-        [run_episode(pol, params, x0, (base_seed + i) % 2**64).total_cost
+        [reference.run_episode(pol, params, x0, (base_seed + i) % 2**64).total_cost
          for i in range(replications)]
         for pol in policies
     ]

@@ -1,7 +1,8 @@
 """The benchmark reaches into aoi_sched by name: its tracer wraps functions
-where their callers look them up (perfbench/tracer.py), and its workloads
-pass CLI flags (perfbench/run.py).  Deleting or renaming one of those names or
-flags must fail here, not only in a benchmark run."""
+where their callers look them up (perfbench/tracer.py), reads the results of
+some of them, and its workloads pass CLI flags (perfbench/run.py).  Deleting
+or renaming one of those names, fields or flags must fail here, not only in a
+benchmark run."""
 
 import importlib.util
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from aoi_sched.cli import build_parser
+from aoi_sched.cli import build_parser, main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,3 +42,26 @@ def test_every_workload_argv_parses(monkeypatch, toy):
     for wl in run.WORKLOADS.values():
         args = build_parser().parse_args(wl.argv(42, toy) + ["--out", "x"])
         assert args.command == wl.command
+
+
+def test_traced_toy_run_of_each_workload(monkeypatch, tmp_path):
+    """Each workload's toy call runs under the tracer as a traced benchmark
+    call does, and every per-layer metric and baseline figure computes from
+    what the wrappers recorded."""
+    tracer = _load("tracer", monkeypatch)
+    run = _load("run", monkeypatch)
+    for wl in run.WORKLOADS.values():
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            out = tmp_path / f"{wl.name}.{wl.ext}"
+            rc = tr.span("cli.main", main)(wl.argv(7, True) + ["--out", str(out)])
+        finally:
+            restored = tr.restore()
+        assert rc == 0, wl.name
+        assert restored is True, wl.name
+        metrics = tracer.layer_metrics(tr)
+        assert metrics["cli.main.s"][0] > 0, wl.name
+        if wl.command == "solve":  # the solve span's info read the table's stages
+            assert metrics["dp.states_total"][0] > 0
+        assert set(tracer.baseline_figures(tr)) == set(run.ROADMAP), wl.name
