@@ -15,7 +15,8 @@ action's events are read once per pass off the batched kernel, and the
 successors of every row taking that action are one array expression.  The
 backward pass sums each expectation with math.fsum, which is exact, so every
 value and tie-break is the one a state-by-state pass over the kernel's
-(successor, probability) pairs gives.
+(successor, probability) pairs gives.  A solved DPTable is those arrays: each
+stage's key rows with a value and an action index per row.
 
 The batched one-step identities behind `verify` read a batch of cases off
 the kernel's rows, one math.fsum per case; singular names are one-case views.
@@ -24,9 +25,8 @@ the kernel's rows, one math.fsum per case; singular names are one-case views.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
@@ -123,64 +123,22 @@ def _row_key(row: list, n: int, augmented: bool):
     return (x, row[2 * n]) if augmented else x
 
 
-class _Stage(Mapping):
-    """One stage of a DPTable as key -> (value, action or None).  The dict
-    behind it is built on first lookup, with keys of Python ints (repr of a
-    numpy integer differs) and values of Python floats; its length is the
-    stage's row count and needs no dict.  It holds the stage's arrays, not
-    the table, so the two form no reference cycle."""
-
-    def __init__(self, rows, values, action_ids, actions, augmented: bool):
-        self._arrays = rows, values, action_ids, actions, augmented
-
-    def __len__(self) -> int:
-        return len(self._arrays[1])
-
-    @cached_property
-    def _entries(self) -> dict:
-        rows, values, ids, actions, augmented = self._arrays
-        n = rows.shape[1] // 2
-        keys = [_row_key(row, n, augmented) for row in rows.tolist()]
-        acts = [None if j < 0 else actions[j] for j in ids.tolist()]
-        return dict(zip(keys, zip(values.tolist(), acts)))
-
-    def __getitem__(self, key):
-        return self._entries[key]
-
-    def __iter__(self):
-        return iter(self._entries)
-
-
 @dataclass(frozen=True, eq=False)
 class DPTable:
-    """Per-stage arrays of one solve.  Keys are states, or (state, memory)
-    pairs when the evaluated policy threads a memory value (augmented
-    round-robin cursor); stages[t-1] maps them to (value, action-or-None)."""
+    """Per-stage arrays of one solve.  stages[t-1] holds stage t's keys, one
+    integer row g | h per key, plus a memory column when the evaluated policy
+    threads one (augmented round-robin cursor); values[t-1] and
+    action_ids[t-1] follow the same rows.  root_key is stage 1's one key, a
+    state or a (state, memory) pair."""
 
     horizon: int
     policy_name: str | None  # None marks the optimal table
     augmented: bool
     root_key: object
-    rows: tuple[np.ndarray, ...]        # per stage: one key row g | h (| memory) per key
+    stages: tuple[np.ndarray, ...]      # per stage: one key row g | h (| memory) per key
     values: tuple[np.ndarray, ...]      # per stage: float64 value of each row
     action_ids: tuple[np.ndarray, ...]  # per stage: index into actions; -1 at stage T
     actions: tuple[Action, ...]
-
-    @cached_property
-    def stages(self) -> tuple[Mapping, ...]:
-        return tuple(
-            _Stage(rows, values, ids, self.actions, self.augmented)
-            for rows, values, ids in zip(self.rows, self.values, self.action_ids)
-        )
-
-    def value(self, t: int, key) -> float:
-        return self.stages[t - 1][key][0]
-
-    def action(self, t: int, key):
-        return self.stages[t - 1][key][1]
-
-    def states(self, t: int):
-        return self.stages[t - 1].keys()
 
     def root_value(self) -> float:
         return float(self.values[0][0])
@@ -188,7 +146,7 @@ class DPTable:
     def lookup(self, t: int, rows: np.ndarray) -> np.ndarray:
         """Index in stage t's arrays of each key row, given as integers of any
         dtype; StateNotInTable for a row the solve never reached."""
-        table = self.rows[t - 1]
+        table = self.stages[t - 1]
         dtype = np.result_type(table, _signed_type(int(np.abs(rows).max(initial=0))))
         _, inv = _unique_rows(np.concatenate([table, rows], dtype=dtype))
         pos = np.full(len(inv), -1)
@@ -519,13 +477,6 @@ def no_success_margins(cases: Sequence[Case], ev: Events) -> list[float]:
     return expected_margins(cases, ev)
 
 
-def no_success_margin(x: SystemState, a: Action, params: ModelParams) -> float:
-    """The no_success part of margin_decomposition: the expected next-state
-    best margin of x under a, given that every transfer fails."""
-    cases = [(x, a, params)]
-    return no_success_margins(cases, transition_events(no_success_cases(cases)))[0]
-
-
 def margin_cases(cases: Sequence[Case]) -> list[tuple[Action, ModelParams]]:
     """Each case's (a, params), then no_success_cases(cases)."""
     return [(a, params) for _, a, params in cases] + no_success_cases(cases)
@@ -559,18 +510,22 @@ def margin_decomposition(
 
 
 def dump_table(table: DPTable, path) -> None:
-    """Debug text export: one `t= state= value= action=` line per entry, sorted."""
+    """Debug text export: one `t= state= value= action=` line per key, each
+    stage's rows in the order of g, then h, then the cursor, which is the
+    order `sorted` gives the keys."""
     with open(path, "w", encoding="utf-8") as fh:
         name = table.policy_name or "optimal"
         fh.write(f"# value table policy={name} horizon={table.horizon}\n")
-        for t in range(1, table.horizon + 1):
-            for key in sorted(table.states(t)):
-                x, mem = key if table.augmented else (key, None)
-                value, action = table.stages[t - 1][key]
-                line = f"t={t} state={format_state(x)}"
-                if mem is not None:
-                    line += f" cursor={mem}"
+        acts = [",".join(str(i + 1) for i in a.scheduled) for a in table.actions]
+        for t, rows in enumerate(table.stages, 1):
+            n = rows.shape[1] // 2
+            order = np.lexsort(rows.T[::-1])
+            values, ids = table.values[t - 1][order], table.action_ids[t - 1][order]
+            for row, value, j in zip(rows[order].tolist(), values.tolist(), ids.tolist()):
+                line = f"t={t} state={format_state(_row_key(row, n, False))}"
+                if table.augmented:
+                    line += f" cursor={row[2 * n]}"
                 line += f" value={value:.12g}"
-                if action is not None:
-                    line += " action=[" + ",".join(str(n + 1) for n in action.scheduled) + "]"
+                if j >= 0:
+                    line += f" action=[{acts[j]}]"
                 fh.write(line + "\n")

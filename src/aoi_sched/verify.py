@@ -229,7 +229,7 @@ def solve_gap_instances(instances: Sequence[ModelParams]) -> list[tuple]:
 def _stage_gap(table: DPTable, opt: DPTable, t: int) -> float:
     """Largest |table - opt| over the keys of table's stage t, the optimal
     values aligned to them by lookup."""
-    values = opt.values[t - 1][opt.lookup(t, table.rows[t - 1])]
+    values = opt.values[t - 1][opt.lookup(t, table.stages[t - 1])]
     return float(np.abs(table.values[t - 1] - values).max(initial=0.0))
 
 
@@ -243,7 +243,7 @@ def check_penultimate_stage(solved: Sequence[tuple]) -> CheckResult:
         worst_eq = max(worst_eq, _stage_gap(dtab, opt, T))
         if T >= 2:
             worst_eq = max(worst_eq, _stage_gap(dtab, opt, T - 1))
-            rows = dtab.rows[T - 2].astype(np.int64)
+            rows = dtab.stages[T - 2].astype(np.int64)
             g, h = rows[:, :n], rows[:, n:]
             margin = min_schedule_margins(g, h, params.n_channels)
             form = 2.0 * h.sum(axis=1) + n + params.p * margin

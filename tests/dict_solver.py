@@ -6,7 +6,8 @@ Every (state, action) pair is expanded through the scalar reference kernel
 dicts; the backward induction then sums each expectation with `math.fsum`
 and keeps the first strict minimum in `enumerate_actions` order.  Fixed policies decide through
 their scalar rules in `tests/reference.py`.  Results are tuples of stage dicts,
-`key -> (value, action or None)`, keyed like `DPTable.stages`.
+`key -> (value, action or None)`, keyed like `reference.stage_dicts` of a
+`DPTable`.
 """
 
 from __future__ import annotations

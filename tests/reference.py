@@ -1,6 +1,7 @@
 """The scalar policy rules and the slot-by-slot episode, kept as the
 differential reference for `decide_batch` in `aoi_sched.policies` and the
-block engine in `aoi_sched.simulate`.
+block engine in `aoi_sched.simulate`; and the dict view of a solved table
+with its text dump, the reference for `aoi_sched.dp.dump_table`.
 
 Each rule decides for one state in pure Python, ranking the packet holders
 with `sorted` and walking round-robin's cursor one index at a time;
@@ -9,13 +10,26 @@ state a slot at a time through `decide` and `model.sample_step`, which draws
 the uniforms of a slot from the episode's generator in the order the block
 engine reads them.  `tests/dict_solver.py` evaluates fixed policies through
 `decide`.
+
+`stage_dicts` reads a `DPTable`'s per-stage arrays as one dict per stage,
+`key -> (value, action or None)`, where a key is a `SystemState`, or a
+(state, cursor) pair for an augmented table.
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
-from aoi_sched.model import EMPTY, Action, sample_step, sources_with_packets
+from aoi_sched.model import (
+    EMPTY,
+    Action,
+    SystemState,
+    format_state,
+    sample_step,
+    sources_with_packets,
+)
 from aoi_sched.policies import DeltaPolicy, OptimalPolicy, PIPolicy, RRPolicy, StateNotInTable
 from aoi_sched.simulate import EpisodeResult
 
@@ -62,12 +76,53 @@ def rr_decide(cursor: int, x, d: int, strict: bool = False) -> tuple[Action, int
     return Action(tuple(sorted(picked))), new_cursor
 
 
+_STAGE_DICTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def stage_dicts(table) -> tuple[dict, ...]:
+    """The table as one dict per stage, key -> (value, action or None), with
+    keys of Python ints (repr of a numpy integer differs) and values of Python
+    floats; built once per table."""
+    if table not in _STAGE_DICTS:
+        stages = []
+        for rows, values, ids in zip(table.stages, table.values, table.action_ids):
+            n = rows.shape[1] // 2
+            keys = []
+            for row in rows.tolist():
+                x = SystemState(tuple(row[:n]), tuple(row[n : 2 * n]))
+                keys.append((x, row[2 * n]) if table.augmented else x)
+            acts = [None if j < 0 else table.actions[j] for j in ids.tolist()]
+            stages.append(dict(zip(keys, zip(values.tolist(), acts))))
+        _STAGE_DICTS[table] = tuple(stages)
+    return _STAGE_DICTS[table]
+
+
+def dump_table(table, path) -> None:
+    """The text export written from the dict view: one `t= state= value=
+    action=` line per key, keys in `sorted` order."""
+    stages = stage_dicts(table)
+    with open(path, "w", encoding="utf-8") as fh:
+        name = table.policy_name or "optimal"
+        fh.write(f"# value table policy={name} horizon={table.horizon}\n")
+        for t in range(1, table.horizon + 1):
+            for key in sorted(stages[t - 1]):
+                x, mem = key if table.augmented else (key, None)
+                value, action = stages[t - 1][key]
+                line = f"t={t} state={format_state(x)}"
+                if mem is not None:
+                    line += f" cursor={mem}"
+                line += f" value={value:.12g}"
+                if action is not None:
+                    line += " action=[" + ",".join(str(n + 1) for n in action.scheduled) + "]"
+                fh.write(line + "\n")
+
+
 def dp_policy_decide(table, t: int, x) -> Action:
     """Replay the stored minimizing action through the table's dict view."""
     if t >= table.horizon:
         raise ValueError(f"stage {t} is terminal; no decision is defined")
     try:
-        return table.action(t, x)
+        return stage_dicts(table)[t - 1][x][1]
     except KeyError:
         raise StateNotInTable(f"stage {t} has no entry for {x}") from None
 

@@ -42,7 +42,8 @@ from aoi_sched.policies import (
     min_schedule_margin,
 )
 
-from . import dict_solver
+from . import dict_solver, reference
+from .reference import stage_dicts
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -85,17 +86,18 @@ class TestSolveOptimal:
     def test_terminal_stage_is_plain_cost(self):
         params = ModelParams(2, 1, 0.3, (0.5, 0.7), 4)
         table = solve_optimal(params, fresh_state(2))
-        for x in table.states(params.horizon):
-            assert table.value(params.horizon, x) == float(sum(x.h))
-            assert table.action(params.horizon, x) is None
+        for x, (value, action) in stage_dicts(table)[params.horizon - 1].items():
+            assert value == float(sum(x.h))
+            assert action is None
 
     def test_bellman_consistency_at_root(self):
         params = ModelParams(2, 1, 0.6, (0.5, 0.5), 4)
         x0 = fresh_state(2)
         table = solve_optimal(params, x0)
+        stage2 = stage_dicts(table)[1]
         best = min(
             math.fsum(
-                pr * table.value(2, x2) for x2, pr in enumerate_transitions(x0, a, params)
+                pr * stage2[x2][0] for x2, pr in enumerate_transitions(x0, a, params)
             )
             for a in enumerate_actions(x0, params.n_channels)
         )
@@ -118,7 +120,7 @@ class TestSolveOptimal:
         # either ties exactly and the first in enumerate_actions order is kept
         params = ModelParams(2, 1, 0.6, (0.5, 0.5), 5)
         table = solve_optimal(params, fresh_state(2))
-        assert table.action(1, table.root_key) == Action((0,))
+        assert stage_dicts(table)[0][table.root_key][1] == Action((0,))
 
     def test_larger_initial_ages_cost_more(self):
         params = ModelParams(2, 1, 0.5, (0.5, 0.5), 4)
@@ -133,9 +135,10 @@ class TestEvaluatePolicy:
         x0 = fresh_state(2)
         opt = solve_optimal(params, x0)
         re_eval = evaluate_policy(OptimalPolicy(opt), params, x0)
+        got, want = stage_dicts(re_eval), stage_dicts(opt)
         for t in range(1, params.horizon + 1):
-            for key in re_eval.states(t):
-                assert re_eval.value(t, key) == opt.value(t, key)
+            for key in got[t - 1]:
+                assert got[t - 1][key][0] == want[t - 1][key][0]
 
     def test_round_robin_needs_cursor_in_key(self):
         params = ModelParams(2, 1, 0.5, (0.5, 0.5), 4)
@@ -149,20 +152,21 @@ class TestEvaluatePolicy:
         x0 = fresh_state(2)
         opt = solve_optimal(params, x0)
         dtab = evaluate_policy(DeltaPolicy(1), params, x0)
+        got, want = stage_dicts(dtab), stage_dicts(opt)
         for t in (params.horizon, params.horizon - 1):
-            for x in dtab.states(t):
-                assert dtab.value(t, x) == opt.value(t, x)
+            for x in got[t - 1]:
+                assert got[t - 1][x][0] == want[t - 1][x][0]
 
     def test_penultimate_closed_form(self):
         params = ModelParams(2, 1, 0.6, (0.5, 0.5), 4)
         x0 = fresh_state(2)
         opt = solve_optimal(params, x0)
         t = params.horizon - 1
-        for x in opt.states(t):
+        for x, (value, _) in stage_dicts(opt)[t - 1].items():
             expect = 2.0 * sum(x.h) + params.n_sources + params.p * min_schedule_margin(
                 x, params.n_channels
             )
-            assert abs(opt.value(t, x) - expect) <= 1e-9
+            assert abs(value - expect) <= 1e-9
 
 
 class TestBoundConstants:
@@ -266,30 +270,31 @@ def table_digest(table) -> dict:
     """sha256 over every entry as `stage, repr(key), float.hex(value), repr(action)`
     lines sorted by stage and key, plus the root key and value."""
     lines = [f"root {table.root_key!r}"]
-    for t in range(1, table.horizon + 1):
-        entries = sorted(
-            (repr(key), value, action) for key, (value, action) in table.stages[t - 1].items()
-        )
+    for t, stage in enumerate(stage_dicts(table), 1):
+        entries = sorted((repr(key), value, action) for key, (value, action) in stage.items())
         lines += [f"{t} {k} {v.hex()} {a!r}" for k, v, a in entries]
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     return {"sha256": digest, "root": table.root_value().hex()}
 
 
-def frozen_table_digests() -> dict:
-    """Digest of the optimal, delta, pi, rr, rr-strict and optimal-re-evaluated
-    tables of every frozen instance, from the fresh and the non-fresh x0."""
-    out = {}
+def frozen_tables():
+    """(name, table) of the optimal, delta, pi, rr, rr-strict and
+    optimal-re-evaluated tables of every frozen instance, from the fresh and
+    the non-fresh x0."""
     for label, params, stale in FROZEN_INSTANCES:
         for start, x0 in (("fresh", fresh_state(params.n_sources)), ("stale", stale)):
             opt = solve_optimal(params, x0)
-            tables = {"optimal": opt}
+            yield f"{label}/{start}/optimal", opt
             for name in ("delta", "pi", "rr", "rr-strict"):
                 pol = make_policy(name, params)
-                tables[name] = evaluate_policy(pol, params, x0)
-            tables["optimal-reeval"] = evaluate_policy(OptimalPolicy(opt), params, x0)
-            for name, table in tables.items():
-                out[f"{label}/{start}/{name}"] = table_digest(table)
-    return out
+                yield f"{label}/{start}/{name}", evaluate_policy(pol, params, x0)
+            reeval = evaluate_policy(OptimalPolicy(opt), params, x0)
+            yield f"{label}/{start}/optimal-reeval", reeval
+
+
+def frozen_table_digests() -> dict:
+    """Digest of every frozen table, by name."""
+    return {name: table_digest(table) for name, table in frozen_tables()}
 
 
 def test_each_state_action_enumerated_once(monkeypatch):
@@ -342,15 +347,15 @@ def test_each_action_events_read_once_per_pass(monkeypatch):
     expect = {
         a
         for t in range(1, params.horizon)
-        for x in opt.states(t)
+        for x in stage_dicts(opt)[t - 1]
         for a in enumerate_actions(x, params.n_channels)
     }
     assert set(calls) == expect and set(calls.values()) == {1}
     for pol in (DeltaPolicy(2), RRPolicy(d=2), OptimalPolicy(opt)):
         calls.clear()
-        table = evaluate_policy(pol, params, x0)
+        stages = stage_dicts(evaluate_policy(pol, params, x0))
         expect = {
-            table.action(t, key) for t in range(1, params.horizon) for key in table.states(t)
+            action for t in range(1, params.horizon) for _, action in stages[t - 1].values()
         }
         assert set(calls) == expect, pol.name
         assert set(calls.values()) == {1}, pol.name
@@ -374,3 +379,20 @@ def test_dump_table_lines(tmp_path):
     entries = sum(len(stage) for stage in table.stages)
     assert len(lines) == 1 + entries
     assert any("state=g=[0,0];h=[1,1]" in line and "action=[" in line for line in lines)
+
+
+def test_dump_table_matches_reference_dump(tmp_path):
+    """dump_table writes the bytes of the dump written from the dict view,
+    line order and number format included, on every frozen table (rr and
+    rr-strict with their cursor column) and on the 48-column N=24 tables."""
+    params = ModelParams(24, 1, 1.0, (1.0,) * 24, 4)
+    x0 = fresh_state(24)
+    wide = [("wide/optimal", solve_optimal(params, x0))] + [
+        (f"wide/{name}", evaluate_policy(make_policy(name, params), params, x0))
+        for name in ("rr", "rr-strict")
+    ]
+    got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+    for name, table in [*frozen_tables(), *wide]:
+        dump_table(table, got)
+        reference.dump_table(table, want)
+        assert got.read_bytes() == want.read_bytes(), name

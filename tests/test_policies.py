@@ -19,6 +19,7 @@ from aoi_sched.policies import (
 )
 
 from . import reference
+from .reference import stage_dicts
 from .test_model import states
 
 
@@ -98,7 +99,7 @@ class TestDPPolicyDecide:
         table = solve_optimal(params, x0)
         action, memory = OptimalPolicy(table).decide(1, x0)
         assert action in enumerate_actions(x0, 1)
-        assert (action, memory) == (table.action(1, x0), None)
+        assert (action, memory) == (stage_dicts(table)[0][x0][1], None)
 
     def test_unknown_state_raises(self):
         params = ModelParams(2, 1, 0.5, (0.5, 0.5), 3)
@@ -119,12 +120,13 @@ class TestOptimalDecideStage:
         params = ModelParams(3, 2, 0.6, (0.5, 0.2, 0.9), 4)
         policy = OptimalPolicy(solve_optimal(params, new_state((1, EMPTY, 0), (3, 2, 4))))
         for t in range(1, params.horizon):
-            keys = list(policy.table.states(t))
+            stage = stage_dicts(policy.table)[t - 1]
+            keys = list(stage)
             g = np.array([x.g for x in keys])
             h = np.array([x.h for x in keys])
             masks = policy.decide_stage(t, g, h)
             for x, mask in zip(keys, masks):
-                assert tuple(np.flatnonzero(mask)) == policy.table.action(t, x).scheduled
+                assert tuple(np.flatnonzero(mask)) == stage[x][1].scheduled
 
     @pytest.mark.parametrize("x", [
         new_state((0, 0), (9, 9)),           # never reached
@@ -231,7 +233,7 @@ def test_optimal_decide_batch_gives_stored_action_for_every_key(x0, d, p, horizo
     table = solve_optimal(params, x0)
     policy = OptimalPolicy(table)
     for t in range(1, horizon):
-        keys = list(table.states(t))
+        keys = list(stage_dicts(table)[t - 1])
         mask, _ = policy.decide_batch(
             t, np.array([x.g for x in keys]), np.array([x.h for x in keys]))
         for x, row in zip(keys, mask):

@@ -5,6 +5,7 @@ or renaming one of those names, fields or flags must fail here, not only in a
 benchmark run."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -62,6 +63,6 @@ def test_traced_toy_run_of_each_workload(monkeypatch, tmp_path):
         assert restored is True, wl.name
         metrics = tracer.layer_metrics(tr)
         assert metrics["cli.main.s"][0] > 0, wl.name
-        if wl.command == "solve":  # the solve span's info read the table's stages
-            assert metrics["dp.states_total"][0] > 0
+        if wl.command == "solve":  # the solve span's info and the report both count stage rows
+            assert metrics["dp.states_total"][0] == json.loads(out.read_text())["states_total"]
         assert set(tracer.baseline_figures(tr)) == set(run.ROADMAP), wl.name
