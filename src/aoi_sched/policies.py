@@ -1,29 +1,41 @@
 """Scheduling policies behind one decision interface.
 
-Three online heuristics plus a table-backed optimal policy:
+Three online heuristics plus a table-backed optimal policy.  The heuristics
+are one index rule: schedule the min(N_x, d) packet holders with the
+smallest key
 
-* delta: schedule the packet holders whose delivery would cut the most age,
-  i.e. the largest h[n] - g[n] (equivalently smallest buffered-minus-delivered
-  margin g[n] - h[n]).
-* pi: schedule the packet holders with the largest destination age h[n],
-  ignoring buffered ages.
-* rr: cyclic cursor over sources; the default variant skips empty buffers so
-  it stays work-conserving, the strict variant burns channel slots on them.
+    (a*g[n] + c*h[n]) * N + ((n - cursor) mod N),
+
+with per-policy coefficients (a, c, cyclic):
+
+* delta (1, -1, no): the largest h[n] - g[n], i.e. the smallest
+  buffered-minus-delivered margin g[n] - h[n];
+* pi (0, -1, no): the largest destination age h[n], ignoring buffered ages;
+* rr (0, 0, yes): the holders nearest a cyclic cursor, which lands one past
+  the last pick, so that round-robin stays work-conserving.
+
+A non-cyclic rule's cursor stays 0, so its key breaks score ties by index
+order.  Strict round-robin is not an index rule: it takes the next d indices
+from its cursor, whichever of them hold packets, and burns channel slots on
+empty buffers.
 
 Every decision schedules min(N_x, d) sources (strict round-robin may schedule
-fewer), sorted ascending, with index order breaking score ties.
+fewer), sorted ascending.
 
 Each rule is written once, for a block of episodes:
 decide_batch(t, g, h, memory) takes g, h as integer arrays of shape [B, N]
 at stage t and returns the scheduled mask of the same shape and the next
 memory.  The index rules ignore t; the table-backed policy looks the whole
 stage up in its table's arrays (decide_stage).  decide(t, x, memory) is
-decide_batch on the one-row block of a single state.
+decide_batch on the one-row block of a single state.  IndexRule.stack gives
+the rows of several index policies one [B, 1] coefficient column each, so
+that a block of mixed rows decides in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,28 +80,60 @@ def smallest_holders(keys: np.ndarray, holders: np.ndarray, d: int) -> np.ndarra
     if d >= keys.shape[1]:
         return holders
     keys = np.where(holders, keys, _NO_PACKET_KEY)
-    kth = np.partition(keys, d - 1, axis=1)[:, d - 1 : d]
+    if d == 1:
+        kth = keys.min(axis=1, keepdims=True)
+    else:
+        kth = np.partition(keys, d - 1, axis=1)[:, d - 1 : d]
     return (keys <= kth) & holders
 
 
-def rr_decide_batch(
-    cursor: np.ndarray, g: np.ndarray, d: int, strict: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic selection from each row's cursor.
+def distance_table(n: int) -> np.ndarray:
+    """[N, N] table whose row c holds the cyclic distance (m - c) mod N from
+    cursor c to each source m."""
+    sources = np.arange(n)
+    return (sources - sources[:, None]) % n
 
-    Work-conserving (default): the min(N_x, d) holders nearest the cursor in
-    cyclic order; the cursor lands one past the last pick, and stays when
-    nothing is buffered.  Strict: the next d indices from the cursor,
-    whichever of them hold packets, and the cursor advances by d.
-    """
-    n = g.shape[1]
-    holders = g != EMPTY
-    dist = (np.arange(n) - cursor[:, None]) % n
-    if strict:
-        return holders & (dist < min(d, n)), (cursor + d) % n
-    mask = smallest_holders(dist, holders, d)
-    last = np.where(mask, dist, -1).max(axis=1)
-    return mask, np.where(last >= 0, (cursor + last + 1) % n, cursor)
+
+@dataclass(frozen=True)
+class IndexRule:
+    """Schedule the min(N_x, d) holders with the smallest key
+    (a*g + c*h)*N + ((n - cursor) mod N); a cyclic rule moves its cursor one
+    past its last pick.  Each coefficient is a Python number, shared by every
+    row, or a [B, 1] column with one entry per row (see stack)."""
+
+    a: int | np.ndarray
+    c: int | np.ndarray
+    cyclic: bool | np.ndarray
+
+    @classmethod
+    def stack(cls, rules) -> IndexRule:
+        """One rule for a block whose row i follows rules[i]; a coefficient
+        that every row shares stays a Python number."""
+
+        def column(values):
+            if len(set(values)) == 1:
+                return values[0]
+            return np.array(values)[:, None]
+
+        return cls(column([r.a for r in rules]), column([r.c for r in rules]),
+                   column([r.cyclic for r in rules]))
+
+    def decide(self, g, h, holders, d: int, cursor=None, distances=None):
+        """The scheduled mask of the [B, N] ages g, h with packet holders
+        holders, and each row's next cursor.  cursor is None when no row is
+        cyclic (every key then reads the source index); otherwise it holds
+        every row's cursor, 0 on the non-cyclic rows, which never move it.
+        distances is distance_table(N), built here when not given."""
+        n = g.shape[1]
+        if cursor is None:
+            dist = np.arange(n)
+        else:
+            dist = (distance_table(n) if distances is None else distances)[cursor]
+        mask = smallest_holders((self.a * g + self.c * h) * n + dist, holders, d)
+        if cursor is None:
+            return mask, None
+        last = np.where(mask & self.cyclic, dist + 1, 0).max(axis=1)
+        return mask, (cursor + last) % n
 
 
 class Policy:
@@ -101,6 +145,7 @@ class Policy:
     simulator and the policy evaluation call it for whole blocks."""
 
     name = "policy"
+    rule: IndexRule | None = None  # set on the policies that are index rules
 
     def initial_memory(self):
         return None
@@ -115,33 +160,45 @@ class Policy:
         return action, None if memory is None else memory.item()
 
 
+class IndexPolicy(Policy):
+    """A policy that is its index rule on every row."""
+
+    def decide_batch(self, t, g, h, memory=None):
+        if not self.rule.cyclic:
+            return self.rule.decide(g, h, g != EMPTY, self.d)[0], memory
+        if memory is None:
+            memory = np.zeros(len(g), dtype=np.int64)
+        return self.rule.decide(g, h, g != EMPTY, self.d, memory)
+
+
 # Each class binds decide in its own __dict__, where perfbench/tracer.py wraps it.
 
 
 @dataclass(frozen=True)
-class DeltaPolicy(Policy):
+class DeltaPolicy(IndexPolicy):
     d: int
     name = "delta"
+    rule = IndexRule(1, -1, False)
     decide = Policy.decide
-
-    def decide_batch(self, t, g, h, memory=None):
-        n = g.shape[1]
-        return smallest_holders((g - h) * n + np.arange(n), g != EMPTY, self.d), memory
 
 
 @dataclass(frozen=True)
-class PIPolicy(Policy):
+class PIPolicy(IndexPolicy):
     d: int
     name = "pi"
+    rule = IndexRule(0, -1, False)
     decide = Policy.decide
 
-    def decide_batch(self, t, g, h, memory=None):
-        n = g.shape[1]
-        return smallest_holders(np.arange(n) - h * n, g != EMPTY, self.d), memory
+
+_RR_RULE = IndexRule(0, 0, True)
 
 
 @dataclass(frozen=True)
-class RRPolicy(Policy):
+class RRPolicy(IndexPolicy):
+    """Round-robin over a cursor.  Work-conserving (default), it is the
+    cyclic index rule.  Strict, it schedules whichever of the next d indices
+    from the cursor hold packets, and the cursor advances by d."""
+
     d: int
     strict: bool = False
     decide = Policy.decide
@@ -150,12 +207,20 @@ class RRPolicy(Policy):
     def name(self):
         return "rr-strict" if self.strict else "rr"
 
+    @property
+    def rule(self):
+        return None if self.strict else _RR_RULE
+
     def initial_memory(self):
         return 0
 
     def decide_batch(self, t, g, h, memory=None):
+        if not self.strict:
+            return super().decide_batch(t, g, h, memory)
         cursor = np.zeros(len(g), dtype=np.int64) if memory is None else memory
-        return rr_decide_batch(cursor, g, self.d, strict=self.strict)
+        n = g.shape[1]
+        dist = distance_table(n)[cursor]
+        return (g != EMPTY) & (dist < min(self.d, n)), (cursor + self.d) % n
 
 
 @dataclass(frozen=True)
@@ -167,6 +232,15 @@ class OptimalPolicy(Policy):
     def decide_batch(self, t, g, h, memory=None):
         return self.decide_stage(t, g, h), memory
 
+    @cached_property
+    def _action_masks(self) -> np.ndarray:
+        """[actions, N]: row i masks the sources of the table's action i."""
+        table = self.table
+        masks = np.zeros((len(table.actions), table.stages[0].shape[1] // 2), dtype=bool)
+        for i, a in enumerate(table.actions):
+            masks[i, list(a.scheduled)] = True
+        return masks
+
     def decide_stage(self, t: int, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         """The scheduled mask of every row of the [B, N] ages g, h at stage t:
         each state's stored action, looked up in the table's stage arrays;
@@ -175,10 +249,7 @@ class OptimalPolicy(Policy):
         if t >= table.horizon:
             raise ValueError(f"stage {t} is terminal; no decision is defined")
         ids = table.action_ids[t - 1][table.lookup(t, np.concatenate([g, h], axis=1))]
-        masks = np.zeros((len(table.actions), g.shape[1]), dtype=bool)
-        for i, a in enumerate(table.actions):
-            masks[i, list(a.scheduled)] = True
-        return masks[ids]
+        return self._action_masks[ids]
 
 
 POLICY_NAMES = ("delta", "pi", "rr", "rr-strict", "optimal")

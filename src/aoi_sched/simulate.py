@@ -11,10 +11,13 @@ would change the bytes of every simulate CSV.
 
 One block engine runs every episode: up to BLOCK_EPISODES (policy, episode)
 rows advance in lock step on [B, N] age arrays, the policies of a comparison
-sharing a block whenever all of their episodes fit in it, each deciding on
-its own rows through decide_batch.  Every row keeps its own PCG64 generator
-and consumes exactly the uniforms model.sample_step would, slot by slot.
-run_episode is the engine's one-row case.
+sharing a block whenever all of their episodes fit in it.  The index policies
+of a block (delta, pi, work-conserving rr) decide for all of their rows in
+one call of their stacked IndexRule; strict round-robin and the table-backed
+optimal policy each decide on their own rows through decide_batch.  Every
+row keeps its own PCG64 generator and consumes exactly the uniforms
+model.sample_step would, slot by slot.  run_episode is the engine's one-row
+case.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .model import (  # sample_step stays importable from here
     SystemState,
     sample_step,
 )
+from .policies import IndexRule, distance_table
 
 # (policy, episode) rows advanced together, and slots of uniforms held per row
 # between refills; together they cap the uniform buffer at
@@ -102,26 +106,33 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
     """Run every policy on one episode per seed in lock step; entry [i, e, n]
     is policy i's destination-age sum of source n on seeds[e].
 
-    Rows are (policy, episode) pairs in policy-major order, each with its own
-    generator seeded with its episode seed.  Every slot, each policy decides
-    on its own rows; the draws and age updates then run once for all rows.
-    Row b takes its success uniforms for the scheduled sources (ascending
-    index) and then N arrival uniforms from its own buffer row at pos[b], as
-    sample_step draws them.  A buffer row holds CHUNK_SLOTS slots' worth of
-    uniforms; after that many slots the unread tail moves to the front and
-    exactly the consumed count is drawn behind it, continuing the stream.
+    Rows are (policy, episode) pairs, each with its own generator seeded with
+    its episode seed.  The index-rule policies take the first rows, so that
+    one IndexRule call with a coefficient column per row decides for all of
+    them every slot; each other policy decides on its own rows.  The draws
+    and age updates then run once for all rows.  Row b takes its success
+    uniforms for the scheduled sources (ascending index) and then N arrival
+    uniforms from its own buffer row at pos[b], as sample_step draws them.  A
+    buffer row holds CHUNK_SLOTS slots' worth of uniforms; after that many
+    slots the unread tail moves to the front and exactly the consumed count
+    is drawn behind it, continuing the stream.
     """
-    n, T = params.n_sources, params.horizon
+    n, d, T = params.n_sources, params.n_channels, params.horizon
     e = len(seeds)
+    # a row's episode depends only on its policy and seed, so rows may run in
+    # any policy order; back[i] is where policies[i]'s rows run
+    order = sorted(range(len(policies)), key=lambda i: policies[i].rule is None)
+    back = np.argsort(order)
+    policies = [policies[i] for i in order]
     b = len(policies) * e
     g = np.tile(np.array(x0.g, dtype=np.int64), (b, 1))
     h = np.tile(np.array(x0.h, dtype=np.int64), (b, 1))
     ages = h.copy()  # destination ages summed over the stages so far
     if T == 1:
-        return ages.reshape(len(policies), e, n)
+        return ages.reshape(len(policies), e, n)[back]
     p, q = params.p, np.array(params.q)
     chunk = min(CHUNK_SLOTS, T - 1)
-    width = chunk * (n + min(params.n_channels, n))
+    width = chunk * (n + min(d, n))
     rngs = [np.random.default_rng(seed) for _ in policies for seed in seeds]
     buf = np.empty((b, width))
     for row, rng in zip(buf, rngs):
@@ -130,8 +141,14 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
     row_start = np.arange(b) * width
     pos = row_start.copy()  # flat index of each row's next unread uniform
     sources = np.arange(n)
-    rows = [slice(i * e, (i + 1) * e) for i in range(len(policies))]
-    mems = [None] * len(policies)
+    rules = [policy.rule for policy in policies if policy.rule is not None]
+    indexed = len(rules) * e
+    rule = IndexRule.stack([r for r in rules for _ in seeds]) if rules else None
+    cursor = np.zeros(indexed, dtype=np.int64) if rules and np.any(rule.cyclic) else None
+    distances = distance_table(n)
+    others = [(policy, slice(indexed + i * e, indexed + (i + 1) * e))
+              for i, policy in enumerate(policies[len(rules) :])]
+    mems = [None] * len(others)
     sched = np.empty((b, n), dtype=bool)
     for t in range(1, T):
         if t > 1 and (t - 1) % chunk == 0:
@@ -139,22 +156,28 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
                 row[: width - used] = row[used:]
                 rng.random(out=row[width - used :])
             pos[:] = row_start
-        if len(policies) == 1:  # no row slices to take or copy back
-            sched, mems[0] = policies[0].decide_batch(t, g, h, mems[0])
+        holders = g != EMPTY
+        if indexed == b:  # no row slices to take or copy back
+            sched, cursor = rule.decide(g, h, holders, d, cursor, distances)
+        elif not indexed and len(others) == 1:
+            sched, mems[0] = others[0][0].decide_batch(t, g, h, mems[0])
         else:
-            for i, (policy, r) in enumerate(zip(policies, rows)):
+            if indexed:
+                sched[:indexed], cursor = rule.decide(
+                    g[:indexed], h[:indexed], holders[:indexed], d, cursor, distances)
+            for i, (policy, r) in enumerate(others):
                 sched[r], mems[i] = policy.decide_batch(t, g[r], h[r], mems[i])
         # upto counts the scheduled sources up to each index, so a scheduled
         # source reads pos + its rank; unscheduled ones read a discarded value
         upto = np.cumsum(sched, axis=1)
         k = upto[:, -1]
         success = sched & (flat[(pos - 1)[:, None] + upto] < p)
-        arrival = flat[(pos + k)[:, None] + sources] < q
+        stay = flat[(pos + k)[:, None] + sources] >= q  # no arrival
         pos += k + n
         h = np.where(success, g, h) + 1
-        g = np.where(arrival, 0, np.where(success, EMPTY, g + (g != EMPTY)))
+        g = np.where(success, EMPTY, g + holders) * stay
         ages += h
-    return ages.reshape(len(policies), e, n)
+    return ages.reshape(len(policies), e, n)[back]
 
 
 def _summaries(

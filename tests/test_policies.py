@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aoi_sched.dp import solve_optimal
 from aoi_sched.model import EMPTY, ModelParams, enumerate_actions, fresh_state, new_state
 from aoi_sched.policies import (
     POLICY_NAMES,
     DeltaPolicy,
+    IndexRule,
     OptimalPolicy,
     PIPolicy,
     RRPolicy,
     StateNotInTable,
+    distance_table,
     make_policy,
     min_schedule_margin,
     schedule_margin,
@@ -193,22 +195,30 @@ def test_permutation_equivariance(x, d, perm):
 
 
 @st.composite
+def block_states(draw, n):
+    """A state of N sources on ages up to 4, so that empty buffers and tied
+    scores are common."""
+    h = [draw(st.integers(0, 4)) for _ in range(n)]
+    g = [draw(st.one_of(st.just(EMPTY), st.integers(0, hn - 1))) if hn else EMPTY
+         for hn in h]
+    return new_state(g, h)
+
+
+@st.composite
 def blocks(draw):
-    """A block of states with N sources on ages up to 4, so that empty buffers
-    and tied scores are common, with d in 1..N+1 and a cursor per row in [0, N)."""
+    """A block of states with d in 1..N+1 and a cursor per row in [0, N)."""
     n = draw(st.integers(1, 5))
-    xs = []
-    for _ in range(draw(st.integers(1, 8))):
-        h = [draw(st.integers(0, 4)) for _ in range(n)]
-        g = [draw(st.one_of(st.just(EMPTY), st.integers(0, hn - 1))) if hn else EMPTY
-             for hn in h]
-        xs.append(new_state(g, h))
+    xs = [draw(block_states(n)) for _ in range(draw(st.integers(1, 8)))]
     cursors = [draw(st.integers(0, n - 1)) for _ in xs]
-    return xs, draw(st.integers(1, n + 1)), cursors
+    channels = range(1, n + 2)
+    assert channels[0] == 1  # d = 1 is smallest_holders' row-minimum path
+    return xs, draw(st.sampled_from(channels)), cursors
 
 
 @settings(max_examples=300)
 @given(blocks())
+@example(([new_state((2, 2, 0, EMPTY), (4, 4, 1, 3)),  # d = 1 with tied scores
+            new_state((EMPTY, 1, 1, 1), (2, 3, 3, 2))], 1, [3, 2]))
 def test_decide_batch_matches_reference_rules(block):
     """Every row of decide_batch schedules what the scalar rule in
     tests/reference.py schedules for that state, and moves round-robin's
@@ -223,6 +233,45 @@ def test_decide_batch_matches_reference_rules(block):
             action, want = reference.decide(policy, 1, x, cursors[i] if rr else None)
             assert tuple(np.flatnonzero(mask[i]).tolist()) == action.scheduled, (policy.name, x)
             assert (memory[i] if rr else memory) == want, (policy.name, x, cursors[i])
+
+
+@st.composite
+def stacked_blocks(draw):
+    """Rows of N <= 6 sources, each following its own index policy (repeats
+    and runs in any order), a cursor per row (0 on a non-cyclic row, as the
+    block engine starts it), and the states of 3-5 consecutive slots."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, n + 1))
+    rows = draw(st.integers(1, 6))
+    policies = [draw(st.sampled_from([DeltaPolicy(d), PIPolicy(d), RRPolicy(d=d)]))
+                for _ in range(rows)]
+    cursors = [draw(st.integers(0, n - 1)) if pol.rule.cyclic else 0 for pol in policies]
+    slots = [[draw(block_states(n)) for _ in range(rows)]
+             for _ in range(draw(st.integers(3, 5)))]
+    return policies, d, cursors, slots
+
+
+@settings(max_examples=80)
+@given(stacked_blocks())
+def test_stacked_index_rule_matches_each_rows_policy(case):
+    """One decision over a block of mixed index-policy rows, the block
+    engine's stacked call, schedules on every row what that row's own
+    reference rule schedules, slot after slot, with the cursor threaded."""
+    policies, d, cursors, slots = case
+    rule = IndexRule.stack([pol.rule for pol in policies])
+    cyclic = [bool(pol.rule.cyclic) for pol in policies]
+    cursor = np.array(cursors) if any(cyclic) else None
+    mems = [c if cyc else None for c, cyc in zip(cursors, cyclic)]
+    distances = distance_table(len(slots[0][0].g))
+    for t, xs in enumerate(slots, start=1):
+        g = np.array([x.g for x in xs])
+        h = np.array([x.h for x in xs])
+        mask, cursor = rule.decide(g, h, g != EMPTY, d, cursor, distances)
+        for i, (policy, x) in enumerate(zip(policies, xs)):
+            action, mems[i] = reference.decide(policy, t, x, mems[i])
+            assert tuple(np.flatnonzero(mask[i]).tolist()) == action.scheduled, (t, i, policy)
+            got = 0 if cursor is None else cursor[i]
+            assert got == (mems[i] if cyclic[i] else 0), (t, i, policy)
 
 
 @settings(max_examples=30)
