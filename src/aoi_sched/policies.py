@@ -80,10 +80,7 @@ def smallest_holders(keys: np.ndarray, holders: np.ndarray, d: int) -> np.ndarra
     if d >= keys.shape[1]:
         return holders
     keys = np.where(holders, keys, _NO_PACKET_KEY)
-    if d == 1:
-        kth = keys.min(axis=1, keepdims=True)
-    else:
-        kth = np.partition(keys, d - 1, axis=1)[:, d - 1 : d]
+    kth = np.partition(keys, d - 1, axis=1)[:, d - 1 : d]
     return (keys <= kth) & holders
 
 
@@ -123,12 +120,15 @@ class IndexRule:
         holders, and each row's next cursor.  cursor is None when no row is
         cyclic (every key then reads the source index); otherwise it holds
         every row's cursor, 0 on the non-cyclic rows, which never move it.
-        distances is distance_table(N), built here when not given."""
+        distances is distance_table(N) when given; each row's distances are
+        then gathered from it rather than computed."""
         n = g.shape[1]
         if cursor is None:
             dist = np.arange(n)
+        elif distances is None:
+            dist = (np.arange(n) - cursor[:, None]) % n
         else:
-            dist = (distance_table(n) if distances is None else distances)[cursor]
+            dist = distances[cursor]
         mask = smallest_holders((self.a * g + self.c * h) * n + dist, holders, d)
         if cursor is None:
             return mask, None
@@ -219,7 +219,7 @@ class RRPolicy(IndexPolicy):
             return super().decide_batch(t, g, h, memory)
         cursor = np.zeros(len(g), dtype=np.int64) if memory is None else memory
         n = g.shape[1]
-        dist = distance_table(n)[cursor]
+        dist = (np.arange(n) - cursor[:, None]) % n
         return (g != EMPTY) & (dist < min(self.d, n)), (cursor + self.d) % n
 
 

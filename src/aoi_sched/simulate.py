@@ -157,16 +157,11 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
                 rng.random(out=row[width - used :])
             pos[:] = row_start
         holders = g != EMPTY
-        if indexed == b:  # no row slices to take or copy back
-            sched, cursor = rule.decide(g, h, holders, d, cursor, distances)
-        elif not indexed and len(others) == 1:
-            sched, mems[0] = others[0][0].decide_batch(t, g, h, mems[0])
-        else:
-            if indexed:
-                sched[:indexed], cursor = rule.decide(
-                    g[:indexed], h[:indexed], holders[:indexed], d, cursor, distances)
-            for i, (policy, r) in enumerate(others):
-                sched[r], mems[i] = policy.decide_batch(t, g[r], h[r], mems[i])
+        if indexed:
+            sched[:indexed], cursor = rule.decide(
+                g[:indexed], h[:indexed], holders[:indexed], d, cursor, distances)
+        for i, (policy, r) in enumerate(others):
+            sched[r], mems[i] = policy.decide_batch(t, g[r], h[r], mems[i])
         # upto counts the scheduled sources up to each index, so a scheduled
         # source reads pos + its rank; unscheduled ones read a discarded value
         upto = np.cumsum(sched, axis=1)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aoi_sched.dp import solve_optimal
 from aoi_sched.model import EMPTY, ModelParams, enumerate_actions, fresh_state, new_state
@@ -210,15 +210,11 @@ def blocks(draw):
     n = draw(st.integers(1, 5))
     xs = [draw(block_states(n)) for _ in range(draw(st.integers(1, 8)))]
     cursors = [draw(st.integers(0, n - 1)) for _ in xs]
-    channels = range(1, n + 2)
-    assert channels[0] == 1  # d = 1 is smallest_holders' row-minimum path
-    return xs, draw(st.sampled_from(channels)), cursors
+    return xs, draw(st.integers(1, n + 1)), cursors
 
 
 @settings(max_examples=300)
 @given(blocks())
-@example(([new_state((2, 2, 0, EMPTY), (4, 4, 1, 3)),  # d = 1 with tied scores
-            new_state((EMPTY, 1, 1, 1), (2, 3, 3, 2))], 1, [3, 2]))
 def test_decide_batch_matches_reference_rules(block):
     """Every row of decide_batch schedules what the scalar rule in
     tests/reference.py schedules for that state, and moves round-robin's
