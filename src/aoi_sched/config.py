@@ -130,6 +130,13 @@ def _replications(raw: str) -> int:
     return v
 
 
+def _state_cap(raw: str) -> int:
+    v = int(raw)
+    if v < 1:
+        raise ValueError(f"must be >= 1, got {v}")
+    return v
+
+
 def _format(raw: str) -> str:
     if raw not in FORMATS:
         raise ValueError(f"must be one of {FORMATS}")
@@ -203,7 +210,7 @@ FIELDS = (
     ConfigField("base_seed", "run", "base_seed", "--seed", int, SEEDED, "base seed (default 42)"),
     ConfigField("initial_state", "run", "initial_state", "--initial-state", str.strip, MODEL,
                 '"fresh" or a g=[...];h=[...] literal'),
-    ConfigField("state_cap", "run", "state_cap", "--state-cap", int, MODEL,
+    ConfigField("state_cap", "run", "state_cap", "--state-cap", _state_cap, MODEL,
                 "most states (or state-cursor pairs) an exact pass may reach"),
     ConfigField("out", "output", "path", "--out", str.strip, COMMANDS,
                 "output path ('-' = stdout)"),

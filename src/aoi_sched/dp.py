@@ -12,10 +12,11 @@ Both passes work on per-stage arrays.  A stage is one integer row per distinct
 key, g | h, plus the memory value when a policy threads one.  An event's
 probability depends only on the scheduled set, not on the state, so each
 action's events are read once per pass off the batched kernel, and the
-successors of every row taking that action are one array expression.  The
-backward pass sums each expectation with math.fsum, which is exact, so every
-value and tie-break is the one a state-by-state pass over the kernel's
-(successor, probability) pairs gives.  A solved DPTable is those arrays: each
+successors of every row taking that action come from one call of
+model.advance, the successor law that the kernel and the Monte Carlo slot
+share.  The backward pass sums each expectation with math.fsum, which is
+exact, so every value and tie-break is the one a state-by-state pass over the
+kernel's (successor, probability) pairs gives.  A solved DPTable is those arrays: each
 stage's key rows with a value and an action index per row.
 
 The batched one-step identities behind `verify` read a batch of cases off
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -39,6 +40,8 @@ from .model import (  # enumerate_transitions stays importable from here
     ModelParams,
     SystemState,
     _check_schedulable,
+    _signed_type,
+    advance,
     cost,
     enumerate_transitions,
     format_state,
@@ -103,11 +106,6 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = np.empty(n_uniq, dtype=np.intp)
     first[inv] = np.arange(size)
     return rows[first], inv
-
-
-def _signed_type(bound: int) -> np.dtype:
-    """The smallest signed integer type holding -bound..bound."""
-    return np.min_scalar_type(-1 - bound)
 
 
 def _groups(flags: np.ndarray):
@@ -181,36 +179,32 @@ class GapReport:
     constants: BoundConstants | None  # None when T <= 2
 
 
-class _Events(NamedTuple):
-    """The events of scheduling one action."""
-
-    kind: np.ndarray  # [events, N]: 2 * (delivered from n) + (n got a packet)
-    step: int         # how far every undelivered destination age grows
-    pr: np.ndarray    # float64 [events]: the kernel's probabilities
-
-
-def _events(a: tuple[int, ...], params: ModelParams) -> _Events:
-    """The kernel's events of scheduling a, which serve every state that
+def _events(a: tuple[int, ...], params: ModelParams) -> Events:
+    """The kernel's law of scheduling a, which serves every state that
     schedules it, with the instance's fault."""
-    ev = transition_events([(Action(a), params)]).law()
-    return _Events(2 * ev.delivered + ev.arrived, int(ev.step[0]), ev.pr)
+    return transition_events([(Action(a), params)]).law()
 
 
-def _successors(rows: np.ndarray, ev: _Events, mem, out: np.ndarray) -> None:
+# a source's four outcomes, numbered kind = 2 * delivered + arrived, on the
+# first axis of the outcome grid: np.where broadcasts a mask along an outer
+# axis several times faster than along the innermost one
+_DELIVERED = np.array([False, False, True, True])[:, None, None]
+_STAY = np.array([True, False, True, False])[:, None, None]  # no arrival
+
+
+def _successors(rows: np.ndarray, ev: Events, mem, out: np.ndarray) -> None:
     """Write into out [rows, events, C] the successor key of each stage row
-    under each event, looked up per source by the event's kind: nothing
-    happens (an undelivered packet ages by one), a fresh packet arrives, the
-    buffered packet is delivered (h moves to g + 1 and the buffer empties),
-    or both; mem fills the memory column."""
-    n = ev.kind.shape[1]
+    under each event.  One advance call ages every source of every row under
+    each of its four outcomes (nothing happens, a fresh packet arrives, the
+    buffered packet is delivered, or both); each event then picks per source
+    the outcome of its kind.  mem fills the memory column."""
+    n = ev.delivered.shape[1]
     g, h = rows[:, :n], rows[:, n : 2 * n]
-    fresh, gone = np.zeros_like(g), np.full_like(g, EMPTY)
-    delivered, undelivered = g + 1, h + ev.step
-    kept = np.where(g == EMPTY, EMPTY, delivered)
+    g2, h2 = advance(g, h, g != EMPTY, _DELIVERED, _STAY, int(ev.step[0]))
+    kind = 2 * ev.delivered + ev.arrived
     src = np.arange(n)
-    out[..., :n] = np.stack([kept, fresh, gone, fresh], axis=2)[:, src, ev.kind]
-    h2 = np.stack([undelivered, undelivered, delivered, delivered], axis=2)
-    out[..., n : 2 * n] = h2[:, src, ev.kind]
+    out[..., :n] = np.moveaxis(g2, 0, 2)[:, src, kind]
+    out[..., n : 2 * n] = np.moveaxis(h2, 0, 2)[:, src, kind]
     if mem is not None:
         out[..., 2 * n] = mem[:, None]
 
@@ -234,7 +228,7 @@ def _forward(params: ModelParams, root: np.ndarray, choose, cap: int):
     per pass.  The cap counts distinct keys over all stages, and each stage's
     keys are counted before that stage is expanded.
     """
-    events: dict[tuple[int, ...], _Events] = {}
+    events: dict[tuple[int, ...], Events] = {}
     actions: dict[tuple[int, ...], int] = {}
     stages, blocks = [root], []
     total, limit = 1, max(cap, 1)  # the root counts but is never checked
@@ -342,14 +336,9 @@ def _policy_actions(policy, n: int, augmented: bool):
 
 
 def reachable_states(
-    params: ModelParams,
-    x0: SystemState,
-    horizon: int | None = None,
-    cap: int = DEFAULT_STATE_CAP,
+    params: ModelParams, x0: SystemState, cap: int = DEFAULT_STATE_CAP
 ) -> list[set[SystemState]]:
     """Per-stage sets of states reachable from x0 under any action sequence."""
-    if horizon is not None:
-        params = replace(params, horizon=horizon)
     stages, _, _ = _forward(params, _root(params, x0, None), _all_actions(params), cap)
     n = params.n_sources
     return [{_row_key(row, n, False) for row in rows.tolist()} for rows in stages]

@@ -16,8 +16,10 @@ Because the draws are independent per source, the one-slot law is a product
 over sources, and each (successes, arrivals) event leads to its own successor
 state: on a source, success moves h to g+1 <= h instead of h+1, and an arrival
 alone leaves g = 0.  The exact kernel, transition_events, expands that product
-for a batch of (action, instance) cases at once into event rows; next_states
+for a batch of (action, instance) cases at once into event rows; advance
 applies them to states, and enumerate_transitions is the one-case view.
+advance is the one array statement of the successor law: next_states, the
+solver's forward pass and the Monte Carlo slot all age g and h through it.
 apply_transition and transition_prob resolve a single event and remain the
 event-by-event definition it must reproduce.  A fault carried by ModelParams
 corrupts that kernel only, never the sampler.
@@ -280,19 +282,38 @@ def transition_events(cases: Sequence[tuple[Action, ModelParams]]) -> Events:
     return Events(case, delivered, arrived, pr, dropped, step)
 
 
+def _signed_type(bound: int) -> np.dtype:
+    """The smallest signed integer type holding -bound..bound."""
+    return np.min_scalar_type(-1 - bound)
+
+
+def advance(g, h, holders, delivered, stay, step=1):
+    """apply_transition's law on broadcasting arrays: the successor ages
+    (g', h') of ages g, h, given holders = (g != EMPTY), the delivered
+    packets, stay = no arrival, and step, the slots an undelivered
+    destination age grows by.
+
+    A delivery sets h' = g + 1 and empties the buffer; any other destination
+    age grows by step.  An arrival leaves g' = 0; an undelivered packet ages
+    by one and an empty buffer stays empty.  The masks are arguments so that
+    a caller holding them already pays for no comparison."""
+    return (np.where(delivered, EMPTY, g + holders) * stay,
+            np.where(delivered, g, h + (step - 1)) + 1)
+
+
 def next_states(xs: Sequence[SystemState], ev: Events) -> tuple[np.ndarray, np.ndarray]:
     """The successor ages g', h' [rows, W] of xs[case] under each row's
     event, undelivered ages grown by the case's step; sources past a case's
     own N read g' = EMPTY, h' = 0 and add nothing to a cost or a margin."""
     width = ev.delivered.shape[1]
     pad = [width - len(x.g) for x in xs]
-    # the smallest signed type holding every age after the slot (step <= 2)
-    dtype = np.min_scalar_type(-3 - max((max(x.h) for x in xs), default=0))
+    # every age after the slot fits, since it grows by at most step <= 2
+    dtype = _signed_type(max((max(x.h) for x in xs), default=0) + 2)
     g = np.array([x.g + (EMPTY,) * k for x, k in zip(xs, pad)], dtype=dtype)[ev.case]
     h = np.array([x.h + (0,) * k for x, k in zip(xs, pad)], dtype=dtype)[ev.case]
-    h = np.where(ev.delivered, g + 1, h + ev.step.astype(dtype)[ev.case, None])
+    step = ev.step.astype(dtype)[ev.case, None]
+    g, h = advance(g, h, g != EMPTY, ev.delivered, ~ev.arrived, step)
     live = np.arange(width) < width - np.array(pad)[ev.case, None]
-    g = np.where(ev.arrived, 0, np.where(ev.delivered | (g == EMPTY), EMPTY, g + 1))
     return g, np.where(live, h, 0)
 
 

@@ -16,8 +16,9 @@ of a block (delta, pi, work-conserving rr) decide for all of their rows in
 one call of their stacked IndexRule; strict round-robin and the table-backed
 optimal policy each decide on their own rows through decide_batch.  Every
 row keeps its own PCG64 generator and consumes exactly the uniforms
-model.sample_step would, slot by slot.  run_episode is the engine's one-row
-case.
+model.sample_step would, slot by slot, and model.advance, the successor law
+the exact solver also uses, ages every row at once.  run_episode is the
+engine's one-row case.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .model import (  # sample_step stays importable from here
     EMPTY,
     ModelParams,
     SystemState,
+    advance,
     sample_step,
 )
 from .policies import IndexRule, distance_table
@@ -110,12 +112,12 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
     its episode seed.  The index-rule policies take the first rows, so that
     one IndexRule call with a coefficient column per row decides for all of
     them every slot; each other policy decides on its own rows.  The draws
-    and age updates then run once for all rows.  Row b takes its success
-    uniforms for the scheduled sources (ascending index) and then N arrival
-    uniforms from its own buffer row at pos[b], as sample_step draws them.  A
-    buffer row holds CHUNK_SLOTS slots' worth of uniforms; after that many
-    slots the unread tail moves to the front and exactly the consumed count
-    is drawn behind it, continuing the stream.
+    and the age update, one model.advance call, then run once for all rows.
+    Row b takes its success uniforms for the scheduled sources (ascending
+    index) and then N arrival uniforms from its own buffer row after last[b],
+    as sample_step draws them.  A buffer row holds CHUNK_SLOTS slots' worth
+    of uniforms; after that many slots the unread tail moves to the front and
+    exactly the consumed count is drawn behind it, continuing the stream.
     """
     n, d, T = params.n_sources, params.n_channels, params.horizon
     e = len(seeds)
@@ -138,9 +140,9 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
     for row, rng in zip(buf, rngs):
         rng.random(out=row)
     flat = buf.ravel()
-    row_start = np.arange(b) * width
-    pos = row_start.copy()  # flat index of each row's next unread uniform
-    sources = np.arange(n)
+    before = np.arange(b) * width - 1  # flat index just before each buffer row
+    last = before.copy()  # flat index of each row's last read uniform
+    ranks = np.arange(1, n + 1)
     rules = [policy.rule for policy in policies if policy.rule is not None]
     indexed = len(rules) * e
     rule = IndexRule.stack([r for r in rules for _ in seeds]) if rules else None
@@ -152,25 +154,25 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
     sched = np.empty((b, n), dtype=bool)
     for t in range(1, T):
         if t > 1 and (t - 1) % chunk == 0:
-            for row, rng, used in zip(buf, rngs, (pos - row_start).tolist()):
+            for row, rng, used in zip(buf, rngs, (last - before).tolist()):
                 row[: width - used] = row[used:]
                 rng.random(out=row[width - used :])
-            pos[:] = row_start
+            last[:] = before
         holders = g != EMPTY
         if indexed:
             sched[:indexed], cursor = rule.decide(
                 g[:indexed], h[:indexed], holders[:indexed], d, cursor, distances)
         for i, (policy, r) in enumerate(others):
             sched[r], mems[i] = policy.decide_batch(t, g[r], h[r], mems[i])
-        # upto counts the scheduled sources up to each index, so a scheduled
-        # source reads pos + its rank; unscheduled ones read a discarded value
+        # upto ranks the scheduled sources from 1 up to each index, so a
+        # scheduled source reads last + its rank; unscheduled ones read a
+        # discarded value.  Source n's arrival uniform then follows at rank n + 1.
         upto = np.cumsum(sched, axis=1)
-        k = upto[:, -1]
-        success = sched & (flat[(pos - 1)[:, None] + upto] < p)
-        stay = flat[(pos + k)[:, None] + sources] >= q  # no arrival
-        pos += k + n
-        h = np.where(success, g, h) + 1
-        g = np.where(success, EMPTY, g + holders) * stay
+        success = sched & (flat[last[:, None] + upto] < p)
+        last += upto[:, -1]
+        stay = flat[last[:, None] + ranks] >= q  # no arrival
+        last += n
+        g, h = advance(g, h, holders, success, stay)
         ages += h
     return ages.reshape(len(policies), e, n)[back]
 

@@ -50,6 +50,10 @@ from .policies import DeltaPolicy, OptimalPolicy, min_schedule_margins
 
 STEP_TOL = 1e-12   # single-step identities
 VALUE_TOL = 1e-9   # multi-stage value comparisons
+MAX_N = 4          # largest N of a random case
+MAX_AGE = 20       # largest destination age of a random state
+GRID_POINTS = 101  # p grid of the success-probability identity, endpoints included
+MAX_D = 6          # largest d of that identity
 
 
 @dataclass(frozen=True)
@@ -64,8 +68,8 @@ class CheckResult:
         return self.status == "fail"
 
 
-def random_state(rng, n_sources: int, max_age: int = 20, ensure_holder: bool = False) -> SystemState:
-    h = [int(rng.integers(0, max_age + 1)) for _ in range(n_sources)]
+def random_state(rng, n_sources: int, ensure_holder: bool = False) -> SystemState:
+    h = [int(rng.integers(0, MAX_AGE + 1)) for _ in range(n_sources)]
     g = []
     for hn in h:
         if hn >= 1 and rng.random() < 0.7:
@@ -80,10 +84,10 @@ def random_state(rng, n_sources: int, max_age: int = 20, ensure_holder: bool = F
 
 
 def random_case(
-    rng, max_n: int = 4, max_age: int = 20, ensure_holder: bool = False, fault: str | None = None
+    rng, ensure_holder: bool = False, fault: str | None = None
 ) -> tuple[ModelParams, SystemState, Action]:
     """A random instance plus a random work-conserving action, edge probabilities included."""
-    n = int(rng.integers(1, max_n + 1))
+    n = int(rng.integers(1, MAX_N + 1))
     d = int(rng.integers(1, 4))
     r = rng.random()
     p = 0.0 if r < 0.05 else 1.0 if r < 0.10 else float(rng.uniform(0.0, 1.0))
@@ -95,7 +99,7 @@ def random_case(
         elif rr < 0.10:
             q[i] = 1.0
     params = ModelParams(n, d, p, tuple(q), horizon=2, fault=fault)
-    x = random_state(rng, n, max_age, ensure_holder)
+    x = random_state(rng, n, ensure_holder)
     holders = list(sources_with_packets(x))
     k = min(len(holders), d)
     rng.shuffle(holders)
@@ -186,12 +190,12 @@ def check_margin_split(
     )
 
 
-def check_success_prob_identity(grid_points: int = 101, max_d: int = 6) -> CheckResult:
+def check_success_prob_identity() -> CheckResult:
     """Batch success probability equals p times its polynomial factor."""
     worst = 0.0
-    for d in range(1, max_d + 1):
-        for i in range(grid_points):
-            p = i / (grid_points - 1)
+    for d in range(1, MAX_D + 1):
+        for i in range(GRID_POINTS):
+            p = i / (GRID_POINTS - 1)
             params = ModelParams(1, d, p, (0.5,), 2)
             probs = success_probs(params, min(1, d))
             worst = max(worst, abs(probs.batch - p * probs.batch_over_p))
@@ -199,8 +203,8 @@ def check_success_prob_identity(grid_points: int = 101, max_d: int = 6) -> Check
     return CheckResult(
         "success_prob_identity",
         status,
-        f"max |batch - p*factor| = {worst:.3e} on {grid_points}-point grid, d<=6",
-        {"max_abs_err": worst, "grid_points": grid_points, "max_d": max_d, "tol": STEP_TOL},
+        f"max |batch - p*factor| = {worst:.3e} on {GRID_POINTS}-point grid, d<={MAX_D}",
+        {"max_abs_err": worst, "grid_points": GRID_POINTS, "max_d": MAX_D, "tol": STEP_TOL},
     )
 
 
@@ -345,8 +349,6 @@ def check_policy_eval_consistency(params: ModelParams = CONSISTENCY_PARAMS) -> C
 
 def run_suite(
     seed: int = 20260800,
-    gap_instances: Sequence[ModelParams] = GAP_INSTANCES,
-    scaling_base: ModelParams = SCALING_BASE,
     scaling_p_grid: tuple[float, ...] = SCALING_P_GRID,
     fault: str | None = None,
 ) -> list[CheckResult]:
@@ -357,10 +359,10 @@ def run_suite(
         check_margin_split(seed=seed + 3, fault=fault),
         check_success_prob_identity(),
     ]
-    solved = solve_gap_instances([replace(params, fault=fault) for params in gap_instances])
+    solved = solve_gap_instances([replace(params, fault=fault) for params in GAP_INSTANCES])
     return checks + [
         check_penultimate_stage(solved),
         check_gap_sign_and_bound(solved),
-        check_gap_scaling(replace(scaling_base, fault=fault), scaling_p_grid),
+        check_gap_scaling(replace(SCALING_BASE, fault=fault), scaling_p_grid),
         check_policy_eval_consistency(replace(CONSISTENCY_PARAMS, fault=fault)),
     ]

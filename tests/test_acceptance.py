@@ -224,7 +224,7 @@ def test_criterion_1_exact_identity_suite():
         check_prob_closure(1000),
         check_age_sum_identity(1000),
         check_margin_split(500),
-        check_success_prob_identity(101, 6),
+        check_success_prob_identity(),
     ]
     elapsed = time.perf_counter() - t0
     bad = [(c.name, c.detail) for c in results if c.status != "pass"]

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from aoi_sched.cli import build_parser, resolve_config
+from aoi_sched.cli import build_parser, main, resolve_config
 from aoi_sched.config import (
     COMMANDS,
     FIELDS,
@@ -162,6 +162,16 @@ def test_subcommand_takes_only_the_flags_it_reads(capsys, command, field):
         build_parser().parse_args(argv)
     assert exc.value.code == 1
     assert f"unrecognized arguments: {field.flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["0", "-5"])
+def test_state_cap_below_one_is_a_config_error(tmp_path, capsys, raw):
+    with pytest.raises(ConfigError, match=re.escape(f"[run] state_cap = {raw!r}: must be >= 1")):
+        load_config(write(tmp_path, f"[run]\nstate_cap = {raw}\n"))
+    with pytest.raises(ConfigError, match=re.escape(f"--state-cap {raw!r}: must be >= 1")):
+        resolve_config(build_parser().parse_args(["solve", "--state-cap", raw]))
+    assert main(["solve", "--state-cap", raw]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: --state-cap {raw!r}")
 
 
 def test_q_spec_forms():

@@ -6,13 +6,15 @@ at a time for a whole batch of cases, and `enumerate_transitions` and
 every (successes, arrivals) event through the public `transition_prob` and
 `apply_transition`, and every probability must agree bit for bit.  The
 clean `apply_transition` never sees a fault, so the references apply the
-instance's fault themselves.
+instance's fault themselves.  `advance`, the array form of the successor law,
+is checked against the same reference at each shape its callers use.
 """
 
 import math
 from dataclasses import replace
 from itertools import combinations
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from aoi_sched.dp import margin_cases, margin_decomposition, margin_decompositions
@@ -21,7 +23,10 @@ from aoi_sched.model import (
     FAULT_MODES,
     Action,
     ModelParams,
+    SystemState,
     TransitionEvent,
+    _signed_type,
+    advance,
     apply_transition,
     enumerate_transitions,
     new_state,
@@ -228,3 +233,52 @@ def test_certain_arrivals_stay_one_row_at_any_width():
     assert len(ev.pr) == 4 and ev.arrived.all()
     assert ev.delivered[:, [3, 7]].tolist() == [[False, False], [True, False], [False, True],
                                                 [True, True]]
+
+
+@st.composite
+def slots(draw):
+    """Up to 8 states of one N <= 6, each with a delivered subset of its
+    packet holders and any arrivals."""
+    n = draw(st.integers(1, 6))
+    block = []
+    for _ in range(draw(st.integers(1, 8))):
+        h = [draw(st.integers(0, 12)) for _ in range(n)]
+        g = [draw(st.one_of(st.just(EMPTY), st.integers(0, hn - 1))) if hn >= 1 else EMPTY
+             for hn in h]
+        x = new_state(g, h)
+        holders = sources_with_packets(x)
+        w = draw(st.sets(st.sampled_from(holders))) if holders else set()
+        c = draw(st.sets(st.integers(0, n - 1)))
+        block.append((x, TransitionEvent(tuple(sorted(w)), tuple(sorted(c)))))
+    return n, block
+
+
+@settings(max_examples=200)
+@given(slots(), st.sampled_from([1, 2]))
+def test_advance_matches_apply_transition(slot, step):
+    """advance row by row against apply_transition, with one more slot of
+    aging on undelivered destinations at step 2: on a [B, N] block as the
+    Monte Carlo slot calls it, and on the solver's [4, B, N] outcome grid,
+    every source under each of its four outcomes kind = 2 * delivered +
+    arrived, gathered by each row's kind."""
+    n, block = slot
+    params = ModelParams(n, n, 0.5, (0.5,) * n, 2, "age-drift" if step == 2 else None)
+    expect = [successor(x, Action(e.successes), e, params) for x, e in block]
+    dtype = _signed_type(max(max(x.h) for x, _ in block) + step)
+    g = np.array([x.g for x, _ in block], dtype=dtype)
+    h = np.array([x.h for x, _ in block], dtype=dtype)
+    delivered = np.zeros(g.shape, dtype=bool)
+    arrived = np.zeros(g.shape, dtype=bool)
+    for row, (_, e) in enumerate(block):
+        delivered[row, list(e.successes)] = True
+        arrived[row, list(e.arrivals)] = True
+
+    def states(g2, h2):
+        assert g2.dtype == h2.dtype == dtype
+        return [SystemState(tuple(gs), tuple(hs)) for gs, hs in zip(g2.tolist(), h2.tolist())]
+
+    assert states(*advance(g, h, g != EMPTY, delivered, ~arrived, step)) == expect
+    kinds = np.arange(4)[:, None, None]
+    grid = advance(g, h, g != EMPTY, kinds >= 2, kinds % 2 == 0, step)
+    pick = 2 * delivered + arrived, np.arange(len(block))[:, None], np.arange(n)
+    assert states(grid[0][pick], grid[1][pick]) == expect
