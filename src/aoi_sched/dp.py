@@ -203,8 +203,8 @@ def _successors(rows: np.ndarray, ev: Events, mem, out: np.ndarray) -> None:
     g2, h2 = advance(g, h, g != EMPTY, _DELIVERED, _STAY, int(ev.step[0]))
     kind = 2 * ev.delivered + ev.arrived
     src = np.arange(n)
-    out[..., :n] = np.moveaxis(g2, 0, 2)[:, src, kind]
-    out[..., n : 2 * n] = np.moveaxis(h2, 0, 2)[:, src, kind]
+    out[..., :n] = g2.transpose(1, 2, 0)[:, src, kind]
+    out[..., n : 2 * n] = h2.transpose(1, 2, 0)[:, src, kind]
     if mem is not None:
         out[..., 2 * n] = mem[:, None]
 
