@@ -5,8 +5,9 @@ values and the optimality-gap report for one instance), `sweep` (one
 figure-ready CSV per sweep axis), `verify` (numeric self-check suite).
 
 Exit codes: 0 success, 1 config/usage error (I/O problems included),
-2 verification failure, 3 state-space cap exceeded.  AOI_SCHED_THREADS caps
-grid-point parallelism: unset = sequential, 0 = one worker per CPU.
+2 verification failure, 3 a resource cap, either the state cap or memory.
+AOI_SCHED_THREADS caps grid-point parallelism: unset = sequential, 0 = one
+worker per CPU.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from datetime import datetime, timezone
 
 from .config import (
@@ -139,6 +138,9 @@ def _run_points(cfg: SweepConfig, points: list[GridPoint]) -> list[list[dict]]:
     workers = _thread_count()
     if workers <= 1 or len(points) <= 1:
         return [_run_point(cfg, pt) for pt in points]
+    # the pool's stack (multiprocessing, sockets, logging ...) loads only here
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
         return list(pool.map(_run_point, [cfg] * len(points), points))  # order-preserving
 
@@ -283,7 +285,7 @@ def cmd_sweep(cfg: SweepConfig) -> None:
     base = GridPoint(cfg.n_sources, cfg.n_channels, cfg.p, cfg.horizon, cfg.q_spec)
     root, ext = os.path.splitext(cfg.out)
     axis_points = [
-        _checked(cfg, [replace(base, **{field: v}) for v in values])
+        _checked(cfg, [base._replace(**{field: v}) for v in values])
         for _axis, field, values in axes
     ]
     for (axis, _field, values), points in zip(axes, axis_points):
@@ -366,6 +368,10 @@ def main(argv=None) -> int:
         return 1
     except StateSpaceTooLarge as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = str(exc) or "an allocation failed"
+        print(f"resource cap: out of memory: {detail}", file=sys.stderr)
         return 3
 
 

@@ -38,10 +38,9 @@ Grammar (all sections and keys optional; flags win over file values):
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .dp import DEFAULT_STATE_CAP
 from .model import InvalidState, ModelParams, SystemState, fresh_state, parse_state
@@ -152,8 +151,7 @@ def _bool(raw: str) -> bool:
     raise ValueError("expected a boolean")
 
 
-@dataclass(frozen=True)
-class ConfigField:
+class ConfigField(NamedTuple):
     """One settable SweepConfig field, set by the INI key [section] key or by
     the CLI flag; both hand their raw text to parse.  Only the subcommands in
     commands read the field and take the flag.  A grid flag (nargs "+") joins
@@ -223,6 +221,8 @@ _BY_KEY = {(f.section, f.key): f for f in FIELDS}
 
 def load_config(path: str) -> SweepConfig:
     """Parse an INI config file into a SweepConfig, validating every field."""
+    import configparser  # only --config reads INI text
+
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -283,8 +283,7 @@ def resolve_initial_state(spec: str, n_sources: int) -> SystemState:
     return x0
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(NamedTuple):
     n_sources: int
     n_channels: int
     p: float

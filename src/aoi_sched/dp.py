@@ -164,8 +164,7 @@ class BoundConstants(NamedTuple):
     d2: float
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Root-stage gap of the best-margin policy against the optimum, with the
     matching analytic bound p·p_d·(d1·norm_inf(x0) + d2)."""
 

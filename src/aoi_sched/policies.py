@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +92,7 @@ def distance_table(n: int) -> np.ndarray:
     return (sources - sources[:, None]) % n
 
 
-@dataclass(frozen=True)
-class IndexRule:
+class IndexRule(NamedTuple):
     """Schedule the min(N_x, d) holders with the smallest key
     (a*g + c*h)*N + ((n - cursor) mod N); a cyclic rule moves its cursor one
     past its last pick.  Each coefficient is a Python number, shared by every
@@ -160,8 +160,13 @@ class Policy:
         return action, None if memory is None else memory.item()
 
 
+@dataclass(frozen=True)
 class IndexPolicy(Policy):
-    """A policy that is its index rule on every row."""
+    """A policy that is its index rule on every row, on d channels.  Delta
+    and pi add no fields, so their repr, == and hash are this class's, which
+    name the subclass and never equate two classes."""
+
+    d: int
 
     def decide_batch(self, t, g, h, memory=None):
         if not self.rule.cyclic:
@@ -174,17 +179,13 @@ class IndexPolicy(Policy):
 # Each class binds decide in its own __dict__, where perfbench/tracer.py wraps it.
 
 
-@dataclass(frozen=True)
 class DeltaPolicy(IndexPolicy):
-    d: int
     name = "delta"
     rule = IndexRule(1, -1, False)
     decide = Policy.decide
 
 
-@dataclass(frozen=True)
 class PIPolicy(IndexPolicy):
-    d: int
     name = "pi"
     rule = IndexRule(0, -1, False)
     decide = Policy.decide
@@ -199,7 +200,6 @@ class RRPolicy(IndexPolicy):
     cyclic index rule.  Strict, it schedules whichever of the next d indices
     from the cursor hold packets, and the cursor advances by d."""
 
-    d: int
     strict: bool = False
     decide = Policy.decide
 

@@ -24,7 +24,7 @@ engine's one-row case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,15 +45,13 @@ BLOCK_EPISODES = 256
 CHUNK_SLOTS = 32
 
 
-@dataclass(frozen=True)
-class EpisodeResult:
+class EpisodeResult(NamedTuple):
     total_cost: int
     aaoi_per_source: tuple[float, ...]  # per-source age sum / T
     seed: int
 
 
-@dataclass(frozen=True)
-class ExperimentSummary:
+class ExperimentSummary(NamedTuple):
     policy: str
     params: ModelParams
     replications: int
@@ -63,8 +61,7 @@ class ExperimentSummary:
     base_seed: int
 
 
-@dataclass(frozen=True)
-class PolicyComparison:
+class PolicyComparison(NamedTuple):
     summaries: tuple[ExperimentSummary, ...]
     # 100*(mean_other - mean_first)/mean_other per summary; 0 for the first
     improvements_vs_first: tuple[float, ...]

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +57,7 @@ GRID_POINTS = 101  # p grid of the success-probability identity, endpoints inclu
 MAX_D = 6          # largest d of that identity
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "skipped" | "not-applicable"
     detail: str

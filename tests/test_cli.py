@@ -252,6 +252,24 @@ def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys, tmp_pat
         assert "config error" not in capsys.readouterr().err
 
 
+def test_out_of_memory_is_a_resource_cap(monkeypatch, capsys, tmp_path):
+    # a failed allocation is a resource cap (exit 3), like the state cap,
+    # whether the solver or a block engine path runs out
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.53 GiB")
+
+    monkeypatch.setattr(cli, "solve_optimal", exhausted)
+    monkeypatch.setattr(simulate, "_block_totals", exhausted)
+    small = ["--n-sources", "2", "--horizon", "5"]
+    for argv in (["solve", *small, "--policies", "delta"],
+                 ["simulate", *small, "--replications", "2", "--policies", "delta"],
+                 ["simulate", *small, "--replications", "2", "--policies", "delta,pi"]):
+        assert cli.main([*argv, "--out", str(tmp_path / "o.txt")]) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("resource cap: out of memory: Unable to allocate"), argv
+        assert "config error" not in err
+
+
 def test_byte_determinism_and_timestamp(tmp_path):
     args = [
         "simulate", "--n-sources", "2", "--horizon", "15", "--replications", "4",
@@ -280,6 +298,23 @@ def test_thread_env_does_not_change_output(tmp_path):
     assert run_cli([*args, "--out", str(a)], env=env_seq).returncode == 0
     assert run_cli([*args, "--out", str(b)], env=env_par).returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_thread_env_does_not_change_sweep_output(tmp_path):
+    # the pool pickles each GridPoint that base._replace derives for the axis
+    args = [
+        "sweep", "--p-grid", "0.3", "0.7", "--n-sources", "2", "--horizon", "15",
+        "--replications", "4", "--policies", "delta,rr", "--no-header-timestamp",
+    ]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads / "sw.csv"
+        out.parent.mkdir()
+        res = run_cli([*args, "--out", str(out)], env={**os.environ, "AOI_SCHED_THREADS": threads})
+        assert res.returncode == 0, res.stderr
+        assert sorted(p.name for p in out.parent.iterdir()) == ["sw_p.csv"]
+        outputs.append((out.parent / "sw_p.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_bad_thread_env_is_config_error():

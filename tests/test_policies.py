@@ -1,5 +1,7 @@
 """Decision rules: margin-greedy, age-greedy, round-robin, table lookup."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +40,22 @@ def test_schedule_margin_sums_age_differences():
     assert schedule_margin(x, (0, 1)) == -6
     assert min_schedule_margin(x, 1) == -5
     assert min_schedule_margin(x, 2) == -6
+
+
+def test_policies_are_values_named_by_their_class():
+    # the index policies share IndexPolicy's repr, == and hash, which name
+    # the subclass and never equate two classes on the same d
+    assert repr(DeltaPolicy(2)) == "DeltaPolicy(d=2)"
+    assert repr(PIPolicy(d=1)) == "PIPolicy(d=1)"
+    assert repr(RRPolicy(2, strict=True)) == "RRPolicy(d=2, strict=True)"
+    assert DeltaPolicy(2) == DeltaPolicy(d=2) and hash(DeltaPolicy(2)) == hash(DeltaPolicy(d=2))
+    assert DeltaPolicy(2) != PIPolicy(2) and PIPolicy(2) != RRPolicy(2)
+    assert DeltaPolicy(2) != DeltaPolicy(3) and RRPolicy(2) != RRPolicy(2, strict=True)
+    params = ModelParams(3, 2, 0.6, (0.5,) * 3, 4)
+    for name in ("delta", "pi", "rr", "rr-strict"):
+        policy = make_policy(name, params)
+        copy = pickle.loads(pickle.dumps(policy))
+        assert copy == policy and type(copy) is type(policy) and copy.name == name
 
 
 class TestDeltaDecide:

@@ -1,9 +1,12 @@
 """Monte Carlo engine: seeding, accounting, summaries, paired comparison."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aoi_sched import simulate
+from aoi_sched.config import GridPoint
 from aoi_sched.dp import solve_optimal
 from aoi_sched.model import EMPTY, ModelParams, fresh_state, new_state
 from aoi_sched.policies import POLICY_NAMES, make_policy
@@ -218,3 +221,14 @@ def test_comparison_needs_two_policies():
     params = ModelParams(2, 1, 0.6, (0.5, 0.5), 6)
     with pytest.raises(ValueError):
         compare_policies([make_policy("delta", params)], params, fresh_state(2), 10, 0)
+
+
+def test_records_survive_pickling():
+    # a process pool pickles each GridPoint out and its results back
+    point = GridPoint(2, 1, 0.6, 6, "uniform:0.5")
+    assert pickle.loads(pickle.dumps(point)) == point
+    assert pickle.loads(pickle.dumps(point))._replace(p=0.3) == GridPoint(2, 1, 0.3, 6, "uniform:0.5")
+    params = point.params()
+    summary = run_experiment(make_policy("rr", params), params, fresh_state(2), 4, 5)
+    copy = pickle.loads(pickle.dumps(summary))
+    assert copy == summary and copy.params == params and copy.policy == "rr"
