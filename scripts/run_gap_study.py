@@ -37,9 +37,10 @@ def main():
             (args.q,) * args.n_sources, args.horizon,
         )
         report = optimality_gap(params, fresh_state(args.n_sources))
+        z = "null" if report.z is None else f"{report.z:.3e}"
         print(
             f"{p:>6g} {report.v_star:>12.6f} {report.diff:>12.3e} "
-            f"{report.z:>12.3e} {report.bound:>12.4f}"
+            f"{z:>12} {report.bound:>12.4f}"
         )
     return 0
 

@@ -5,7 +5,8 @@ values and the optimality-gap report for one instance), `sweep` (one
 figure-ready CSV per sweep axis), `verify` (numeric self-check suite).
 
 Exit codes: 0 success, 1 config/usage error (I/O problems included),
-2 verification failure, 3 a resource cap, either the state cap or memory.
+2 verification failure, 3 a resource cap: the state cap, memory, or a grid
+worker process that died.
 AOI_SCHED_THREADS caps grid-point parallelism: unset = sequential, 0 = one
 worker per CPU.
 """
@@ -121,6 +122,10 @@ def resolve_config(args: argparse.Namespace) -> SweepConfig:
     return cfg
 
 
+class WorkerDied(RuntimeError):
+    """A grid worker process ended abruptly, as the out-of-memory killer ends one."""
+
+
 def _thread_count() -> int:
     raw = os.environ.get("AOI_SCHED_THREADS")
     if raw is None:
@@ -140,9 +145,13 @@ def _run_points(cfg: SweepConfig, points: list[GridPoint]) -> list[list[dict]]:
         return [_run_point(cfg, pt) for pt in points]
     # the pool's stack (multiprocessing, sockets, logging ...) loads only here
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
-        return list(pool.map(_run_point, [cfg] * len(points), points))  # order-preserving
+    try:
+        with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
+            return list(pool.map(_run_point, [cfg] * len(points), points))  # order-preserving
+    except BrokenProcessPool as exc:
+        raise WorkerDied(f"a grid worker process died, perhaps killed for memory: {exc}") from exc
 
 
 def _run_point(cfg: SweepConfig, point: GridPoint) -> list[dict]:
@@ -366,7 +375,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
-    except StateSpaceTooLarge as exc:
+    except (StateSpaceTooLarge, WorkerDied) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

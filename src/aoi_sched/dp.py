@@ -17,16 +17,13 @@ model.advance, the successor law that the kernel and the Monte Carlo slot
 share.  The backward pass sums each expectation with math.fsum, which is
 exact, so every value and tie-break is the one a state-by-state pass over the
 kernel's (successor, probability) pairs gives.  A solved DPTable is those arrays: each
-stage's key rows with a value and an action index per row.
-
-The batched one-step identities behind `verify` read a batch of cases off
-the kernel's rows, one math.fsum per case; singular names are one-case views.
+stage's key rows with a value and an action index per row.  dump_table writes
+one as text.  The one-step identities live in `verify`, which checks them.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -39,24 +36,15 @@ from .model import (  # enumerate_transitions stays importable from here
     Events,
     ModelParams,
     SystemState,
-    _check_schedulable,
     _signed_type,
     advance,
-    cost,
     enumerate_transitions,
     format_state,
-    next_states,
     norm_inf,
-    sources_with_packets,
     success_probs,
     transition_events,
 )
-from .policies import (
-    DeltaPolicy,
-    StateNotInTable,
-    min_schedule_margins,
-    schedule_margin,
-)
+from .policies import DeltaPolicy, StateNotInTable
 
 DEFAULT_STATE_CAP = 5_000_000
 
@@ -65,16 +53,8 @@ class StateSpaceTooLarge(RuntimeError):
     """Forward closure exceeded the configured state cap."""
 
 
-class DegenerateP(ValueError):
-    """p = 0 leaves the normalized gap undefined (the raw gap is identically 0)."""
-
-
 class InvalidDepth(ValueError):
     """Bound-constant recursion starts at depth 2."""
-
-
-class NoAction(ValueError):
-    """Operation needs at least one packet-holding source."""
 
 
 def _rank(code: np.ndarray) -> tuple[int, np.ndarray]:
@@ -407,94 +387,12 @@ def optimality_gap(
     params: ModelParams, x0: SystemState, cap: int = DEFAULT_STATE_CAP
 ) -> GapReport:
     """Solve the instance twice (optimal and best-margin policy) and report the
-    root-stage difference with its normalized form and analytic bound."""
-    if params.p == 0.0:
-        raise DegenerateP("p = 0: all policies coincide and the normalized gap is undefined")
+    root-stage difference with its normalized form and analytic bound.  At
+    p = 0 no transfer succeeds, so every policy has the optimal value: diff is
+    0.0 and z is None."""
     v_star = solve_optimal(params, x0, cap=cap).root_value()
     v_delta = evaluate_policy(DeltaPolicy(params.n_channels), params, x0, cap=cap).root_value()
     return gap_report(params, x0, v_star, v_delta)
-
-
-Case = tuple[SystemState, Action, ModelParams]
-
-
-def expected_age_sums(cases: Sequence[Case], ev: Events) -> tuple[list[float], list[float]]:
-    """expected_age_sum_check of every case, from ev, the law of its (a, params)."""
-    _, h = next_states([x for x, _, _ in cases], ev)
-    lhs = ev.fsums(ev.pr * h.sum(axis=1))
-    rhs = [float(cost(x) + params.n_sources) + params.p * schedule_margin(x, a.scheduled)
-           for x, a, params in cases]
-    return lhs, rhs
-
-
-def expected_age_sum_check(
-    x: SystemState, a: Action, params: ModelParams
-) -> tuple[float, float]:
-    """One-step identity: expected next destination-age sum against its closed
-    form cost(x) + N + p * schedule_margin.  Returns (enumerated, closed form)."""
-    _check_schedulable(x, a)
-    (lhs,), (rhs,) = expected_age_sums([(x, a, params)], transition_events([(a, params)]).law())
-    return lhs, rhs
-
-
-def expected_margins(cases: Sequence[Case], ev: Events) -> list[float]:
-    """Each case's sum over ev's rows of probability times the successor's
-    min_schedule_margin."""
-    g, h = next_states([x for x, _, _ in cases], ev)
-    d = np.array([params.n_channels for _, _, params in cases], dtype=np.int64)
-    return ev.fsums(ev.pr * min_schedule_margins(g, h, d[ev.case]))
-
-
-class MarginDecomposition(NamedTuple):
-    no_success: float  # action-invariant; conditional on every transfer failing
-    success: float     # carries all action dependence
-
-
-def no_success_cases(cases: Sequence[Case]) -> list[tuple[Action, ModelParams]]:
-    """No action on each instance: base 1.0, each row a pure arrival pattern."""
-    return [(Action(()), params) for _, _, params in cases]
-
-
-def no_success_margins(cases: Sequence[Case], ev: Events) -> list[float]:
-    """no_success_margin of every case, from every row of
-    ev = transition_events(no_success_cases(cases))."""
-    for x, a, _ in cases:
-        if not sources_with_packets(x):
-            raise NoAction("no packet-holding source to schedule")
-        _check_schedulable(x, a)
-    return expected_margins(cases, ev)
-
-
-def margin_cases(cases: Sequence[Case]) -> list[tuple[Action, ModelParams]]:
-    """Each case's (a, params), then no_success_cases(cases)."""
-    return [(a, params) for _, a, params in cases] + no_success_cases(cases)
-
-
-def margin_decompositions(cases: Sequence[Case], ev: Events) -> list[MarginDecomposition]:
-    """margin_decomposition of every case, from every row of
-    ev = transition_events(margin_cases(cases)): the split sees age-drift,
-    but not the event drop-event leaves out of the law."""
-    acted, idle = ev.split(len(cases))
-    u = no_success_margins(cases, idle)
-    hit = expected_margins(cases, acted.rows(acted.delivered.any(axis=1)))
-    pds = [success_probs(params, 0).batch for _, _, params in cases]
-    return [MarginDecomposition(ui, s / pd if pd > 0.0 else 0.0) for ui, s, pd in zip(u, hit, pds)]
-
-
-def margin_decomposition(
-    x: SystemState, a: Action, params: ModelParams
-) -> MarginDecomposition:
-    """Split the expected next-state best margin by transfer outcome.
-
-    With m = min_schedule_margin of the successor, the split satisfies
-    E[m] = (1 - p_att)*no_success + p_batch*success, where p_att is the
-    at-least-one-success probability of the attempts made and p_batch that of
-    a full channel batch.  Both parts are bounded by d * norm_inf(x) in
-    absolute value; either may be negative.  At p = 0 the success part is a
-    0/0 limit and is reported as 0.0.
-    """
-    cases = [(x, a, params)]
-    return margin_decompositions(cases, transition_events(margin_cases(cases)))[0]
 
 
 def dump_table(table: DPTable, path) -> None:

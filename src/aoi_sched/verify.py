@@ -6,8 +6,9 @@ report and the test suite can reuse the same oracles.  Randomized checks are
 seeded and therefore reproducible: each draws all of its cases one after
 another from its own stream, then expands them in one call of the batched
 kernel and reads its measurements off the rows as arrays, every per-case
-expectation one math.fsum.  The exact checks solve each gap instance once
-and compare value arrays aligned by DPTable.lookup.
+expectation one math.fsum; expected_age_sums and margin_splits are the
+oracles of the paper's two one-step identities.  The exact checks solve each
+gap instance once and compare value arrays aligned by DPTable.lookup.
 """
 
 from __future__ import annotations
@@ -19,35 +20,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dp import (
-    Case,
-    DPTable,
-    evaluate_policy,
-    expected_age_sums,
-    expected_margins,
-    gap_report,
-    margin_cases,
-    margin_decompositions,
-    no_success_cases,
-    no_success_margins,
-    optimality_gap,
-    solve_optimal,
-)
+from .dp import DPTable, evaluate_policy, gap_report, optimality_gap, solve_optimal
 from .model import (  # enumerate_transitions stays importable from here
     EMPTY,
     Action,
+    Events,
     ModelParams,
     SystemState,
+    cost,
     enumerate_actions,
     enumerate_transitions,
     fresh_state,
     new_state,
+    next_states,
     norm_inf,
     sources_with_packets,
     success_probs,
     transition_events,
 )
-from .policies import DeltaPolicy, OptimalPolicy, min_schedule_margins
+from .policies import DeltaPolicy, OptimalPolicy, min_schedule_margins, schedule_margin
 
 STEP_TOL = 1e-12   # single-step identities
 VALUE_TOL = 1e-9   # multi-stage value comparisons
@@ -55,6 +46,8 @@ MAX_N = 4          # largest N of a random case
 MAX_AGE = 20       # largest destination age of a random state
 GRID_POINTS = 101  # p grid of the success-probability identity, endpoints included
 MAX_D = 6          # largest d of that identity
+
+Case = tuple[SystemState, Action, ModelParams]
 
 
 class CheckResult(NamedTuple):
@@ -114,6 +107,41 @@ def _draw(n_cases: int, seed: int, ensure_holder: bool, fault: str | None) -> li
     return [(x, a, params) for params, x, a in drawn]
 
 
+def expected_age_sums(cases: Sequence[Case], ev: Events) -> tuple[list[float], list[float]]:
+    """Each case's expected next destination-age sum over ev, the law of its
+    (a, params), and the closed form cost(x) + N + p * schedule_margin."""
+    _, h = next_states([x for x, _, _ in cases], ev)
+    lhs = ev.fsums(ev.pr * h.sum(axis=1))
+    rhs = [float(cost(x) + params.n_sources) + params.p * schedule_margin(x, a.scheduled)
+           for x, a, params in cases]
+    return lhs, rhs
+
+
+def expected_margins(cases: Sequence[Case], ev: Events) -> list[float]:
+    """Each case's sum over ev's rows of probability times the successor's
+    min_schedule_margin."""
+    g, h = next_states([x for x, _, _ in cases], ev)
+    d = np.array([params.n_channels for _, _, params in cases], dtype=np.int64)
+    return ev.fsums(ev.pr * min_schedule_margins(g, h, d[ev.case]))
+
+
+def margin_splits(
+    cases: Sequence[Case], acted: Events, idle: Events
+) -> list[tuple[float, float]]:
+    """(no_success, success) of each case: its expected next-state best margin m
+    split by transfer outcome, so that E[m] = (1 - p_att)*no_success +
+    p_batch*success, p_att the chance that some attempt made succeeds and
+    p_batch that of a full channel batch.  acted holds every kernel row of
+    the cases' (a, params), the drop-event row included; idle those of each
+    case's (Action(()), params), the pure arrival patterns.  Both parts lie
+    within d * norm_inf(x) in absolute value; at p = 0 success is reported
+    as 0.0."""
+    u = expected_margins(cases, idle)
+    hit = expected_margins(cases, acted.rows(acted.delivered.any(axis=1)))
+    pds = [success_probs(params, 0).batch for _, _, params in cases]
+    return [(ui, s / pd if pd > 0.0 else 0.0) for ui, s, pd in zip(u, hit, pds)]
+
+
 def check_prob_closure(
     n_cases: int = 1000, seed: int = 20260801, fault: str | None = None
 ) -> CheckResult:
@@ -152,16 +180,20 @@ def check_margin_split(
 ) -> CheckResult:
     """Success/no-success split of the expected best margin: mixture identity,
     magnitude bounds, and action-invariance of the no-success part.  One
-    kernel call serves the split's cases and the no-success part of every
-    action of each case; E[margin] reads the law of the cases' actions."""
+    kernel call serves the cases' actions, their idle instances, and one idle
+    instance per action of each case; E[margin] reads the law of the first.
+    max_no_success_spread is 0.0 by construction, since every per-action case
+    is the same kernel case (Action(()), params); ROADMAP direction 5 holds
+    its fate."""
     cases = _draw(n_cases, seed, True, fault)
     actions = [enumerate_actions(x, params.n_channels) for x, _, params in cases]
     others = [(x, b, params) for (x, _, params), bs in zip(cases, actions) for b in bs]
-    ev = transition_events(margin_cases(cases) + no_success_cases(others))
-    split, per_action = ev.split(2 * n_cases)
-    expected = expected_margins(cases, split.split(n_cases)[0].law())
-    parts = margin_decompositions(cases, split)
-    spread = iter(no_success_margins(others, per_action))
+    ev = transition_events([(a, params) for _, a, params in cases]
+                           + [(Action(()), params) for _, _, params in cases + others])
+    acted, idle, per_action = ev.split(n_cases, 2 * n_cases)
+    expected = expected_margins(cases, acted.law())
+    parts = margin_splits(cases, acted, idle)
+    spread = iter(expected_margins(others, per_action))
     worst_identity = 0.0
     worst_bound = -math.inf
     worst_spread = 0.0

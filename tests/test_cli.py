@@ -270,6 +270,26 @@ def test_out_of_memory_is_a_resource_cap(monkeypatch, capsys, tmp_path):
         assert "config error" not in err
 
 
+def test_dead_grid_worker_is_a_resource_cap(monkeypatch, capsys, tmp_path):
+    # a worker the out-of-memory killer ends breaks the pool: exit 3, not a
+    # traceback with the config-error code; the patched map starts no process
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    def broken(*args, **kwargs):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    monkeypatch.setattr(ProcessPoolExecutor, "map", broken)
+    monkeypatch.setenv("AOI_SCHED_THREADS", "2")
+    rc = cli.main(["simulate", "--n-sources", "2", "--horizon", "5", "--replications", "2",
+                   "--policies", "delta", "--p-grid", "0.3", "0.7",
+                   "--out", str(tmp_path / "o.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: a grid worker process died"), err
+    assert "terminated abruptly" in err
+
+
 def test_byte_determinism_and_timestamp(tmp_path):
     args = [
         "simulate", "--n-sources", "2", "--horizon", "15", "--replications", "4",

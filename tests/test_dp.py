@@ -10,15 +10,11 @@ import pytest
 
 from aoi_sched import dp
 from aoi_sched.dp import (
-    DegenerateP,
     InvalidDepth,
-    NoAction,
     StateSpaceTooLarge,
     bound_constants,
     dump_table,
     evaluate_policy,
-    expected_age_sum_check,
-    margin_decomposition,
     optimality_gap,
     reachable_states,
     solve_optimal,
@@ -32,6 +28,7 @@ from aoi_sched.model import (
     fresh_state,
     new_state,
     success_probs,
+    transition_events,
 )
 from aoi_sched.policies import (
     DeltaPolicy,
@@ -41,8 +38,10 @@ from aoi_sched.policies import (
     make_policy,
     min_schedule_margin,
 )
+from aoi_sched.verify import expected_age_sums
 
 from . import dict_solver, reference
+from .test_kernel import split_margins
 from .reference import stage_dicts
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -205,9 +204,12 @@ class TestOptimalityGap:
         assert rep.constants == bound_constants(params.horizon - 1, params.p, 1)
 
     def test_degenerate_p_rejected(self):
+        # at p = 0 no transfer succeeds: every policy is optimal and z is undefined
         params = ModelParams(2, 1, 0.0, (0.5, 0.5), 6)
-        with pytest.raises(DegenerateP):
-            optimality_gap(params, fresh_state(2))
+        rep = optimality_gap(params, fresh_state(2))
+        assert rep.z is None
+        assert rep.diff == 0.0
+        assert rep.v_delta == rep.v_star
 
     def test_short_horizon_has_zero_gap_and_bound(self):
         params = ModelParams(2, 1, 0.8, (0.5, 0.5), 2)
@@ -221,36 +223,32 @@ class TestOneStepIdentities:
     def test_expected_age_sum(self):
         params = ModelParams(2, 1, 0.45, (0.3, 0.8), 2)
         x = new_state((1, EMPTY), (4, 2))
-        lhs, rhs = expected_age_sum_check(x, Action((0,)), params)
+        a = Action((0,))
+        (lhs,), (rhs,) = expected_age_sums([(x, a, params)], transition_events([(a, params)]).law())
         assert abs(lhs - rhs) <= 1e-12
 
     def test_margin_decomposition_identity(self):
         params = ModelParams(2, 1, 0.45, (0.3, 0.8), 2)
         x = new_state((1, 0), (4, 2))
         for a in enumerate_actions(x, 1):
-            dec = margin_decomposition(x, a, params)
+            (no_success, success), = split_margins([(x, a, params)])
             full = math.fsum(
                 pr * min_schedule_margin(x2, params.n_channels)
                 for x2, pr in enumerate_transitions(x, a, params)
             )
             att = success_probs(params, len(a.scheduled)).attempted
             batch = success_probs(params, 0).batch
-            mixed = (1.0 - att) * dec.no_success + batch * dec.success
+            mixed = (1.0 - att) * no_success + batch * success
             assert abs(full - mixed) <= 1e-12
 
     def test_no_success_part_ignores_action_choice(self):
         params = ModelParams(3, 1, 0.45, (0.3, 0.8, 0.5), 2)
         x = new_state((1, 0, 2), (4, 2, 6))
         parts = {
-            margin_decomposition(x, a, params).no_success
+            split_margins([(x, a, params)])[0][0]
             for a in enumerate_actions(x, 1)
         }
         assert len(parts) == 1
-
-    def test_no_holders_rejected(self):
-        params = ModelParams(1, 1, 0.5, (0.5,), 2)
-        with pytest.raises(NoAction):
-            margin_decomposition(new_state((EMPTY,), (3,)), Action(()), params)
 
 
 # (label, params, non-fresh x0): p at 0 and 1, d >= N, T = 1 and a mixed q

@@ -1,8 +1,9 @@
 """The per-source product kernel against event-by-event references.
 
 The batched kernel `transition_events` expands arrival patterns one source
-at a time for a whole batch of cases, and `enumerate_transitions` and
-`margin_decomposition` are its one-case views.  The references below walk
+at a time for a whole batch of cases, and `enumerate_transitions` is its
+one-case view; `aoi_sched.verify.margin_splits` reads the margin split off
+its rows.  The references below walk
 every (successes, arrivals) event through the public `transition_prob` and
 `apply_transition`, and every probability must agree bit for bit.  The
 clean `apply_transition` never sees a fault, so the references apply the
@@ -17,7 +18,6 @@ from itertools import combinations
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from aoi_sched.dp import margin_cases, margin_decomposition, margin_decompositions
 from aoi_sched.model import (
     EMPTY,
     FAULT_MODES,
@@ -37,6 +37,7 @@ from aoi_sched.model import (
     transition_prob,
 )
 from aoi_sched.policies import min_schedule_margin
+from aoi_sched.verify import margin_splits
 
 from . import scalar_kernel
 
@@ -111,6 +112,14 @@ def reference_margin_decomposition(x, a, params) -> tuple[float, float]:
     return math.fsum(no_succ_terms), v
 
 
+def split_margins(batch) -> list[tuple[float, float]]:
+    """margin_splits of a batch, its acted and idle rows from one kernel call
+    over the cases' actions, then each case's instance with no action."""
+    ev = transition_events([(a, params) for _, a, params in batch]
+                           + [(Action(()), params) for _, _, params in batch])
+    return margin_splits(batch, *ev.split(len(batch)))
+
+
 def as_hex(pairs) -> dict:
     return {x2: pr.hex() for x2, pr in pairs}
 
@@ -164,7 +173,7 @@ def test_kernel_matches_event_reference(case, mode):
 def test_margin_decomposition_matches_event_reference(case, mode):
     x, a, params = case
     params = replace(params, fault=mode)
-    u, v = margin_decomposition(x, a, params)
+    (u, v), = split_margins([(x, a, params)])
     ru, rv = reference_margin_decomposition(x, a, params)
     assert (u.hex(), v.hex()) == (ru.hex(), rv.hex())
 
@@ -219,7 +228,7 @@ def test_batched_kernel_matches_event_reference(batch):
 @settings(max_examples=50)
 @given(mixed_batches(need_holder=True))
 def test_batched_margin_decompositions_match_event_reference(batch):
-    got = margin_decompositions(batch, transition_events(margin_cases(batch)))
+    got = split_margins(batch)
     for (x, a, params), (u, v) in zip(batch, got):
         ru, rv = reference_margin_decomposition(x, a, params)
         assert (u.hex(), v.hex()) == (ru.hex(), rv.hex())

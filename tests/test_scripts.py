@@ -10,13 +10,15 @@ from .conftest import SRC
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_gap_study.py"
 
 
-def test_gap_study_prints_one_row_per_p():
+def run_script(*args):
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
-    res = subprocess.run(
-        [sys.executable, str(SCRIPT), "--p-grid", "0.16", "0.32", "--horizon", "4"],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, str(SCRIPT), *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_gap_study_prints_one_row_per_p():
+    res = run_script("--p-grid", "0.16", "0.32", "--horizon", "4")
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
     assert lines[0] == "N=2 d=1 T=4 q=0.5"
@@ -24,3 +26,13 @@ def test_gap_study_prints_one_row_per_p():
     rows = [line.split() for line in lines[2:]]
     assert [row[0] for row in rows] == ["0.16", "0.32"]
     assert all(len(row) == 5 and float(row[1]) > 0 for row in rows)
+
+
+def test_gap_study_reports_null_z_at_p_zero():
+    # at p = 0 every policy coincides: the gap is 0 and z is undefined
+    res = run_script("--p-grid", "0", "0.16", "--horizon", "4")
+    assert res.returncode == 0, res.stderr
+    rows = [line.split() for line in res.stdout.splitlines()[2:]]
+    assert [row[0] for row in rows] == ["0", "0.16"]
+    assert rows[0][2:4] == ["0.000e+00", "null"]
+    assert rows[1][3] != "null"
