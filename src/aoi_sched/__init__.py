@@ -14,27 +14,21 @@ from .dp import (
     bound_constants,
     evaluate_policy,
     optimality_gap,
-    reachable_states,
     solve_optimal,
 )
 from .model import (
     EMPTY,
     Action,
-    InvalidEvent,
     InvalidState,
     ModelParams,
     SystemState,
-    TransitionEvent,
-    apply_transition,
     cost,
     enumerate_actions,
-    enumerate_transitions,
     format_state,
     fresh_state,
     new_state,
     norm_inf,
     parse_state,
-    sample_step,
     success_probs,
 )
 from .policies import (
@@ -45,17 +39,13 @@ from .policies import (
     RRPolicy,
     StateNotInTable,
     make_policy,
-    min_schedule_margin,
     schedule_margin,
 )
 from .simulate import (
-    EpisodeResult,
     ExperimentSummary,
     PolicyComparison,
     compare_policies,
     improvement_pct,
-    run_episode,
-    run_experiment,
 )
 from .verify import CheckResult, run_suite
 
@@ -68,12 +58,10 @@ __all__ = [
     "ConfigError",
     "DPTable",
     "DeltaPolicy",
-    "EpisodeResult",
     "ExperimentSummary",
     "GapReport",
     "GridPoint",
     "InvalidDepth",
-    "InvalidEvent",
     "InvalidState",
     "ModelParams",
     "OptimalPolicy",
@@ -85,13 +73,10 @@ __all__ = [
     "StateSpaceTooLarge",
     "SweepConfig",
     "SystemState",
-    "TransitionEvent",
-    "apply_transition",
     "bound_constants",
     "compare_policies",
     "cost",
     "enumerate_actions",
-    "enumerate_transitions",
     "evaluate_policy",
     "format_state",
     "fresh_state",
@@ -99,16 +84,11 @@ __all__ = [
     "improvement_pct",
     "load_config",
     "make_policy",
-    "min_schedule_margin",
     "new_state",
     "norm_inf",
     "optimality_gap",
     "parse_state",
-    "reachable_states",
-    "run_episode",
-    "run_experiment",
     "run_suite",
-    "sample_step",
     "schedule_margin",
     "solve_optimal",
     "success_probs",

@@ -40,7 +40,10 @@ from .dp import (
 )
 from .model import format_state
 from .policies import DeltaPolicy, make_policy
-from .simulate import compare_policies, run_experiment
+from .simulate import (  # run_experiment stays importable from here
+    compare_policies,
+    run_experiment,
+)
 from .verify import SCALING_P_GRID, run_suite
 
 # sweep axis (its CSV column) -> (SweepConfig grid, GridPoint field), in file order
@@ -155,7 +158,9 @@ def _run_points(cfg: SweepConfig, points: list[GridPoint]) -> list[list[dict]]:
 
 
 def _run_point(cfg: SweepConfig, point: GridPoint) -> list[dict]:
-    """Worker for one grid point; module-level so process pools can pickle it."""
+    """Worker for one grid point: one row per listed policy, from one
+    comparison of them all (a lone policy is compared with itself alone);
+    module-level so process pools can pickle it."""
     params = point.params()
     x0 = resolve_initial_state(cfg.initial_state, params.n_sources)
     seed = grid_point_seed(cfg.base_seed, point)
@@ -165,14 +170,9 @@ def _run_point(cfg: SweepConfig, point: GridPoint) -> list[dict]:
         if name == "optimal" and table is None:
             table = solve_optimal(params, x0, cap=cfg.state_cap)
         policies.append(make_policy(name, params, table=table))
-    if len(policies) >= 2:
-        comp = compare_policies(policies, params, x0, cfg.replications, seed)
-        summaries, improvements = comp.summaries, comp.improvements_vs_first
-    else:
-        summaries = (run_experiment(policies[0], params, x0, cfg.replications, seed),)
-        improvements = (0.0,)
+    comp = compare_policies(policies, params, x0, cfg.replications, seed)
     rows = []
-    for summary, imp in zip(summaries, improvements):
+    for summary, imp in zip(comp.summaries, comp.improvements_vs_first):
         rows.append({
             "N": point.n_sources,
             "d": point.n_channels,

@@ -244,13 +244,21 @@ def load_config(path: str) -> SweepConfig:
     return cfg
 
 
-def validate_q_spec(spec: str) -> None:
+def _q_values(spec: str) -> tuple[bool, tuple[float, ...]]:
+    """The q spec grammar: (True, (v,)) for uniform:<v>, or (False, (v1, v2,
+    ...)) for a comma vector, empty tokens skipped; float's ValueError for a
+    token that is not a number."""
     if spec.startswith("uniform:"):
-        v = float(spec.split(":", 1)[1])
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"uniform q value {v} outside [0,1]")
+        return True, (float(spec.split(":", 1)[1]),)
+    return False, tuple(float(tok) for tok in spec.split(",") if tok)
+
+
+def validate_q_spec(spec: str) -> None:
+    uniform, vals = _q_values(spec)
+    if uniform:
+        if not 0.0 <= vals[0] <= 1.0:
+            raise ValueError(f"uniform q value {vals[0]} outside [0,1]")
         return
-    vals = tuple(float(tok) for tok in spec.split(",") if tok)
     if not vals:
         raise ValueError(f"empty q spec {spec!r}")
     if any(not 0.0 <= v <= 1.0 for v in vals):
@@ -259,9 +267,9 @@ def validate_q_spec(spec: str) -> None:
 
 def expand_q(spec: str, n_sources: int) -> tuple[float, ...]:
     """Turn a q spec into a length-N vector."""
-    if spec.startswith("uniform:"):
-        return (float(spec.split(":", 1)[1]),) * n_sources
-    vals = tuple(float(tok) for tok in spec.split(",") if tok)
+    uniform, vals = _q_values(spec)
+    if uniform:
+        return vals * n_sources
     if len(vals) != n_sources:
         raise ConfigError(
             f"q vector {spec!r} has {len(vals)} entries but n_sources = {n_sources}"

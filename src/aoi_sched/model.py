@@ -18,11 +18,11 @@ state: on a source, success moves h to g+1 <= h instead of h+1, and an arrival
 alone leaves g = 0.  The exact kernel, transition_events, expands that product
 for a batch of (action, instance) cases at once into event rows; advance
 applies them to states, and enumerate_transitions is the one-case view.
-advance is the one array statement of the successor law: next_states, the
-solver's forward pass and the Monte Carlo slot all age g and h through it.
-apply_transition and transition_prob resolve a single event and remain the
-event-by-event definition it must reproduce.  A fault carried by ModelParams
-corrupts that kernel only, never the sampler.
+advance is the one statement of the successor law: next_states, the solver's
+forward pass and the Monte Carlo slot all age g and h through it.
+sample_step draws one slot's event from a generator in the order the Monte
+Carlo engine reads its uniforms.  A fault carried by ModelParams corrupts
+transition_events only, never the draws.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ FAULT_MODES = (None, "age-drift", "drop-event")
 
 class InvalidState(ValueError):
     """State vectors violate the buffer-freshness invariant or are malformed."""
-
-
-class InvalidEvent(ValueError):
-    """Transition event inconsistent with the action it claims to resolve."""
 
 
 class SystemState(NamedTuple):
@@ -157,46 +153,6 @@ def _check_schedulable(x: SystemState, a: Action) -> None:
             raise InvalidState(f"action schedules source {n} whose buffer is empty")
 
 
-def apply_transition(x: SystemState, a: Action, e: TransitionEvent) -> SystemState:
-    """Resolve one slot: successes reset destination ages, arrivals refill buffers.
-
-    Destination: h'[n] = g[n]+1 on a successful transfer from n, else h[n]+1.
-    Buffer: an arrival leaves a fresh age-0 packet; a delivered packet without
-    an arrival empties the buffer; an undelivered packet ages by one; an empty
-    buffer stays empty.  This is the clean law; no fault reaches it.
-    """
-    w = frozenset(e.successes)
-    if not w.issubset(a.scheduled):
-        raise InvalidEvent(f"successes {sorted(w)} not within scheduled {list(a.scheduled)}")
-    _check_schedulable(x, a)
-    c = frozenset(e.arrivals)
-    g2 = []
-    h2 = []
-    for n, (gn, hn) in enumerate(zip(x.g, x.h)):
-        delivered = n in w
-        h2.append(gn + 1 if delivered else hn + 1)
-        if n in c:
-            g2.append(0)
-        elif delivered or gn == EMPTY:
-            g2.append(EMPTY)
-        else:
-            g2.append(gn + 1)
-    return SystemState(tuple(g2), tuple(h2))
-
-
-def transition_prob(a: Action, e: TransitionEvent, params: ModelParams) -> float:
-    """Joint probability of a (successes, arrivals) event under independent draws."""
-    w = frozenset(e.successes)
-    if not w.issubset(a.scheduled):
-        raise InvalidEvent(f"successes {sorted(w)} not within scheduled {list(a.scheduled)}")
-    c = frozenset(e.arrivals)
-    p = params.p
-    pr = p ** len(w) * (1.0 - p) ** (len(a.scheduled) - len(w))
-    for n, qn in enumerate(params.q):
-        pr *= qn if n in c else 1.0 - qn
-    return pr
-
-
 class Events(NamedTuple):
     """Each case's events of nonzero probability, case after case, in
     enumerate_transitions order; W is the largest N of the batch."""
@@ -237,10 +193,10 @@ class Events(NamedTuple):
 def transition_events(cases: Sequence[tuple[Action, ModelParams]]) -> Events:
     """The exact one-slot law of a batch of (action, instance) cases.
 
-    Success sets w come in combinations order with the base p^|w| (1-p)^(|a|-|w|)
-    as transition_prob computes it, sets of base 0.0 skipped; arrivals are then
-    expanded one source at a time for every row at once, so each probability
-    is multiplied left to right as transition_prob does, and a branch is
+    Success sets w come in combinations order with the base p^|w| (1-p)^(|a|-|w|),
+    sets of base 0.0 skipped; arrivals are then expanded one source at a time
+    for every row at once, so each probability is the base times q[n] or
+    1 - q[n] for n = 0, 1, ..., multiplied left to right, and a branch is
     dropped once its product is 0.0.  Both faults live here: age-drift sets a
     case's step to 2, and drop-event marks the all-succeed, all-arrive event.
     """
@@ -288,7 +244,7 @@ def _signed_type(bound: int) -> np.dtype:
 
 
 def advance(g, h, holders, delivered, stay, step=1):
-    """apply_transition's law on broadcasting arrays: the successor ages
+    """The one-slot successor law on broadcasting arrays: the successor ages
     (g', h') of ages g, h, given holders = (g != EMPTY), the delivered
     packets, stay = no arrival, and step, the slots an undelivered
     destination age grows by.
@@ -323,9 +279,9 @@ def enumerate_transitions(
     """Exact successor distribution for (x, a): one entry per (successes,
     arrivals) event of nonzero probability, so the support sums to one.
 
-    The one-case view of transition_events, so every probability equals
-    transition_prob's bit for bit.  Nothing is merged: distinct events give
-    distinct successors, since success sets h' = g+1 <= h < h+1 and only an
+    The one-case view of transition_events, whose probabilities it keeps
+    bit for bit.  Nothing is merged: distinct events give distinct
+    successors, since success sets h' = g+1 <= h < h+1 and only an
     arrival sets g' = 0.  Entries follow success-set order, then arrival
     patterns with source 0 most significant, no arrival before arrival.
     """
@@ -338,18 +294,18 @@ def enumerate_transitions(
     ]
 
 
-def sample_step(
-    x: SystemState, a: Action, params: ModelParams, rng
-) -> tuple[SystemState, TransitionEvent]:
-    """Draw one slot outcome.  Consumes len(scheduled) success uniforms (ascending
-    source index) then n_sources arrival uniforms (ascending index), so episode
-    streams are replayable byte-for-byte from the seed."""
+def sample_step(x: SystemState, a: Action, params: ModelParams, rng) -> TransitionEvent:
+    """Draw the event of one slot in which x takes action a.  Consumes
+    len(scheduled) success uniforms (ascending source index) then n_sources
+    arrival uniforms (ascending index), the order in which the Monte Carlo
+    engine reads them, so episode streams are replayable byte-for-byte from
+    the seed.  The draw follows the clean law whatever params.fault is."""
+    _check_schedulable(x, a)
     succ_u = rng.random(len(a.scheduled))
     arr_u = rng.random(params.n_sources)
     successes = tuple(n for i, n in enumerate(a.scheduled) if succ_u[i] < params.p)
     arrivals = tuple(n for n in range(params.n_sources) if arr_u[n] < params.q[n])
-    e = TransitionEvent(successes, arrivals)
-    return apply_transition(x, a, e), e
+    return TransitionEvent(successes, arrivals)
 
 
 def success_probs(params: ModelParams, n_attempts: int) -> SuccessProbs:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import EMPTY, Action, ModelParams, SystemState, sources_with_packets
+from .model import EMPTY, Action, ModelParams, SystemState
 
 
 class StateNotInTable(KeyError):
@@ -52,18 +52,12 @@ def schedule_margin(x: SystemState, scheduled: tuple[int, ...]) -> int:
     return sum(x.g[n] - x.h[n] for n in scheduled)
 
 
-def min_schedule_margin(x: SystemState, d: int) -> int:
-    """Smallest schedule_margin over all work-conserving actions: the sum of the
-    min(N_x, d) most negative per-source margins.  Zero when nothing is buffered."""
-    margins = sorted(x.g[n] - x.h[n] for n in sources_with_packets(x))
-    k = min(len(margins), d)
-    return sum(margins[:k])
-
-
 def min_schedule_margins(g: np.ndarray, h: np.ndarray, d: np.ndarray | int) -> np.ndarray:
-    """min_schedule_margin of every row of the ages g, h [rows, N], row i
-    with d[i] (or d) channels: a non-holder counts as margin 0, above every
-    holder's, so the d smallest entries sum the min(N_x, d) most negative."""
+    """The smallest schedule_margin over all work-conserving actions, for
+    every row of the ages g, h [rows, N], row i with d[i] (or d) channels;
+    zero when nothing is buffered.  A non-holder counts as margin 0, above
+    every holder's, so the d smallest entries sum the min(N_x, d) most
+    negative per-source margins."""
     m = np.sort(np.where(g == EMPTY, 0, g - h), axis=1).cumsum(axis=1)
     return m[np.arange(len(m)), np.minimum(d, m.shape[1]) - 1]
 

@@ -15,10 +15,13 @@ sharing a block whenever all of their episodes fit in it.  The index policies
 of a block (delta, pi, work-conserving rr) decide for all of their rows in
 one call of their stacked IndexRule; strict round-robin and the table-backed
 optimal policy each decide on their own rows through decide_batch.  Every
-row keeps its own PCG64 generator and consumes exactly the uniforms
-model.sample_step would, slot by slot, and model.advance, the successor law
-the exact solver also uses, ages every row at once.  run_episode is the
-engine's one-row case.
+row keeps its own PCG64 generator and consumes exactly the uniforms that
+model.sample_step draws, in its order, slot by slot, and model.advance, the
+successor law the exact solver also uses, ages every row at once.
+
+compare_policies is the one summary entry, for one policy or several;
+run_experiment is its one-policy case and run_episode the engine's one-row
+case.
 """
 
 from __future__ import annotations
@@ -174,38 +177,6 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
     return ages.reshape(len(policies), e, n)[back]
 
 
-def _summaries(
-    policies,
-    params: ModelParams,
-    x0: SystemState,
-    replications: int,
-    base_seed: int,
-) -> tuple[ExperimentSummary, ...]:
-    """One summary per policy, all run on the episode seeds base_seed, base_seed+1, ..."""
-    if replications < 2:
-        raise ValueError(f"need at least 2 replications, got {replications}")
-    totals = policy_totals(policies, params, x0, replications, base_seed).astype(float)
-    summaries = []
-    for policy, row in zip(policies, totals):
-        mean = float(row.mean())
-        stderr = float(row.std(ddof=1) / math.sqrt(replications))
-        summaries.append(ExperimentSummary(
-            policy.name, params, replications, mean, stderr, mean / params.horizon, base_seed
-        ))
-    return tuple(summaries)
-
-
-def run_experiment(
-    policy,
-    params: ModelParams,
-    x0: SystemState,
-    replications: int,
-    base_seed: int,
-) -> ExperimentSummary:
-    """Replicated episodes with seeds base_seed, base_seed+1, ..."""
-    return _summaries([policy], params, x0, replications, base_seed)[0]
-
-
 def improvement_pct(mean_a: float, mean_b: float) -> float:
     """Percentage improvement of A over B, relative to B's mean."""
     if mean_b == 0.0:
@@ -220,11 +191,30 @@ def compare_policies(
     replications: int,
     base_seed: int,
 ) -> PolicyComparison:
-    """Run every policy on the same episode seeds and report improvements of
-    the first listed policy over each of the others."""
-    if len(policies) < 2:
-        raise ValueError("need at least two policies to compare")
-    summaries = _summaries(policies, params, x0, replications, base_seed)
+    """Run one or more policies on the episode seeds base_seed, base_seed+1,
+    ... and report the improvement of the first listed policy over each of
+    them, 0.0 over itself."""
+    if replications < 2:
+        raise ValueError(f"need at least 2 replications, got {replications}")
+    totals = policy_totals(policies, params, x0, replications, base_seed).astype(float)
+    summaries = []
+    for policy, row in zip(policies, totals):
+        mean = float(row.mean())
+        stderr = float(row.std(ddof=1) / math.sqrt(replications))
+        summaries.append(ExperimentSummary(
+            policy.name, params, replications, mean, stderr, mean / params.horizon, base_seed
+        ))
     first = summaries[0].mean_total_cost
     improvements = tuple(improvement_pct(first, s.mean_total_cost) for s in summaries)
-    return PolicyComparison(summaries, improvements)
+    return PolicyComparison(tuple(summaries), improvements)
+
+
+def run_experiment(
+    policy,
+    params: ModelParams,
+    x0: SystemState,
+    replications: int,
+    base_seed: int,
+) -> ExperimentSummary:
+    """The summary of one policy's comparison with itself alone."""
+    return compare_policies([policy], params, x0, replications, base_seed).summaries[0]

@@ -119,7 +119,7 @@ def expected_age_sums(cases: Sequence[Case], ev: Events) -> tuple[list[float], l
 
 def expected_margins(cases: Sequence[Case], ev: Events) -> list[float]:
     """Each case's sum over ev's rows of probability times the successor's
-    min_schedule_margin."""
+    smallest schedule margin (min_schedule_margins)."""
     g, h = next_states([x for x, _, _ in cases], ev)
     d = np.array([params.n_channels for _, _, params in cases], dtype=np.int64)
     return ev.fsums(ev.pr * min_schedule_margins(g, h, d[ev.case]))

@@ -6,10 +6,11 @@ with its text dump, the reference for `aoi_sched.dp.dump_table`.
 Each rule decides for one state in pure Python, ranking the packet holders
 with `sorted` and walking round-robin's cursor one index at a time;
 `decide` dispatches a policy object to its rule.  `run_episode` advances one
-state a slot at a time through `decide` and `model.sample_step`, which draws
-the uniforms of a slot from the episode's generator in the order the block
-engine reads them.  `tests/dict_solver.py` evaluates fixed policies through
-`decide`.
+state a slot at a time: `decide` picks the action, `model.sample_step` draws
+the slot's event from the episode's generator in the order the block engine
+reads the uniforms, and the event-by-event law
+`scalar_kernel.apply_transition`, not `model.advance`, resolves it.
+`tests/dict_solver.py` evaluates fixed policies through `decide`.
 
 `stage_dicts` reads a `DPTable`'s per-stage arrays as one dict per stage,
 `key -> (value, action or None)`, where a key is a `SystemState`, or a
@@ -32,6 +33,8 @@ from aoi_sched.model import (
 )
 from aoi_sched.policies import DeltaPolicy, OptimalPolicy, PIPolicy, RRPolicy, StateNotInTable
 from aoi_sched.simulate import EpisodeResult
+
+from .scalar_kernel import apply_transition
 
 
 def delta_decide(x, d: int) -> Action:
@@ -153,5 +156,5 @@ def run_episode(policy, params, x0, seed: int) -> EpisodeResult:
             per_source[n] += hn
         if t < T:
             action, mem = decide(policy, t, x, mem)
-            x, _event = sample_step(x, action, params, rng)
+            x = apply_transition(x, action, sample_step(x, action, params, rng))
     return EpisodeResult(sum(per_source), tuple(s / T for s in per_source), seed)

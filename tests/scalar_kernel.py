@@ -1,7 +1,15 @@
-"""The scalar per-source product kernel and the one-case loops built on it,
-kept as the differential reference for the batched kernel
+"""The event-by-event slot law, the scalar per-source product kernel and the
+one-case loops built on them, kept as the differential references for the
+array law `aoi_sched.model.advance`, the batched kernel
 `aoi_sched.model.transition_events` and the batched checks in
 `aoi_sched.verify`.
+
+`apply_transition` resolves one (successes, arrivals) event of one state,
+`transition_prob` gives that event's probability as a product over sources,
+and `min_schedule_margin` sums one state's most negative margins: the law as
+the model states it, one event and one state at a time.  The Monte Carlo
+reference `tests/reference.run_episode` resolves each event that
+`model.sample_step` draws through `apply_transition`.
 
 `enumerate_transitions` walks the success sets of one (state, action) in
 `combinations` order and extends each arrival pattern one source at a time,
@@ -12,7 +20,8 @@ draw one random case at a time and evaluate it on its own, as the battery
 did before it ran batched.  Every function keeps the fault semantics of the
 batched code: age-drift ages every non-delivered destination by 2, and
 drop-event leaves an event out of the enumeration only, never out of the
-margin split.
+margin split.  `apply_transition` and `transition_prob` are the clean law,
+which no fault reaches.
 """
 
 from __future__ import annotations
@@ -24,20 +33,75 @@ import numpy as np
 
 from aoi_sched.model import (
     EMPTY,
+    InvalidState,
+    SystemState,
     TransitionEvent,
-    apply_transition,
     cost,
     enumerate_actions,
     norm_inf,
+    sources_with_packets,
     success_probs,
 )
-from aoi_sched.policies import min_schedule_margin, schedule_margin
+from aoi_sched.policies import schedule_margin
 from aoi_sched.verify import STEP_TOL, random_case
 
 
+class InvalidEvent(ValueError):
+    """Transition event inconsistent with the action it claims to resolve."""
+
+
 def _check_schedulable(x, a) -> None:
-    if any(x.g[n] == EMPTY for n in a.scheduled):
-        raise ValueError(f"action {a} schedules an empty buffer of {x}")
+    for n in a.scheduled:
+        if x.g[n] == EMPTY:
+            raise InvalidState(f"action schedules source {n} whose buffer is empty")
+
+
+def apply_transition(x, a, e):
+    """Resolve one slot: successes reset destination ages, arrivals refill buffers.
+
+    Destination: h'[n] = g[n]+1 on a successful transfer from n, else h[n]+1.
+    Buffer: an arrival leaves a fresh age-0 packet; a delivered packet without
+    an arrival empties the buffer; an undelivered packet ages by one; an empty
+    buffer stays empty.  This is the clean law; no fault reaches it.
+    """
+    w = frozenset(e.successes)
+    if not w.issubset(a.scheduled):
+        raise InvalidEvent(f"successes {sorted(w)} not within scheduled {list(a.scheduled)}")
+    _check_schedulable(x, a)
+    c = frozenset(e.arrivals)
+    g2 = []
+    h2 = []
+    for n, (gn, hn) in enumerate(zip(x.g, x.h)):
+        delivered = n in w
+        h2.append(gn + 1 if delivered else hn + 1)
+        if n in c:
+            g2.append(0)
+        elif delivered or gn == EMPTY:
+            g2.append(EMPTY)
+        else:
+            g2.append(gn + 1)
+    return SystemState(tuple(g2), tuple(h2))
+
+
+def transition_prob(a, e, params) -> float:
+    """Joint probability of a (successes, arrivals) event under independent draws."""
+    w = frozenset(e.successes)
+    if not w.issubset(a.scheduled):
+        raise InvalidEvent(f"successes {sorted(w)} not within scheduled {list(a.scheduled)}")
+    c = frozenset(e.arrivals)
+    p = params.p
+    pr = p ** len(w) * (1.0 - p) ** (len(a.scheduled) - len(w))
+    for n, qn in enumerate(params.q):
+        pr *= qn if n in c else 1.0 - qn
+    return pr
+
+
+def min_schedule_margin(x, d: int) -> int:
+    """Smallest schedule_margin over all work-conserving actions: the sum of the
+    min(N_x, d) most negative per-source margins.  Zero when nothing is buffered."""
+    margins = sorted(x.g[n] - x.h[n] for n in sources_with_packets(x))
+    k = min(len(margins), d)
+    return sum(margins[:k])
 
 
 def _success_sets(a, p: float):

@@ -21,7 +21,7 @@ from aoi_sched.dp import (
     solve_optimal,
 )
 from aoi_sched.model import ModelParams, fresh_state, norm_inf, success_probs
-from aoi_sched.policies import DeltaPolicy, make_policy, min_schedule_margin
+from aoi_sched.policies import DeltaPolicy, make_policy
 from aoi_sched.simulate import run_episode
 from aoi_sched.verify import (
     check_age_sum_identity,
@@ -32,6 +32,7 @@ from aoi_sched.verify import (
 
 from .conftest import run_cli
 from .reference import stage_dicts
+from .scalar_kernel import min_schedule_margin
 
 CRIT2_PS = (0.1, 0.3, 0.5, 0.7, 0.9)
 

@@ -139,6 +139,44 @@ def test_sweep_strict_round_robin_columns(tmp_path):
     assert len(rows) == 2
 
 
+LONE_ARGV = ["--n-sources", "2", "--p", "0.6", "--horizon", "6", "--replications", "5",
+             "--seed", "9", "--no-header-timestamp"]
+
+
+def csv_dicts(path):
+    header, rows = read_csv(path)
+    return [dict(zip(header, r)) for r in rows]
+
+
+@pytest.mark.parametrize("name", ["rr-strict", "optimal"])
+def test_lone_policy_simulate_row_is_its_comparison_row(tmp_path, name):
+    """A one-policy simulate row is the policy's row of a two-policy run at
+    the same seed, but for an improvement over itself of 0."""
+    for policies in (name, f"delta,{name}"):
+        assert cli.main(["simulate", *LONE_ARGV, "--policies", policies,
+                         "--out", str(tmp_path / f"{policies}.csv")]) == 0
+    [lone] = csv_dicts(tmp_path / f"{name}.csv")
+    _, pair = csv_dicts(tmp_path / f"delta,{name}.csv")
+    assert lone["policy"] == name and lone["improvement_of_first_pct"] == "0"
+    assert pair["improvement_of_first_pct"] != "0"
+    assert lone == {**pair, "improvement_of_first_pct": "0"}
+
+
+@pytest.mark.parametrize("name", ["rr-strict", "optimal"])
+def test_lone_policy_sweep_column_is_its_comparison_column(tmp_path, name):
+    """A one-policy sweep has the policy's three columns, with the values of
+    its columns in a two-policy sweep at the same seed, and no improvement."""
+    for policies in (name, f"delta,{name}"):
+        assert cli.main(["sweep", *LONE_ARGV, "--p-grid", "0.3", "0.7",
+                         "--policies", policies,
+                         "--out", str(tmp_path / f"{policies}.csv")]) == 0
+    lone = csv_dicts(tmp_path / f"{name}_p.csv")
+    pair = csv_dicts(tmp_path / f"delta,{name}_p.csv")
+    columns = ["p", f"mean_total_cost_{name}", f"stderr_{name}", f"mean_sum_aaoi_{name}"]
+    assert list(lone[0]) == columns
+    assert lone == [{c: row[c] for c in columns} for row in pair]
+
+
 def test_sweep_usage_errors(tmp_path):
     res = run_cli(["sweep", "--out", str(tmp_path / "x.csv")])
     assert res.returncode == 1 and "grid" in res.stderr

@@ -36,11 +36,11 @@ from aoi_sched.policies import (
     PIPolicy,
     RRPolicy,
     make_policy,
-    min_schedule_margin,
 )
 from aoi_sched.verify import expected_age_sums
 
 from . import dict_solver, reference
+from .scalar_kernel import min_schedule_margin
 from .test_kernel import split_margins
 from .reference import stage_dicts
 

@@ -3,9 +3,9 @@
 The batched kernel `transition_events` expands arrival patterns one source
 at a time for a whole batch of cases, and `enumerate_transitions` is its
 one-case view; `aoi_sched.verify.margin_splits` reads the margin split off
-its rows.  The references below walk
-every (successes, arrivals) event through the public `transition_prob` and
-`apply_transition`, and every probability must agree bit for bit.  The
+its rows.  The references below walk every (successes, arrivals) event
+through the event-by-event law of `tests/scalar_kernel.py`, `transition_prob`
+and `apply_transition`, and every probability must agree bit for bit.  The
 clean `apply_transition` never sees a fault, so the references apply the
 instance's fault themselves.  `advance`, the array form of the successor law,
 is checked against the same reference at each shape its callers use.
@@ -27,19 +27,17 @@ from aoi_sched.model import (
     TransitionEvent,
     _signed_type,
     advance,
-    apply_transition,
     enumerate_transitions,
     new_state,
     next_states,
     sources_with_packets,
     success_probs,
     transition_events,
-    transition_prob,
 )
-from aoi_sched.policies import min_schedule_margin
 from aoi_sched.verify import margin_splits
 
 from . import scalar_kernel
+from .scalar_kernel import apply_transition, min_schedule_margin, transition_prob
 
 EDGE_PROBS = [0.0, 1.0, 1e-300, 1.0 - 1e-16, 0.5]
 

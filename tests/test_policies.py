@@ -18,11 +18,12 @@ from aoi_sched.policies import (
     StateNotInTable,
     distance_table,
     make_policy,
-    min_schedule_margin,
+    min_schedule_margins,
     schedule_margin,
 )
 
 from . import reference
+from .scalar_kernel import min_schedule_margin
 from .reference import stage_dicts
 from .test_model import states
 
@@ -40,6 +41,31 @@ def test_schedule_margin_sums_age_differences():
     assert schedule_margin(x, (0, 1)) == -6
     assert min_schedule_margin(x, 1) == -5
     assert min_schedule_margin(x, 2) == -6
+
+
+@st.composite
+def margin_blocks(draw):
+    """Up to 6 states of one N <= 5, each with its own channel count."""
+    n = draw(st.integers(1, 5))
+    block = []
+    for _ in range(draw(st.integers(1, 6))):
+        h = [draw(st.integers(1, 12)) for _ in range(n)]
+        g = [draw(st.one_of(st.just(EMPTY), st.integers(0, hn - 1))) for hn in h]
+        block.append((new_state(g, h), draw(st.integers(1, n + 2))))
+    return block
+
+
+@given(margin_blocks())
+def test_min_schedule_margins_match_the_one_state_rule(block):
+    """Each row of the array form is the one-state rule of tests/scalar_kernel.py,
+    whether every row has its own d or all share the first one's."""
+    g = np.array([x.g for x, _ in block], dtype=np.int64)
+    h = np.array([x.h for x, _ in block], dtype=np.int64)
+    ds = [d for _, d in block]
+    assert min_schedule_margins(g, h, np.array(ds)).tolist() == [
+        min_schedule_margin(x, d) for x, d in block]
+    assert min_schedule_margins(g, h, ds[0]).tolist() == [
+        min_schedule_margin(x, ds[0]) for x, _ in block]
 
 
 def test_policies_are_values_named_by_their_class():

@@ -103,7 +103,7 @@ def test_fused_comparison_matches_scalar_episodes(case):
         mp.setattr(simulate, "BLOCK_EPISODES", cap)
         mp.setattr(simulate, "CHUNK_SLOTS", chunk)
         assert policy_totals(policies, params, x0, replications, base_seed).tolist() == expect
-        if len(policies) < 2 or replications < 2:
+        if replications < 2:
             return
         comp = compare_policies(policies, params, x0, replications, base_seed)
     assert [s.policy for s in comp.summaries] == [pol.name for pol in policies]
@@ -217,10 +217,18 @@ def test_comparison_shares_episode_seeds():
     assert comp.summaries[0].mean_total_cost == comp.summaries[1].mean_total_cost
 
 
-def test_comparison_needs_two_policies():
+def test_comparison_of_a_lone_policy():
+    """A one-policy comparison improves on itself by 0.0, is the policy's
+    run_experiment summary, and equals the policy's row in a larger one."""
     params = ModelParams(2, 1, 0.6, (0.5, 0.5), 6)
-    with pytest.raises(ValueError):
-        compare_policies([make_policy("delta", params)], params, fresh_state(2), 10, 0)
+    delta, rr = make_policy("delta", params), make_policy("rr", params)
+    lone = compare_policies([rr], params, fresh_state(2), 10, 0)
+    assert lone.improvements_vs_first == (0.0,)
+    assert lone.summaries == (run_experiment(rr, params, fresh_state(2), 10, 0),)
+    pair = compare_policies([delta, rr], params, fresh_state(2), 10, 0)
+    assert pair.summaries[1] == lone.summaries[0]
+    with pytest.raises(ValueError, match="at least 2 replications"):
+        compare_policies([rr], params, fresh_state(2), 1, 0)
 
 
 def test_records_survive_pickling():
