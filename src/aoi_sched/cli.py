@@ -164,12 +164,8 @@ def _run_point(cfg: SweepConfig, point: GridPoint) -> list[dict]:
     params = point.params()
     x0 = resolve_initial_state(cfg.initial_state, params.n_sources)
     seed = grid_point_seed(cfg.base_seed, point)
-    table = None
-    policies = []
-    for name in cfg.policies:
-        if name == "optimal" and table is None:
-            table = solve_optimal(params, x0, cap=cfg.state_cap)
-        policies.append(make_policy(name, params, table=table))
+    table = solve_optimal(params, x0, cap=cfg.state_cap) if "optimal" in cfg.policies else None
+    policies = [make_policy(name, params, table=table) for name in cfg.policies]
     comp = compare_policies(policies, params, x0, cfg.replications, seed)
     rows = []
     for summary, imp in zip(comp.summaries, comp.improvements_vs_first):

@@ -158,12 +158,6 @@ class GapReport(NamedTuple):
     constants: BoundConstants | None  # None when T <= 2
 
 
-def _events(a: tuple[int, ...], params: ModelParams) -> Events:
-    """The kernel's law of scheduling a, which serves every state that
-    schedules it, with the instance's fault."""
-    return transition_events([(Action(a), params)]).law()
-
-
 # a source's four outcomes, numbered kind = 2 * delivered + arrived, on the
 # first axis of the outcome grid: np.where broadcasts a mask along an outer
 # axis several times faster than along the innermost one
@@ -203,9 +197,10 @@ def _forward(params: ModelParams, root: np.ndarray, choose, cap: int):
 
     choose(t, rows) yields (action, row indices, next memory or None) for the
     rows of stage t; a row taking several actions appears in one block per
-    action, in the order it tries them.  Each action's events are read once
-    per pass.  The cap counts distinct keys over all stages, and each stage's
-    keys are counted before that stage is expanded.
+    action, in the order it tries them.  Each action's law, with the
+    instance's fault, is read off the kernel once per pass and serves every
+    row that takes it.  The cap counts distinct keys over all stages, and
+    each stage's keys are counted before that stage is expanded.
     """
     events: dict[tuple[int, ...], Events] = {}
     actions: dict[tuple[int, ...], int] = {}
@@ -216,7 +211,7 @@ def _forward(params: ModelParams, root: np.ndarray, choose, cap: int):
         taken = []
         for a, rows, mem in choose(t, cur):
             if a not in events:
-                events[a] = _events(a, params)
+                events[a] = transition_events([(Action(a), params)])
             taken.append((a, rows, mem, events[a]))
         sizes = [len(rows) * len(ev.pr) for _, rows, _, ev in taken]
         ends = np.cumsum([0, *sizes]).tolist()

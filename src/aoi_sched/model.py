@@ -16,8 +16,9 @@ Because the draws are independent per source, the one-slot law is a product
 over sources, and each (successes, arrivals) event leads to its own successor
 state: on a source, success moves h to g+1 <= h instead of h+1, and an arrival
 alone leaves g = 0.  The exact kernel, transition_events, expands that product
-for a batch of (action, instance) cases at once into event rows; advance
-applies them to states, and enumerate_transitions is the one-case view.
+for a batch of (action, instance) cases at once into the event rows of each
+case's law, and emits nothing else; advance applies them to states, and
+enumerate_transitions is the one-case view.
 advance is the one statement of the successor law: next_states, the solver's
 forward pass and the Monte Carlo slot all age g and h through it.
 sample_step draws one slot's event from a generator in the order the Monte
@@ -40,9 +41,9 @@ EMPTY = -1  # sentinel age: source buffer holds no packet ("psi" in file I/O)
 # Faults for negative-control verification (`verify --inject-fault`), carried
 # by ModelParams.fault and seen only by the exact kernel, transition_events.
 # "age-drift": non-delivered destination ages advance by 2 instead of 1, which
-# breaks the one-step expected-age identity.  "drop-event": the law omits the
-# event where every scheduled transfer succeeds and every source gets a
-# packet, which breaks probability closure.
+# breaks the one-step expected-age identity.  "drop-event": every case's law
+# omits the event where every scheduled transfer succeeds and every source
+# gets a packet, which breaks probability closure and the margin split.
 FAULT_MODES = (None, "age-drift", "drop-event")
 
 
@@ -154,24 +155,14 @@ def _check_schedulable(x: SystemState, a: Action) -> None:
 
 
 class Events(NamedTuple):
-    """Each case's events of nonzero probability, case after case, in
-    enumerate_transitions order; W is the largest N of the batch."""
+    """Each case's law: its events of nonzero probability, case after case,
+    in enumerate_transitions order; W is the largest N of the batch."""
 
     case: np.ndarray       # intp [rows]: the case of each row, ascending
     delivered: np.ndarray  # bool [rows, W]: n's buffered packet got through
     arrived: np.ndarray    # bool [rows, W]: n received a fresh packet
     pr: np.ndarray         # float64 [rows]: the event's probability
-    dropped: np.ndarray    # bool [rows]: the event a drop-event fault leaves out of the law
     step: np.ndarray       # int64 [cases]: slots an undelivered destination age grows by
-
-    def rows(self, keep: np.ndarray) -> Events:
-        """The rows where keep is true, still numbered by case."""
-        return Events(self.case[keep], self.delivered[keep], self.arrived[keep],
-                      self.pr[keep], self.dropped[keep], self.step)
-
-    def law(self) -> Events:
-        """The law the exact kernel enumerates: every row the fault keeps."""
-        return self.rows(~self.dropped) if self.dropped.any() else self
 
     def split(self, *starts: int) -> list[Events]:
         """The rows of cases [0, s1), [s1, s2), ..., [sk, cases), each part
@@ -180,7 +171,7 @@ class Events(NamedTuple):
         ends = np.searchsorted(self.case, bounds).tolist()
         return [
             Events(self.case[r0:r1] - c0, self.delivered[r0:r1], self.arrived[r0:r1],
-                   self.pr[r0:r1], self.dropped[r0:r1], self.step[c0:c1])
+                   self.pr[r0:r1], self.step[c0:c1])
             for c0, c1, r0, r1 in zip(bounds, bounds[1:], ends, ends[1:])
         ]
 
@@ -198,7 +189,9 @@ def transition_events(cases: Sequence[tuple[Action, ModelParams]]) -> Events:
     for every row at once, so each probability is the base times q[n] or
     1 - q[n] for n = 0, 1, ..., multiplied left to right, and a branch is
     dropped once its product is 0.0.  Both faults live here: age-drift sets a
-    case's step to 2, and drop-event marks the all-succeed, all-arrive event.
+    case's step to 2, and drop-event leaves the event where every scheduled
+    transfer succeeds and every source gets a packet out of the case's law
+    (for an idle case, the event where every source gets a packet).
     """
     width = max((params.n_sources for _, params in cases), default=0)
     case, pr, hits, cols = [], [], [], []
@@ -229,13 +222,13 @@ def transition_events(cases: Sequence[tuple[Action, ModelParams]]) -> Events:
     case, delivered = np.array(case, dtype=np.intp)[row], delivered[row]
     faults = [params.fault for _, params in cases]
     step = np.array([1 + (f == "age-drift") for f in faults], dtype=np.int64)
-    dropped = np.zeros(len(pr), dtype=bool)
     if "drop-event" in faults:
         every = np.array([(f == "drop-event", len(a.scheduled), params.n_sources)
                           for f, (a, params) in zip(faults, cases)])[case]
-        dropped = ((every[:, 0] == 1) & (delivered.sum(axis=1) == every[:, 1])
-                   & (arrived.sum(axis=1) == every[:, 2]))
-    return Events(case, delivered, arrived, pr, dropped, step)
+        keep = ~((every[:, 0] == 1) & (delivered.sum(axis=1) == every[:, 1])
+                 & (arrived.sum(axis=1) == every[:, 2]))
+        case, delivered, arrived, pr = case[keep], delivered[keep], arrived[keep], pr[keep]
+    return Events(case, delivered, arrived, pr, step)
 
 
 def _signed_type(bound: int) -> np.dtype:
@@ -286,7 +279,7 @@ def enumerate_transitions(
     patterns with source 0 most significant, no arrival before arrival.
     """
     _check_schedulable(x, a)
-    ev = transition_events([(a, params)]).law()
+    ev = transition_events([(a, params)])
     g, h = next_states([x], ev)
     return [
         (SystemState(tuple(gs), tuple(hs)), pr)

@@ -113,16 +113,11 @@ class IndexRule(NamedTuple):
         """The scheduled mask of the [B, N] ages g, h with packet holders
         holders, and each row's next cursor.  cursor is None when no row is
         cyclic (every key then reads the source index); otherwise it holds
-        every row's cursor, 0 on the non-cyclic rows, which never move it.
-        distances is distance_table(N) when given; each row's distances are
-        then gathered from it rather than computed."""
+        every row's cursor, 0 on the non-cyclic rows, which never move it,
+        and each row's distances are gathered from distances,
+        distance_table(N)."""
         n = g.shape[1]
-        if cursor is None:
-            dist = np.arange(n)
-        elif distances is None:
-            dist = (np.arange(n) - cursor[:, None]) % n
-        else:
-            dist = distances[cursor]
+        dist = np.arange(n) if cursor is None else distances[cursor]
         mask = smallest_holders((self.a * g + self.c * h) * n + dist, holders, d)
         if cursor is None:
             return mask, None
@@ -167,7 +162,7 @@ class IndexPolicy(Policy):
             return self.rule.decide(g, h, g != EMPTY, self.d)[0], memory
         if memory is None:
             memory = np.zeros(len(g), dtype=np.int64)
-        return self.rule.decide(g, h, g != EMPTY, self.d, memory)
+        return self.rule.decide(g, h, g != EMPTY, self.d, memory, distance_table(g.shape[1]))
 
 
 # Each class binds decide in its own __dict__, where perfbench/tracer.py wraps it.

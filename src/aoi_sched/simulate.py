@@ -194,6 +194,8 @@ def compare_policies(
     """Run one or more policies on the episode seeds base_seed, base_seed+1,
     ... and report the improvement of the first listed policy over each of
     them, 0.0 over itself."""
+    if not policies:
+        raise ValueError("need at least 1 policy to compare, got none")
     if replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")
     totals = policy_totals(policies, params, x0, replications, base_seed).astype(float)

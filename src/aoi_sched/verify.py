@@ -5,9 +5,10 @@ measured quantities, so the `verify` subcommand can emit a machine-readable
 report and the test suite can reuse the same oracles.  Randomized checks are
 seeded and therefore reproducible: each draws all of its cases one after
 another from its own stream, then expands them in one call of the batched
-kernel and reads its measurements off the rows as arrays, every per-case
-expectation one math.fsum; expected_age_sums and margin_splits are the
-oracles of the paper's two one-step identities.  The exact checks solve each
+kernel and reads its measurements off each case's law as arrays, every
+per-case expectation one math.fsum; expected_age_sums and margin_splits are
+the oracles of the paper's two one-step identities, and a fault reaches them
+only through the law the kernel emits.  The exact checks solve each
 gap instance once and compare value arrays aligned by DPTable.lookup.
 """
 
@@ -117,29 +118,33 @@ def expected_age_sums(cases: Sequence[Case], ev: Events) -> tuple[list[float], l
     return lhs, rhs
 
 
-def expected_margins(cases: Sequence[Case], ev: Events) -> list[float]:
-    """Each case's sum over ev's rows of probability times the successor's
-    smallest schedule margin (min_schedule_margins)."""
+def margin_terms(cases: Sequence[Case], ev: Events) -> np.ndarray:
+    """Per row of ev: its probability times the successor's smallest schedule
+    margin (min_schedule_margins)."""
     g, h = next_states([x for x, _, _ in cases], ev)
     d = np.array([params.n_channels for _, _, params in cases], dtype=np.int64)
-    return ev.fsums(ev.pr * min_schedule_margins(g, h, d[ev.case]))
+    return ev.pr * min_schedule_margins(g, h, d[ev.case])
 
 
 def margin_splits(
     cases: Sequence[Case], acted: Events, idle: Events
-) -> list[tuple[float, float]]:
-    """(no_success, success) of each case: its expected next-state best margin m
-    split by transfer outcome, so that E[m] = (1 - p_att)*no_success +
-    p_batch*success, p_att the chance that some attempt made succeeds and
-    p_batch that of a full channel batch.  acted holds every kernel row of
-    the cases' (a, params), the drop-event row included; idle those of each
-    case's (Action(()), params), the pure arrival patterns.  Both parts lie
+) -> list[tuple[float, float, float]]:
+    """(mean, no_success, success) of each case: its expected next-state best
+    margin E[m] and that mean split by transfer outcome, so that
+    E[m] = (1 - p_att)*no_success + p_batch*success, p_att the chance that
+    some attempt made succeeds and p_batch that of a full channel batch.
+    acted is the law of the cases' (a, params): one pass of its terms p*m
+    gives E[m], and the same terms on the rows with a delivery give the
+    success part.  idle is the law of each case's (Action(()), params), the
+    pure arrival patterns, and gives the no-success part.  Both parts lie
     within d * norm_inf(x) in absolute value; at p = 0 success is reported
     as 0.0."""
-    u = expected_margins(cases, idle)
-    hit = expected_margins(cases, acted.rows(acted.delivered.any(axis=1)))
+    u = idle.fsums(margin_terms(cases, idle))
+    terms = margin_terms(cases, acted)
+    hit = acted.fsums(np.where(acted.delivered.any(axis=1), terms, 0.0))
     pds = [success_probs(params, 0).batch for _, _, params in cases]
-    return [(ui, s / pd if pd > 0.0 else 0.0) for ui, s, pd in zip(u, hit, pds)]
+    return [(mean, ui, s / pd if pd > 0.0 else 0.0)
+            for mean, ui, s, pd in zip(acted.fsums(terms), u, hit, pds)]
 
 
 def check_prob_closure(
@@ -147,7 +152,7 @@ def check_prob_closure(
 ) -> CheckResult:
     """Enumerated transition probabilities must sum to one for every (x, a)."""
     cases = _draw(n_cases, seed, False, fault)
-    ev = transition_events([(a, params) for _, a, params in cases]).law()
+    ev = transition_events([(a, params) for _, a, params in cases])
     worst = max([0.0] + [abs(total - 1.0) for total in ev.fsums(ev.pr)])
     status = "pass" if worst <= STEP_TOL else "fail"
     return CheckResult(
@@ -163,7 +168,7 @@ def check_age_sum_identity(
 ) -> CheckResult:
     """One-step expected destination-age sum equals its closed form."""
     cases = _draw(n_cases, seed, False, fault)
-    ev = transition_events([(a, params) for _, a, params in cases]).law()
+    ev = transition_events([(a, params) for _, a, params in cases])
     lhs, rhs = expected_age_sums(cases, ev)
     worst = max([0.0] + [abs(l - r) for l, r in zip(lhs, rhs)])
     status = "pass" if worst <= STEP_TOL else "fail"
@@ -181,23 +186,22 @@ def check_margin_split(
     """Success/no-success split of the expected best margin: mixture identity,
     magnitude bounds, and action-invariance of the no-success part.  One
     kernel call serves the cases' actions, their idle instances, and one idle
-    instance per action of each case; E[margin] reads the law of the first.
-    max_no_success_spread is 0.0 by construction, since every per-action case
-    is the same kernel case (Action(()), params); ROADMAP direction 5 holds
-    its fate."""
+    instance per action of each case; margin_splits reads the law of each of
+    the first two once.  max_no_success_spread is 0.0 by construction, since
+    every per-action case is the same kernel case (Action(()), params);
+    ROADMAP direction 5 holds its fate."""
     cases = _draw(n_cases, seed, True, fault)
     actions = [enumerate_actions(x, params.n_channels) for x, _, params in cases]
     others = [(x, b, params) for (x, _, params), bs in zip(cases, actions) for b in bs]
     ev = transition_events([(a, params) for _, a, params in cases]
                            + [(Action(()), params) for _, _, params in cases + others])
     acted, idle, per_action = ev.split(n_cases, 2 * n_cases)
-    expected = expected_margins(cases, acted.law())
     parts = margin_splits(cases, acted, idle)
-    spread = iter(expected_margins(others, per_action))
+    spread = iter(per_action.fsums(margin_terms(others, per_action)))
     worst_identity = 0.0
     worst_bound = -math.inf
     worst_spread = 0.0
-    for (x, a, params), (u, v), mean, bs in zip(cases, parts, expected, actions):
+    for (x, a, params), (mean, u, v), bs in zip(cases, parts, actions):
         d = params.n_channels
         patt = success_probs(params, len(a.scheduled)).attempted
         pd = success_probs(params, 0).batch

@@ -19,9 +19,11 @@ one-step identity read the same expansion, and the three `check_*` loops
 draw one random case at a time and evaluate it on its own, as the battery
 did before it ran batched.  Every function keeps the fault semantics of the
 batched code: age-drift ages every non-delivered destination by 2, and
-drop-event leaves an event out of the enumeration only, never out of the
-margin split.  `apply_transition` and `transition_prob` are the clean law,
-which no fault reaches.
+drop-event leaves the all-succeed, all-arrive event out of each law that
+is read, the enumeration and both parts of the margin split alike (for the
+no-success part, the law of the idle action, that is the all-arrive
+event).  `apply_transition` and `transition_prob` are the clean law, which
+no fault reaches.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 
 from aoi_sched.model import (
     EMPTY,
+    Action,
     InvalidState,
     SystemState,
     TransitionEvent,
@@ -137,17 +140,24 @@ def _expand_arrivals(x, w, base: float, params) -> list:
     return [(type(x)(gs, h2), pr) for pr, gs in layer]
 
 
+def _law(x, a, params, out: list) -> list:
+    """out, a list of (successor, probability) of (x, a), less the successor
+    of the event where every scheduled transfer succeeds and every source gets
+    a packet under drop-event; distinct events give distinct successors."""
+    if params.fault != "drop-event":
+        return out
+    every = TransitionEvent(a.scheduled, tuple(range(params.n_sources)))
+    dropped = apply_transition(x, a, every)
+    return [(x2, pr) for x2, pr in out if x2 != dropped]
+
+
 def enumerate_transitions(x, a, params) -> list:
     """Exact successor distribution of (x, a), in the batched kernel's order."""
     _check_schedulable(x, a)
     out = []
     for w, base in _success_sets(a, params.p):
         out += _expand_arrivals(x, w, base, params)
-    if params.fault == "drop-event":
-        every = TransitionEvent(a.scheduled, tuple(range(params.n_sources)))
-        dropped = apply_transition(x, a, every)
-        out = [(x2, pr) for x2, pr in out if x2 != dropped]
-    return out
+    return _law(x, a, params, out)
 
 
 def expected_age_sum_check(x, a, params) -> tuple[float, float]:
@@ -157,22 +167,19 @@ def expected_age_sum_check(x, a, params) -> tuple[float, float]:
 
 
 def no_success_margin(x, a, params) -> float:
+    """Expected best margin over the law of (x, Action(())): the pure arrival patterns."""
     _check_schedulable(x, a)
     d = params.n_channels
-    return math.fsum(
-        pr * min_schedule_margin(x2, d) for x2, pr in _expand_arrivals(x, (), 1.0, params)
-    )
+    idle = _law(x, Action(()), params, _expand_arrivals(x, (), 1.0, params))
+    return math.fsum(pr * min_schedule_margin(x2, d) for x2, pr in idle)
 
 
 def margin_decomposition(x, a, params) -> tuple[float, float]:
     u = no_success_margin(x, a, params)
     d = params.n_channels
-    succ_terms = [
-        pr * min_schedule_margin(x2, d)
-        for w, base in _success_sets(a, params.p)
-        if w
-        for x2, pr in _expand_arrivals(x, w, base, params)
-    ]
+    succ = [pair for w, base in _success_sets(a, params.p) if w
+            for pair in _expand_arrivals(x, w, base, params)]
+    succ_terms = [pr * min_schedule_margin(x2, d) for x2, pr in _law(x, a, params, succ)]
     pd = success_probs(params, 0).batch
     v = math.fsum(succ_terms) / pd if pd > 0.0 else 0.0
     return u, v

@@ -224,7 +224,7 @@ class TestOneStepIdentities:
         params = ModelParams(2, 1, 0.45, (0.3, 0.8), 2)
         x = new_state((1, EMPTY), (4, 2))
         a = Action((0,))
-        (lhs,), (rhs,) = expected_age_sums([(x, a, params)], transition_events([(a, params)]).law())
+        (lhs,), (rhs,) = expected_age_sums([(x, a, params)], transition_events([(a, params)]))
         assert abs(lhs - rhs) <= 1e-12
 
     def test_margin_decomposition_identity(self):

@@ -82,15 +82,22 @@ def reference_transitions(x, a, params) -> dict:
 
 def reference_margin_decomposition(x, a, params) -> tuple[float, float]:
     """The event-by-event split: no-success terms weighted by the pure arrival
-    probability, success terms by the full event probability."""
+    probability, success terms by the full event probability.  Under
+    drop-event each part leaves out the last event of its law: every source
+    arriving, and every scheduled transfer succeeding with every source
+    arriving."""
     d = params.n_channels
     arrival_sets = [
         c
         for nc in range(params.n_sources + 1)
         for c in combinations(range(params.n_sources), nc)
     ]
+    every = arrival_sets[-1]
+    dropped = {((), every), (a.scheduled, every)} if params.fault == "drop-event" else set()
     no_succ_terms = []
     for c in arrival_sets:
+        if ((), c) in dropped:
+            continue
         ev = TransitionEvent((), c)
         pr = transition_prob(Action(()), ev, params)
         if pr == 0.0:
@@ -102,7 +109,7 @@ def reference_margin_decomposition(x, a, params) -> tuple[float, float]:
             for c in arrival_sets:
                 ev = TransitionEvent(w, c)
                 pr = transition_prob(a, ev, params)
-                if pr == 0.0:
+                if pr == 0.0 or (w, c) in dropped:
                     continue
                 succ_terms.append(pr * min_schedule_margin(successor(x, a, ev, params), d))
     pd = success_probs(params, 0).batch
@@ -111,11 +118,12 @@ def reference_margin_decomposition(x, a, params) -> tuple[float, float]:
 
 
 def split_margins(batch) -> list[tuple[float, float]]:
-    """margin_splits of a batch, its acted and idle rows from one kernel call
-    over the cases' actions, then each case's instance with no action."""
+    """The (no_success, success) parts of margin_splits of a batch, its acted
+    and idle laws from one kernel call over the cases' actions, then each
+    case's instance with no action."""
     ev = transition_events([(a, params) for _, a, params in batch]
                            + [(Action(()), params) for _, _, params in batch])
-    return margin_splits(batch, *ev.split(len(batch)))
+    return [(u, v) for _, u, v in margin_splits(batch, *ev.split(len(batch)))]
 
 
 def as_hex(pairs) -> dict:
@@ -205,22 +213,34 @@ def mixed_batches(draw, need_holder=False):
 @example([CERTAIN, UNDERFLOW, (*CERTAIN[:2], replace(CERTAIN[2], fault="drop-event"))])
 def test_batched_kernel_matches_event_reference(batch):
     """One call over a mixed batch gives each case the reference's law to the
-    last bit, in the scalar kernel's order, and marks as dropped exactly the
-    event the reference leaves out."""
+    last bit, in the scalar kernel's order.  Against the same batch without
+    faults, a drop-event case loses exactly the successor of its
+    all-succeed, all-arrive event when that event has positive probability,
+    and no other case loses a row."""
     ev = transition_events([(a, params) for _, a, params in batch])
-    parts = ev.split(*range(1, len(batch)))
-    for (x, a, params), part in zip(batch, parts):
-        g, h = next_states([x], part)
-        succ = [(type(x)(tuple(gs[: len(x.g)]), tuple(hs[: len(x.h)])), pr)
-                for gs, hs, pr in zip(g.tolist(), h.tolist(), part.pr.tolist())]
-        law = [pair for pair, gone in zip(succ, part.dropped.tolist()) if not gone]
-        assert as_hex(law) == as_hex(reference_transitions(x, a, params).items())
+    clean = transition_events([(a, replace(params, fault=None)) for _, a, params in batch])
+    starts = range(1, len(batch))
+    for (x, a, params), part, base in zip(batch, ev.split(*starts), clean.split(*starts)):
+
+        def successors(rows):
+            g, h = next_states([x], rows)
+            return [(type(x)(tuple(gs[: len(x.g)]), tuple(hs[: len(x.h)])), pr.hex())
+                    for gs, hs, pr in zip(g.tolist(), h.tolist(), rows.pr.tolist())]
+
+        law, clean_law = successors(part), successors(base)
+        assert dict(law) == as_hex(reference_transitions(x, a, params).items())
         expect = scalar_kernel.enumerate_transitions(x, a, params)
-        assert [(x2, pr.hex()) for x2, pr in law] == [(x2, pr.hex()) for x2, pr in expect]
-        assert [x2 for x2, _ in succ if x2 not in dict(law)] == [
-            apply_transition(x, a, TransitionEvent(a.scheduled, tuple(range(params.n_sources))))
-        ] * int(part.dropped.any())
-        assert not part.dropped.any() or params.fault == "drop-event"
+        assert law == [(x2, pr.hex()) for x2, pr in expect]
+        every = TransitionEvent(a.scheduled, tuple(range(params.n_sources)))
+        if params.fault == "drop-event" and transition_prob(a, every, params) > 0.0:
+            dropped = apply_transition(x, a, every)
+            assert law == [pair for pair in clean_law if pair[0] != dropped]
+            assert len(law) == len(clean_law) - 1
+        else:
+            assert len(part.pr) == len(base.pr)
+            assert part.pr.tobytes() == base.pr.tobytes()
+            assert (part.delivered == base.delivered).all()
+            assert (part.arrived == base.arrived).all()
 
 
 @settings(max_examples=50)

@@ -231,6 +231,14 @@ def test_comparison_of_a_lone_policy():
         compare_policies([rr], params, fresh_state(2), 1, 0)
 
 
+def test_comparison_of_no_policy_is_refused(monkeypatch):
+    """An empty policy list is a ValueError raised before any block runs."""
+    params = ModelParams(2, 1, 0.6, (0.5, 0.5), 6)
+    monkeypatch.setattr(simulate, "policy_totals", None)  # a block run would fail
+    with pytest.raises(ValueError, match="at least 1 policy"):
+        compare_policies([], params, fresh_state(2), 10, 0)
+
+
 def test_records_survive_pickling():
     # a process pool pickles each GridPoint out and its results back
     point = GridPoint(2, 1, 0.6, 6, "uniform:0.5")

@@ -66,3 +66,14 @@ def test_traced_toy_run_of_each_workload(monkeypatch, tmp_path):
         if wl.command == "solve":  # the solve span's info and the report both count stage rows
             assert metrics["dp.states_total"][0] == json.loads(out.read_text())["states_total"]
         assert set(tracer.baseline_figures(tr)) == set(run.ROADMAP), wl.name
+
+
+def test_every_workload_writes_its_golden_bytes(monkeypatch, tmp_path):
+    """Each workload's full-size call, at the CLI's default seed when it is
+    seeded, writes the bytes of its file in perfbench/golden/, which the
+    benchmark checks before it times anything."""
+    run = _load("run", monkeypatch)
+    for wl in run.WORKLOADS.values():
+        out = tmp_path / f"{wl.name}.{wl.ext}"
+        assert main(wl.argv(run.DEFAULT_SEED, False) + ["--out", str(out)]) == 0, wl.name
+        assert out.read_bytes() == (run.GOLDEN / out.name).read_bytes(), wl.name

@@ -51,8 +51,12 @@ def test_age_drift_fault_is_caught(fault_checks):
 
 
 def test_drop_event_fault_is_caught(fault_checks):
+    """drop-event leaves an event out of every law the kernel emits, so both
+    the closure and the margin split, which reads the acted and the idle
+    laws, must fail."""
     failed = {c.name for c in fault_checks["drop-event"] if c.failed}
     assert "transition_prob_closure" in failed
+    assert "margin_decomposition" in failed
 
 
 def test_scaling_check_not_applicable_without_positive_grid():
