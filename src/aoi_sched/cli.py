@@ -38,7 +38,7 @@ from .dp import (
     gap_report,
     solve_optimal,
 )
-from .model import format_state
+from .model import FAULT_MODES, format_state
 from .policies import DeltaPolicy, make_policy
 from .simulate import (  # run_experiment stays importable from here
     compare_policies,
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="also write the optimal value table as text")
         if name == "verify":
             sp.add_argument("--inject-fault", nargs="?", const="age-drift",
-                            choices=["age-drift", "drop-event"],
+                            choices=FAULT_MODES[1:],
                             help="negative control: corrupt the transition law "
                                  "and confirm the suite catches it")
     parser.commands = sub.choices

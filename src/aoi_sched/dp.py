@@ -16,16 +16,17 @@ successors of every row taking that action come from one call of
 model.advance, the successor law that the kernel and the Monte Carlo slot
 share.  The backward pass sums each expectation with math.fsum, which is
 exact, so every value and tie-break is the one a state-by-state pass over the
-kernel's (successor, probability) pairs gives.  A solved DPTable is those arrays: each
-stage's key rows with a value and an action index per row.  dump_table writes
-one as text.  The one-step identities live in `verify`, which checks them.
+kernel's (successor, probability) pairs gives.  A solved DPTable is those
+arrays: each stage's key rows with a value and, before stage T, a scheduled
+mask per row.  dump_table writes one as text.  The one-step identities live
+in `verify`, which checks them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -105,8 +106,8 @@ def _row_key(row: list, n: int, augmented: bool):
 class DPTable:
     """Per-stage arrays of one solve.  stages[t-1] holds stage t's keys, one
     integer row g | h per key, plus a memory column when the evaluated policy
-    threads one (augmented round-robin cursor); values[t-1] and
-    action_ids[t-1] follow the same rows.  root_key is stage 1's one key, a
+    threads one (augmented round-robin cursor); values[t-1] and, for t < T,
+    decisions[t-1] follow the same rows.  root_key is stage 1's one key, a
     state or a (state, memory) pair."""
 
     horizon: int
@@ -115,8 +116,7 @@ class DPTable:
     root_key: object
     stages: tuple[np.ndarray, ...]      # per stage: one key row g | h (| memory) per key
     values: tuple[np.ndarray, ...]      # per stage: float64 value of each row
-    action_ids: tuple[np.ndarray, ...]  # per stage: index into actions; -1 at stage T
-    actions: tuple[Action, ...]
+    decisions: tuple[np.ndarray, ...]   # stages 1..T-1: bool [rows, N] scheduled masks
 
     def root_value(self) -> float:
         return float(self.values[0][0])
@@ -185,15 +185,15 @@ def _successors(rows: np.ndarray, ev: Events, mem, out: np.ndarray) -> None:
 class _Block(NamedTuple):
     """Rows of one stage that take the same action."""
 
-    action: int        # index into the pass's actions
+    action: tuple      # the scheduled sources, ascending
     rows: np.ndarray   # the stage rows
     succ: np.ndarray   # [rows, events] index of each successor in the next stage
     pr: np.ndarray     # [events]
 
 
 def _forward(params: ModelParams, root: np.ndarray, choose, cap: int):
-    """Stage rows reachable from the one-row root stage, the blocks of
-    stages 1..T-1, and the actions the blocks index.
+    """Stage rows reachable from the one-row root stage, and the blocks of
+    stages 1..T-1.
 
     choose(t, rows) yields (action, row indices, next memory or None) for the
     rows of stage t; a row taking several actions appears in one block per
@@ -203,7 +203,6 @@ def _forward(params: ModelParams, root: np.ndarray, choose, cap: int):
     each stage's keys are counted before that stage is expanded.
     """
     events: dict[tuple[int, ...], Events] = {}
-    actions: dict[tuple[int, ...], int] = {}
     stages, blocks = [root], []
     total, limit = 1, max(cap, 1)  # the root counts but is never checked
     for t in range(1, params.horizon):
@@ -225,12 +224,11 @@ def _forward(params: ModelParams, root: np.ndarray, choose, cap: int):
         if total > limit:
             raise StateSpaceTooLarge(f"reachable set exceeds cap: {limit + 1} > {cap}")
         blocks.append([
-            _Block(actions.setdefault(a, len(actions)), rows,
-                   inv[start:stop].reshape(len(rows), len(ev.pr)), ev.pr)
+            _Block(a, rows, inv[start:stop].reshape(len(rows), len(ev.pr)), ev.pr)
             for (a, rows, _, ev), start, stop in zip(taken, ends, ends[1:])
         ])
         stages.append(nxt)
-    return stages, blocks, tuple(Action(a) for a in actions)
+    return stages, blocks
 
 
 def _stage_cost(rows: np.ndarray, n: int) -> np.ndarray:
@@ -238,28 +236,30 @@ def _stage_cost(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _backward(stages: list, blocks: list, n: int):
-    """Values and action indices per stage.  V_T(x) = cost(x); V_t(x) = min
-    over the blocks holding x of cost(x) + sum_x' P(x'|x,a) V_{t+1}(x').
+    """Values per stage and scheduled masks per stage t < T.  V_T(x) = cost(x);
+    V_t(x) = min over the blocks holding x of cost(x) + sum_x' P(x'|x,a) V_{t+1}(x').
 
     Each product is one IEEE multiply, as in Python, and each sum is
     math.fsum, so candidate values that are equal in exact arithmetic round
-    identically; a strict comparison then keeps the first candidate."""
-    values = [_stage_cost(stages[-1], n)]
-    ids = [np.full(len(stages[-1]), -1)]
+    identically; a strict comparison then keeps the first candidate, and
+    each win overwrites the row's whole mask."""
+    values, decisions = [_stage_cost(stages[-1], n)], []
     for rows, stage_blocks in zip(stages[-2::-1], blocks[::-1]):
         nxt = values[-1]
         base = _stage_cost(rows, n)
         best = np.full(len(rows), np.inf)
-        act = np.full(len(rows), -1)
+        act = np.zeros((len(rows), n), dtype=bool)
         for b in stage_blocks:
             terms = (b.pr * nxt[b.succ]).tolist()
             q = base[b.rows] + np.fromiter(map(math.fsum, terms), float, len(terms))
             win = q < best[b.rows]
             best[b.rows[win]] = q[win]
-            act[b.rows[win]] = b.action
+            mask = np.zeros(n, dtype=bool)
+            mask[list(b.action)] = True
+            act[b.rows[win]] = mask
         values.append(best)
-        ids.append(act)
-    return values[::-1], ids[::-1]
+        decisions.append(act)
+    return values[::-1], decisions[::-1]
 
 
 def _root(params: ModelParams, x0: SystemState, mem0) -> np.ndarray:
@@ -273,12 +273,12 @@ def _root(params: ModelParams, x0: SystemState, mem0) -> np.ndarray:
 
 
 def _solve(params: ModelParams, name, x0: SystemState, mem0, choose, cap: int) -> DPTable:
-    stages, blocks, actions = _forward(params, _root(params, x0, mem0), choose, cap)
-    values, ids = _backward(stages, blocks, params.n_sources)
+    stages, blocks = _forward(params, _root(params, x0, mem0), choose, cap)
+    values, decisions = _backward(stages, blocks, params.n_sources)
     augmented = mem0 is not None
     key0 = (x0, mem0) if augmented else x0
     return DPTable(params.horizon, name, augmented, key0, tuple(stages), tuple(values),
-                   tuple(ids), actions)
+                   tuple(decisions))
 
 
 def _all_actions(params: ModelParams):
@@ -313,7 +313,7 @@ def reachable_states(
     params: ModelParams, x0: SystemState, cap: int = DEFAULT_STATE_CAP
 ) -> list[set[SystemState]]:
     """Per-stage sets of states reachable from x0 under any action sequence."""
-    stages, _, _ = _forward(params, _root(params, x0, None), _all_actions(params), cap)
+    stages, _ = _forward(params, _root(params, x0, None), _all_actions(params), cap)
     n = params.n_sources
     return [{_row_key(row, n, False) for row in rows.tolist()} for rows in stages]
 
@@ -397,16 +397,16 @@ def dump_table(table: DPTable, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         name = table.policy_name or "optimal"
         fh.write(f"# value table policy={name} horizon={table.horizon}\n")
-        acts = [",".join(str(i + 1) for i in a.scheduled) for a in table.actions]
         for t, rows in enumerate(table.stages, 1):
             n = rows.shape[1] // 2
             order = np.lexsort(rows.T[::-1])
-            values, ids = table.values[t - 1][order], table.action_ids[t - 1][order]
-            for row, value, j in zip(rows[order].tolist(), values.tolist(), ids.tolist()):
+            values = table.values[t - 1][order].tolist()
+            masks = table.decisions[t - 1][order].tolist() if t < table.horizon else []
+            for row, value, mask in zip_longest(rows[order].tolist(), values, masks):
                 line = f"t={t} state={format_state(_row_key(row, n, False))}"
                 if table.augmented:
                     line += f" cursor={row[2 * n]}"
                 line += f" value={value:.12g}"
-                if j >= 0:
-                    line += f" action=[{acts[j]}]"
+                if mask is not None:
+                    line += " action=[" + ",".join(str(i + 1) for i in range(n) if mask[i]) + "]"
                 fh.write(line + "\n")

@@ -25,8 +25,8 @@ fewer), sorted ascending.
 Each rule is written once, for a block of episodes:
 decide_batch(t, g, h, memory) takes g, h as integer arrays of shape [B, N]
 at stage t and returns the scheduled mask of the same shape and the next
-memory.  The index rules ignore t; the table-backed policy looks the whole
-stage up in its table's arrays (decide_stage).  decide(t, x, memory) is
+memory.  The index rules ignore t; the table-backed policy reads the whole
+block's masks off its table's stage arrays.  decide(t, x, memory) is
 decide_batch on the one-row block of a single state.  IndexRule.stack gives
 the rows of several index policies one [B, 1] coefficient column each, so
 that a block of mixed rows decides in one call.
@@ -35,7 +35,6 @@ that a block of mixed rows decides in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -219,26 +218,13 @@ class OptimalPolicy(Policy):
     decide = Policy.decide
 
     def decide_batch(self, t, g, h, memory=None):
-        return self.decide_stage(t, g, h), memory
-
-    @cached_property
-    def _action_masks(self) -> np.ndarray:
-        """[actions, N]: row i masks the sources of the table's action i."""
-        table = self.table
-        masks = np.zeros((len(table.actions), table.stages[0].shape[1] // 2), dtype=bool)
-        for i, a in enumerate(table.actions):
-            masks[i, list(a.scheduled)] = True
-        return masks
-
-    def decide_stage(self, t: int, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         """The scheduled mask of every row of the [B, N] ages g, h at stage t:
-        each state's stored action, looked up in the table's stage arrays;
+        each state's stored mask, looked up in the table's stage arrays;
         StateNotInTable for a state the solver never reached."""
         table = self.table
         if t >= table.horizon:
             raise ValueError(f"stage {t} is terminal; no decision is defined")
-        ids = table.action_ids[t - 1][table.lookup(t, np.concatenate([g, h], axis=1))]
-        return self._action_masks[ids]
+        return table.decisions[t - 1][table.lookup(t, np.concatenate([g, h], axis=1))], memory
 
 
 POLICY_NAMES = ("delta", "pi", "rr", "rr-strict", "optimal")

@@ -130,8 +130,6 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
     g = np.tile(np.array(x0.g, dtype=np.int64), (b, 1))
     h = np.tile(np.array(x0.h, dtype=np.int64), (b, 1))
     ages = h.copy()  # destination ages summed over the stages so far
-    if T == 1:
-        return ages.reshape(len(policies), e, n)[back]
     p, q = params.p, np.array(params.q)
     chunk = min(CHUNK_SLOTS, T - 1)
     width = chunk * (n + min(d, n))

@@ -14,7 +14,8 @@ reads the uniforms, and the event-by-event law
 
 `stage_dicts` reads a `DPTable`'s per-stage arrays as one dict per stage,
 `key -> (value, action or None)`, where a key is a `SystemState`, or a
-(state, cursor) pair for an augmented table.
+(state, cursor) pair for an augmented table, and an action holds the sources
+of the row's scheduled mask (None at the terminal stage).
 """
 
 from __future__ import annotations
@@ -88,13 +89,14 @@ def stage_dicts(table) -> tuple[dict, ...]:
     floats; built once per table."""
     if table not in _STAGE_DICTS:
         stages = []
-        for rows, values, ids in zip(table.stages, table.values, table.action_ids):
+        for rows, values, masks in zip(table.stages, table.values, (*table.decisions, None)):
             n = rows.shape[1] // 2
             keys = []
             for row in rows.tolist():
                 x = SystemState(tuple(row[:n]), tuple(row[n : 2 * n]))
                 keys.append((x, row[2 * n]) if table.augmented else x)
-            acts = [None if j < 0 else table.actions[j] for j in ids.tolist()]
+            acts = ([None] * len(keys) if masks is None else
+                    [Action(tuple(np.flatnonzero(m).tolist())) for m in masks])
             stages.append(dict(zip(keys, zip(values.tolist(), acts))))
         _STAGE_DICTS[table] = tuple(stages)
     return _STAGE_DICTS[table]

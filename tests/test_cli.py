@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, overrides, determinism."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -104,6 +105,20 @@ def test_solve_dump_tables(tmp_path):
     ])
     assert res.returncode == 0, res.stderr
     assert dump.read_text().startswith("# value table policy=optimal horizon=3")
+
+
+# the exact_gap benchmark workload's solve argv, and the sha256 of its optimal
+# table's dump, frozen from the solver that stored an action index per row
+GAP_ARGV = ["solve", "--no-header-timestamp", "--n-sources", "2", "--n-channels", "1",
+            "--p", "0.6", "--q", "uniform:0.5", "--horizon", "7", "--policies", "delta,pi,rr"]
+GAP_DUMP_SHA256 = "01ec7f9ac3c6c7620bf7ffad8376aa1d6a3050fa0d1bf3539088f7e7cd2cdbf8"
+
+
+def test_solve_dump_tables_bytes_are_frozen(tmp_path):
+    dump = tmp_path / "gap.dump"
+    argv = GAP_ARGV + ["--out", str(tmp_path / "gap.json"), "--dump-tables", str(dump)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == GAP_DUMP_SHA256
 
 
 def test_sweep_one_file_per_axis(tmp_path):

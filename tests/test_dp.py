@@ -6,6 +6,7 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aoi_sched import dp
@@ -166,6 +167,35 @@ class TestEvaluatePolicy:
                 x, params.n_channels
             )
             assert abs(value - expect) <= 1e-9
+
+
+def test_decisions_are_scheduled_masks():
+    """Each decision stage stores one bool [rows, N] mask.  An optimal row
+    schedules min(N_x, d) packet holders, even where several actions
+    competed for it, and a fixed policy's rows hold its own decide_batch
+    masks, read with the memory column when the key carries one."""
+    three = ModelParams(3, 2, 0.6, (0.5, 0.2, 0.9), 5)
+    four = ModelParams(4, 3, 0.7, (0.3, 0.6, 0.8, 0.5), 4)
+    for params, x0 in [(three, fresh_state(3)),
+                       (three, new_state((1, EMPTY, 0), (3, 2, 4))),
+                       (four, new_state((2, 0, EMPTY, 1), (5, 3, 2, 4)))]:
+        n, d = params.n_sources, params.n_channels
+        opt = solve_optimal(params, x0)
+        assert len(opt.decisions) == params.horizon - 1
+        for rows, masks in zip(opt.stages, opt.decisions):
+            assert masks.dtype == bool and masks.shape == (len(rows), n)
+            holders = rows[:, :n] != EMPTY
+            assert not (masks & ~holders).any()
+            assert (masks.sum(axis=1) == np.minimum(holders.sum(axis=1), d)).all()
+        for name in ("delta", "pi", "rr"):
+            policy = make_policy(name, params)
+            table = evaluate_policy(policy, params, x0)
+            assert len(table.decisions) == params.horizon - 1, name
+            for t, (rows, masks) in enumerate(zip(table.stages, table.decisions), 1):
+                g, h = rows[:, :n].astype(np.int64), rows[:, n : 2 * n].astype(np.int64)
+                mem = rows[:, 2 * n].astype(np.int64) if table.augmented else None
+                assert masks.dtype == bool, name
+                assert np.array_equal(masks, policy.decide_batch(t, g, h, mem)[0]), name
 
 
 class TestBoundConstants:

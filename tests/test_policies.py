@@ -170,7 +170,7 @@ class TestOptimalDecideStage:
             keys = list(stage)
             g = np.array([x.g for x in keys])
             h = np.array([x.h for x in keys])
-            masks = policy.decide_stage(t, g, h)
+            masks, _ = policy.decide_batch(t, g, h)
             for x, mask in zip(keys, masks):
                 assert tuple(np.flatnonzero(mask)) == stage[x][1].scheduled
 
@@ -184,13 +184,13 @@ class TestOptimalDecideStage:
         g = np.array([fresh_state(2).g, x.g])
         h = np.array([fresh_state(2).h, x.h])
         with pytest.raises(StateNotInTable, match=r"stage 1 has no entry for .*h=\((9|1000000),"):
-            policy.decide_stage(1, g, h)
+            policy.decide_batch(1, g, h)
 
     def test_terminal_stage_has_no_action(self):
         params = ModelParams(2, 1, 0.5, (0.5, 0.5), 3)
         policy = OptimalPolicy(solve_optimal(params, fresh_state(2)))
         with pytest.raises(ValueError):
-            policy.decide_stage(params.horizon, np.zeros((1, 2), int), np.ones((1, 2), int))
+            policy.decide_batch(params.horizon, np.zeros((1, 2), int), np.ones((1, 2), int))
 
 
 @given(states(), st.integers(1, 3))
