@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Standing mutants: each one weakens a check or breaks a fast path, and a
+named test must catch it.
+
+Usage:
+    python scripts/mutants.py
+
+A mutant is (name, file, exact old text, new text, tests).  The script first
+runs every mutant's tests on an unmutated copy of the source tree, which must
+pass.  Then, for each mutant, it copies the tree into a temporary directory,
+replaces the old text (found exactly once) by the new one and runs pytest on
+the mutant's tests there.  A mutant is killed when a test fails.
+Exit status: 0 when every mutant is killed, 1 when one survives, 2 when the
+unmutated copy fails, an old text is not found exactly once, or pytest stops
+without running the tests.
+
+Each mutant costs a pytest process, a few seconds, so the suite itself only
+checks that every old text still occurs once (tests/test_scripts.py).  A
+change that adds a check or a fast path adds its mutant here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "perfbench", "scripts", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, one of which must fail
+
+
+MUTANTS = (
+    Mutant("gap-scaling-any-slope", "src/aoi_sched/verify.py",
+           'status = "pass" if slope >= 1.8 else "fail"',
+           'status = "pass" if slope >= 0.0 else "fail"',
+           ("tests/test_verify.py::test_gap_scaling_needs_quadratic_decay",)),
+    Mutant("penultimate-gap-tolerant", "src/aoi_sched/verify.py",
+           "ok = worst_eq == 0.0 and worst_form <= VALUE_TOL",
+           "ok = worst_eq <= 1e-6 and worst_form <= VALUE_TOL",
+           ("tests/test_verify.py::test_penultimate_stage_fails_on_one_ulp",)),
+    Mutant("policy-eval-tolerant", "src/aoi_sched/verify.py",
+           'status = "pass" if worst == 0.0 else "fail"',
+           'status = "pass" if worst <= 1e-6 else "fail"',
+           ("tests/test_verify.py::test_policy_eval_consistency_fails_on_one_ulp",)),
+    Mutant("bound-c1-off-by-one", "src/aoi_sched/dp.py",
+           "c1n = (1.0 + pd) * c1 + 2.0 * (j - 1) * d",
+           "c1n = (1.0 + pd) * c1 + 2.0 * j * d",
+           ("tests/test_dp.py::TestBoundConstants::test_hand_recursion_depth_three",)),
+    Mutant("gap-z-over-p", "src/aoi_sched/dp.py",
+           "z = diff / p_pd if params.p > 0.0 else None",
+           "z = diff / params.p if params.p > 0.0 else None",
+           ("tests/test_dp.py::TestOptimalityGap::test_fields_cross_check",)),
+    Mutant("backward-last-minimum", "src/aoi_sched/dp.py",
+           "win = q < best[b.rows]",
+           "win = q <= best[b.rows]",
+           ("tests/test_dp.py::TestSolveOptimal::test_ties_resolve_to_the_first_action",
+            "tests/test_dp.py::test_tables_match_frozen_digests")),
+    Mutant("backward-stale-mask-bits", "src/aoi_sched/dp.py",
+           "mask = np.zeros(n, dtype=bool)\n"
+           "            mask[list(b.action)] = True\n"
+           "            act[b.rows[win]] = mask",
+           "act[np.ix_(b.rows[win], list(b.action))] = True",
+           ("tests/test_dp.py::test_decisions_are_scheduled_masks",)),
+    Mutant("replay-high-half-first", "src/aoi_sched/verify.py",
+           "self._half = word >> 32\n"
+           "            return word & _UINT32",
+           "self._half = word & _UINT32\n"
+           "            return word >> 32",
+           ("tests/test_verify.py::test_replay_matches_default_rng_call_for_call",)),
+)
+
+
+def occurrences(mutant: Mutant) -> int:
+    return (ROOT / mutant.path).read_text().count(mutant.old)
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis", ".work")
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def run_tests(tree: Path, tests) -> int:
+    """pytest's exit code for tests run in tree, importing only tree/src."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def run_mutant(mutant: Mutant) -> int:
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        target = tree / mutant.path
+        target.write_text(target.read_text().replace(mutant.old, mutant.new))
+        return run_tests(tree, mutant.tests)
+
+
+def main() -> int:
+    stale = [m.name for m in MUTANTS if occurrences(m) != 1]
+    if stale:
+        print(f"old text not found exactly once: {stale}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="mutant-base-") as tmp:
+        copy_tree(Path(tmp))
+        rc = run_tests(Path(tmp), sorted({t for m in MUTANTS for t in m.tests}))
+    if rc != 0:
+        print(f"the unmutated tree fails the mutants' tests (pytest exit {rc})", file=sys.stderr)
+        return 2
+    survived, broken = [], []
+    for m in MUTANTS:
+        t = time.perf_counter()
+        rc = run_mutant(m)
+        verdict = {0: "SURVIVED", 1: "killed"}.get(rc, f"pytest exit {rc}")
+        print(f"{verdict:<10} {m.name} ({time.perf_counter() - t:.1f} s)", flush=True)
+        if rc == 0:
+            survived.append(m.name)
+        elif rc != 1:
+            broken.append(m.name)
+    if broken:
+        print(f"pytest did not run the tests of: {broken}", file=sys.stderr)
+        return 2
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,8 +8,11 @@ another from its own stream, then expands them in one call of the batched
 kernel and reads its measurements off each case's law as arrays, every
 per-case expectation one math.fsum; expected_age_sums and margin_splits are
 the oracles of the paper's two one-step identities, and a fault reaches them
-only through the law the kernel emits.  The exact checks solve each
-gap instance once and compare value arrays aligned by DPTable.lookup.
+only through the law the kernel emits.  The stream is a replay of PCG64's
+raw words (_Pcg64Draws): its draws equal those of
+np.random.default_rng(seed), and a test pins the two together.  The exact
+checks solve each gap instance once and compare value arrays aligned by
+DPTable.lookup.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import replace
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -101,9 +105,78 @@ def random_case(
     return params, x, a
 
 
+_UINT32 = 0xFFFFFFFF
+_TWO_TO_MINUS_53 = 1.0 / 9007199254740992.0
+_RAW_CHUNK = 512  # raw words per numpy call; a random_case takes about 13
+
+
+class _Pcg64Draws:
+    """The Generator methods random_case calls, replayed bit for bit on
+    Python ints from the raw 64-bit words of PCG64(seed), the bit generator
+    of np.random.default_rng(seed); one numpy call per chunk of words instead
+    of one per draw.  As in numpy, a 32-bit draw is the low half of a word
+    and keeps the high half for the next 32-bit draw, which random() leaves
+    alone.  A request the replay cannot match exactly raises ValueError."""
+
+    def __init__(self, seed: int):
+        bits = np.random.PCG64(seed)
+        self._word = chain.from_iterable(
+            iter(lambda: bits.random_raw(_RAW_CHUNK).tolist(), None)).__next__
+        self._half = None
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._word()
+            self._half = word >> 32
+            return word & _UINT32
+        self._half = None
+        return half
+
+    def random(self) -> float:
+        return (self._word() >> 11) * _TWO_TO_MINUS_53
+
+    def uniform(self, low: float, high: float, size: int | None = None):
+        """low + (high - low) * random(), or a list of size of them."""
+        span = high - low
+        if not 0.0 <= span < math.inf:
+            raise ValueError(f"cannot replay uniform({low!r}, {high!r})")
+        if size is None:
+            return low + span * self.random()
+        return [low + span * self.random() for _ in range(size)]
+
+    def integers(self, low: int, high: int) -> int:
+        """An int in [low, high) by Lemire's method on 32-bit draws; a range
+        above 2**32 raises."""
+        top = high - low - 1
+        if not 0 < top < _UINT32:
+            if top == 0:
+                return low
+            if top == _UINT32:
+                return low + self._uint32()
+            raise ValueError(f"cannot replay integers({low}, {high})")
+        span = top + 1
+        m = self._uint32() * span
+        if m & _UINT32 < span:
+            threshold = (_UINT32 - top) % span
+            while m & _UINT32 < threshold:
+                m = self._uint32() * span
+        return low + (m >> 32)
+
+    def shuffle(self, x: list) -> None:
+        """Fisher-Yates in place, each index drawn by masked rejection."""
+        for i in range(len(x) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._uint32() & mask
+            while j > i:
+                j = self._uint32() & mask
+            x[i], x[j] = x[j], x[i]
+
+
 def _draw(n_cases: int, seed: int, ensure_holder: bool, fault: str | None) -> list[Case]:
-    """n_cases random (x, a, params) cases, drawn one after another."""
-    rng = np.random.default_rng(seed)
+    """n_cases random (x, a, params) cases, drawn one after another from
+    default_rng(seed)'s stream."""
+    rng = _Pcg64Draws(seed)
     drawn = (random_case(rng, ensure_holder=ensure_holder, fault=fault) for _ in range(n_cases))
     return [(x, a, params) for params, x, a in drawn]
 

@@ -1,5 +1,7 @@
-"""Smoke test of the study script that README documents."""
+"""Smoke test of the study script that README documents, and the upkeep of
+the standing mutant list."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -7,7 +9,8 @@ from pathlib import Path
 
 from .conftest import SRC
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_gap_study.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "run_gap_study.py"
 
 
 def run_script(*args):
@@ -36,3 +39,19 @@ def test_gap_study_reports_null_z_at_p_zero():
     assert [row[0] for row in rows] == ["0", "0.16"]
     assert rows[0][2:4] == ["0.000e+00", "null"]
     assert rows[1][3] != "null"
+
+
+def test_every_mutant_applies_exactly_once():
+    """scripts/mutants.py cannot rot silently: each mutant's old text occurs
+    once in its file, and each test it names is defined where it says."""
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(set(names)) == len(names)
+    for m in mutants.MUTANTS:
+        assert mutants.occurrences(m) == 1, m.name
+        assert m.tests, m.name
+        for node in m.tests:
+            path, *_, test = node.split("::")
+            assert f"def {test}(" in (ROOT / path).read_text(), (m.name, node)

@@ -1,12 +1,16 @@
 """Self-check suite wiring, including the fault-injection negative controls."""
 
 import json
+import random
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from aoi_sched import dp, verify
-from aoi_sched.model import enumerate_transitions
+from aoi_sched.model import EMPTY, ModelParams, enumerate_transitions, new_state
 from aoi_sched.verify import check_prob_closure, run_suite
 
 from . import scalar_kernel
@@ -147,3 +151,145 @@ def test_batched_checks_match_scalar_loops(fault, seed):
     for check, loop, n_cases in pairs:
         got = check(n_cases=n_cases, seed=seed, fault=fault).measured
         assert as_hex(got) == as_hex(loop(n_cases, seed, fault)), check.__name__
+
+
+# --- the replay of default_rng's draws -------------------------------------
+
+REPLAY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1,
+                *np.random.default_rng(2101).integers(0, 2**63, 3).tolist()]
+# ranges of integers(): no draw, small, rejection-heavy (2**31 + 1, 3 * 2**30)
+# and the two widest, the last of which takes a bare 32-bit draw
+RANGES = [1, 2, 3, 21, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
+
+
+def _script(seed: int, n_ops: int) -> list:
+    """n_ops interleaved primitive calls, as (method, args) pairs."""
+    pick = random.Random(seed)
+    ops = []
+    for _ in range(n_ops):
+        kind = pick.randrange(5)
+        if kind == 0:
+            ops.append(("random", ()))
+        elif kind == 1:
+            low = pick.uniform(-5.0, 5.0)
+            ops.append(("uniform", (low, low + pick.uniform(0.0, 10.0))))
+        elif kind == 2:
+            ops.append(("uniform", (0.0, 1.0, pick.randrange(6))))
+        elif kind == 3:
+            low = pick.randrange(-50, 50)
+            ops.append(("integers", (low, low + pick.choice(RANGES))))
+        else:
+            ops.append(("shuffle", list(range(pick.randrange(9)))))
+    return ops
+
+
+def _play(rng, ops) -> list:
+    out = []
+    for name, args in ops:
+        if name == "shuffle":
+            args = list(args)
+            rng.shuffle(args)
+            out.append(args)
+        else:
+            out.append(np.asarray(getattr(rng, name)(*args)).tolist())
+    return out
+
+
+@pytest.mark.parametrize("seed", REPLAY_SEEDS)
+def test_replay_matches_default_rng_call_for_call(seed):
+    """Every primitive random_case uses, interleaved, gives default_rng's
+    draws: a 32-bit draw's buffered high half survives random() calls."""
+    ops = _script(seed, 1500)
+    assert _play(verify._Pcg64Draws(seed), ops) == _play(np.random.default_rng(seed), ops)
+
+
+@pytest.mark.parametrize("span", [2**31 + 1, 3 * 2**30])
+def test_replay_rejects_as_lemire_does(span):
+    """About one 32-bit draw in two (one in four) is rejected on these ranges;
+    the replay rejects the same ones."""
+    replay, ref = verify._Pcg64Draws(span), np.random.default_rng(span)
+    draw32, used = replay._uint32, []
+    replay._uint32 = lambda: used.append(1) or draw32()
+    got = [replay.integers(0, span) for _ in range(400)]
+    assert got == [int(ref.integers(0, span)) for _ in range(400)]
+    assert len(used) > 1.1 * 400
+    assert replay.random() == ref.random()
+
+
+@pytest.mark.parametrize("ensure_holder, fault", [(False, None), (True, "age-drift")])
+@pytest.mark.parametrize("seed", [0, 43, 2**32, 2**64 - 1])
+def test_draw_matches_random_case_on_default_rng(seed, ensure_holder, fault):
+    rng = np.random.default_rng(seed)
+    expect = [verify.random_case(rng, ensure_holder, fault) for _ in range(200)]
+    got = verify._draw(200, seed, ensure_holder, fault)
+    assert got == [(x, a, params) for params, x, a in expect]
+
+
+def test_replay_refuses_what_it_cannot_match():
+    replay = verify._Pcg64Draws(0)
+    for low, high in ((0, 2**32 + 1), (0, 2**40), (5, 5)):
+        with pytest.raises(ValueError):
+            replay.integers(low, high)
+    for low, high in ((1.0, 0.0), (0.0, float("inf"))):
+        with pytest.raises(ValueError):
+            replay.uniform(low, high)
+
+
+# --- each bit-exact or scaling gate fails just past its threshold ----------
+
+
+def _two_stage_table() -> dp.DPTable:
+    """The optimal table of N = 1, d = 1, T = 2 from x = (g=[psi], h=[1]):
+    both successors have h = 2, so V_2 = 2 and V_1 = 1 + 2 = 3, the closed
+    form 2*cost + N + p*margin with margin 0."""
+    x0 = new_state([EMPTY], [1])
+    return dp.DPTable(
+        2, None, False, x0,
+        (np.array([[EMPTY, 1]]), np.array([[EMPTY, 2], [0, 2]])),
+        (np.array([3.0]), np.array([2.0, 2.0])),
+        (np.zeros((1, 1), dtype=bool),))
+
+
+TWO_STAGE = ModelParams(1, 1, 0.5, (0.5,), 2)
+
+
+def _nudged(table: dp.DPTable, t: int) -> dp.DPTable:
+    """table with the first value of stage t raised by one ulp."""
+    values = [v.copy() for v in table.values]
+    values[t - 1][0] = np.nextafter(values[t - 1][0], np.inf)
+    return replace(table, values=tuple(values))
+
+
+def test_penultimate_stage_fails_on_one_ulp():
+    """Kills the mutant that accepts a last-two-stage gap up to 1e-6."""
+    opt = _two_stage_table()
+    assert verify.check_penultimate_stage([(TWO_STAGE, opt, opt)]).status == "pass"
+    res = verify.check_penultimate_stage([(TWO_STAGE, opt, _nudged(opt, 2))])
+    assert res.status == "fail"
+    assert res.measured["max_stage_gap"] == np.spacing(2.0)
+
+
+def test_policy_eval_consistency_fails_on_one_ulp(monkeypatch):
+    """Kills the mutant that accepts a re-evaluation error up to 1e-6.  The
+    re-evaluation of the optimal policy returns its own table, one value
+    nudged by one ulp."""
+    opt = _two_stage_table()
+    monkeypatch.setattr(verify, "solve_optimal", lambda params, x0: opt)
+    monkeypatch.setattr(verify, "evaluate_policy", lambda policy, params, x0: policy.table)
+    assert verify.check_policy_eval_consistency(TWO_STAGE).status == "pass"
+    monkeypatch.setattr(verify, "evaluate_policy",
+                        lambda policy, params, x0: _nudged(policy.table, 1))
+    res = verify.check_policy_eval_consistency(TWO_STAGE)
+    assert res.status == "fail"
+    assert res.measured["max_abs_err"] == np.spacing(3.0)
+
+
+@pytest.mark.parametrize("power, status", [(2.0, "pass"), (1.5, "fail")])
+def test_gap_scaling_needs_quadratic_decay(monkeypatch, power, status):
+    """Kills the mutant that passes any nonnegative log-log slope: gaps
+    proportional to p**1.5 fail the 1.8 gate, and p**2 passes it."""
+    monkeypatch.setattr(verify, "optimality_gap",
+                        lambda params, x0: SimpleNamespace(diff=0.3 * params.p ** power))
+    res = verify.check_gap_scaling()
+    assert res.status == status
+    assert res.measured["slope"] == pytest.approx(power)
