@@ -80,6 +80,30 @@ MUTANTS = (
            "self._half = word & _UINT32\n"
            "            return word >> 32",
            ("tests/test_verify.py::test_replay_matches_default_rng_call_for_call",)),
+    Mutant("rr-cursor-initial-zero", "src/aoi_sched/policies.py",
+           "where=mask, initial=-1)",
+           "where=mask, initial=0)",
+           ("tests/test_policies.py::test_stacked_index_rule_matches_each_rows_policy",
+            "tests/test_simulate.py::test_workload_shaped_block_matches_scalar_episodes")),
+    Mutant("cursor-moves-every-row", "src/aoi_sched/policies.py",
+           "        moved *= self.cyclic\n",
+           "",
+           ("tests/test_policies.py::test_stacked_index_rule_matches_each_rows_policy",
+            "tests/test_simulate.py::test_workload_shaped_block_matches_scalar_episodes")),
+    Mutant("selection-keeps-non-holders", "src/aoi_sched/policies.py",
+           "    mask &= holders\n",
+           "",
+           ("tests/test_policies.py::test_decide_batch_matches_reference_rules",
+            "tests/test_simulate.py::test_workload_shaped_block_matches_scalar_episodes")),
+    Mutant("success-unmasked", "src/aoi_sched/simulate.py",
+           "        success &= sched\n",
+           "",
+           ("tests/test_simulate.py::test_workload_shaped_block_matches_scalar_episodes",
+            "tests/test_simulate.py::test_batched_engine_matches_scalar_episodes")),
+    Mutant("advance-skips-every-int-step", "src/aoi_sched/model.py",
+           "isinstance(step, int) and step == 1",
+           "isinstance(step, int)",
+           ("tests/test_kernel.py::test_advance_matches_apply_transition",)),
 )
 
 

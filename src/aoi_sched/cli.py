@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -63,13 +64,33 @@ SIM_COLUMNS = (
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors exit 1, as config errors do; exit 2 means a failed check."""
+    """Usage errors exit 1, as config errors do; exit 2 means a failed check.
+    A subcommand's parser adds its arguments, by its fill hook, the first
+    time it parses or formats help, so a call builds only the one it runs."""
 
     commands: dict  # subcommand name -> its parser, set by build_parser
+    _fill = None  # adds this parser's arguments; cleared once it has run
+
+    def _fill_once(self):
+        if self._fill is not None:
+            fill, self._fill = self._fill, None
+            fill(self)
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def format_usage(self):
+        self._fill_once()
+        return super().format_usage()
+
+    def format_help(self):
+        self._fill_once()
+        return super().format_help()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._fill_once()
+        return super().parse_known_args(args, namespace)
 
     def parse_args(self, args=None, namespace=None):
         # an unknown flag is reported with the usage line of its subcommand
@@ -77,6 +98,29 @@ class _ArgumentParser(argparse.ArgumentParser):
         if extra:
             self.commands[ns.command].error(f"unrecognized arguments: {' '.join(extra)}")
         return ns
+
+
+def _add_arguments(name: str, sp: argparse.ArgumentParser) -> None:
+    """Give sp, the parser of subcommand name, --config and the flag of each
+    field that the subcommand reads."""
+    sp.add_argument("--config", metavar="PATH", help="INI config file")
+    for f in FIELDS:
+        if name not in f.commands:
+            continue
+        if f.const is None:
+            sp.add_argument(f.flag, dest=f.name, nargs=f.nargs, metavar=f.key.upper(),
+                            help=f.help)
+        else:
+            sp.add_argument(f.flag, dest=f.name, action="store_const", const=f.const,
+                            help=f.help)
+    if name == "solve":
+        sp.add_argument("--dump-tables", metavar="PATH",
+                        help="also write the optimal value table as text")
+    if name == "verify":
+        sp.add_argument("--inject-fault", nargs="?", const="age-drift",
+                        choices=FAULT_MODES[1:],
+                        help="negative control: corrupt the transition law "
+                             "and confirm the suite catches it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,24 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         # no prefix matching: a field a subcommand does not read must not
         # reach a longer flag it does, as --p would reach --p-grid
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        sp.add_argument("--config", metavar="PATH", help="INI config file")
-        for f in FIELDS:
-            if name not in f.commands:
-                continue
-            if f.const is None:
-                sp.add_argument(f.flag, dest=f.name, nargs=f.nargs, metavar=f.key.upper(),
-                                help=f.help)
-            else:
-                sp.add_argument(f.flag, dest=f.name, action="store_const", const=f.const,
-                                help=f.help)
-        if name == "solve":
-            sp.add_argument("--dump-tables", metavar="PATH",
-                            help="also write the optimal value table as text")
-        if name == "verify":
-            sp.add_argument("--inject-fault", nargs="?", const="age-drift",
-                            choices=FAULT_MODES[1:],
-                            help="negative control: corrupt the transition law "
-                                 "and confirm the suite catches it")
+        sp._fill = functools.partial(_add_arguments, name)
     parser.commands = sub.choices
     return parser
 

@@ -245,9 +245,13 @@ def advance(g, h, holders, delivered, stay, step=1):
     A delivery sets h' = g + 1 and empties the buffer; any other destination
     age grows by step.  An arrival leaves g' = 0; an undelivered packet ages
     by one and an empty buffer stays empty.  The masks are arguments so that
-    a caller holding them already pays for no comparison."""
-    return (np.where(delivered, EMPTY, g + holders) * stay,
-            np.where(delivered, g, h + (step - 1)) + 1)
+    a caller holding them already pays for no comparison.  g' is scaled by
+    stay in place, so stay must broadcast to the shape of g'."""
+    g2 = np.where(delivered, EMPTY, g + holders)
+    g2 *= stay
+    h2 = np.where(delivered, g, h if isinstance(step, int) and step == 1 else h + (step - 1))
+    h2 += 1
+    return g2, h2
 
 
 def next_states(xs: Sequence[SystemState], ev: Events) -> tuple[np.ndarray, np.ndarray]:

@@ -74,8 +74,11 @@ def smallest_holders(keys: np.ndarray, holders: np.ndarray, d: int) -> np.ndarra
     if d >= keys.shape[1]:
         return holders
     keys = np.where(holders, keys, _NO_PACKET_KEY)
-    kth = np.partition(keys, d - 1, axis=1)[:, d - 1 : d]
-    return (keys <= kth) & holders
+    kth = keys.copy()
+    kth.partition(d - 1, axis=1)
+    mask = keys <= kth[:, d - 1 : d]
+    mask &= holders
+    return mask
 
 
 def distance_table(n: int) -> np.ndarray:
@@ -88,8 +91,15 @@ def distance_table(n: int) -> np.ndarray:
 class IndexRule(NamedTuple):
     """Schedule the min(N_x, d) holders with the smallest key
     (a*g + c*h)*N + ((n - cursor) mod N); a cyclic rule moves its cursor one
-    past its last pick.  Each coefficient is a Python number, shared by every
-    row, or a [B, 1] column with one entry per row (see stack)."""
+    past its last pick.  Each field is a Python value, shared by every row,
+    or one entry per row (see stack): a [B, 1] column for a and c, a flat
+    [B] array for cyclic.
+
+    decide runs on scaled(N), which holds the block's constants: the key
+    is built pre-scaled as (a*N)*g + (c*N)*h + dist, the same integers, and
+    a row's next cursor is (cursor + (m + 1) * cyclic) mod N, where m is the
+    largest distance it picked, -1 when it picked nothing.  A caller that
+    decides on one block slot after slot builds scaled(N) once."""
 
     a: int | np.ndarray
     c: int | np.ndarray
@@ -97,16 +107,20 @@ class IndexRule(NamedTuple):
 
     @classmethod
     def stack(cls, rules) -> IndexRule:
-        """One rule for a block whose row i follows rules[i]; a coefficient
-        that every row shares stays a Python number."""
+        """One rule for a block whose row i follows rules[i]; a field that
+        every row shares stays a Python value."""
 
-        def column(values):
+        def column(values, shape=(-1, 1)):
             if len(set(values)) == 1:
                 return values[0]
-            return np.array(values)[:, None]
+            return np.array(values).reshape(shape)
 
         return cls(column([r.a for r in rules]), column([r.c for r in rules]),
-                   column([r.cyclic for r in rules]))
+                   column([r.cyclic for r in rules], -1))
+
+    def scaled(self, n: int) -> _ScaledRule:
+        """This rule on N sources, its key coefficients multiplied by N once."""
+        return _ScaledRule(self.a * n, self.c * n, self.cyclic, np.arange(n))
 
     def decide(self, g, h, holders, d: int, cursor=None, distances=None):
         """The scheduled mask of the [B, N] ages g, h with packet holders
@@ -114,14 +128,34 @@ class IndexRule(NamedTuple):
         cyclic (every key then reads the source index); otherwise it holds
         every row's cursor, 0 on the non-cyclic rows, which never move it,
         and each row's distances are gathered from distances,
-        distance_table(N)."""
-        n = g.shape[1]
-        dist = np.arange(n) if cursor is None else distances[cursor]
-        mask = smallest_holders((self.a * g + self.c * h) * n + dist, holders, d)
+        distance_table(N).  holders is never written to, and may be the mask
+        returned."""
+        return self.scaled(g.shape[1]).decide(g, h, holders, d, cursor, distances)
+
+
+class _ScaledRule(NamedTuple):
+    """An IndexRule on N sources (see IndexRule.scaled): aN = a*N, cN = c*N."""
+
+    aN: int | np.ndarray
+    cN: int | np.ndarray
+    cyclic: bool | np.ndarray
+    sources: np.ndarray  # each source's distance from cursor 0
+
+    def decide(self, g, h, holders, d: int, cursor=None, distances=None):
+        """IndexRule.decide on the pre-scaled key, with its cursor rule."""
+        dist = self.sources if cursor is None else distances.take(cursor, axis=0)
+        key = self.aN * g
+        key += self.cN * h
+        key += dist
+        mask = smallest_holders(key, holders, d)
         if cursor is None:
             return mask, None
-        last = np.where(mask & self.cyclic, dist + 1, 0).max(axis=1)
-        return mask, (cursor + last) % n
+        moved = np.maximum.reduce(dist, axis=1, where=mask, initial=-1)
+        moved += 1
+        moved *= self.cyclic
+        moved += cursor
+        moved %= g.shape[1]
+        return mask, moved
 
 
 class Policy:

@@ -13,8 +13,10 @@ One block engine runs every episode: up to BLOCK_EPISODES (policy, episode)
 rows advance in lock step on [B, N] age arrays, the policies of a comparison
 sharing a block whenever all of their episodes fit in it.  The index policies
 of a block (delta, pi, work-conserving rr) decide for all of their rows in
-one call of their stacked IndexRule; strict round-robin and the table-backed
-optimal policy each decide on their own rows through decide_batch.  Every
+one call of their stacked IndexRule, whose constants (the key coefficients
+times N, the cyclic flags one per row) are computed once per block by
+IndexRule.scaled; strict round-robin and the table-backed optimal policy
+each decide on their own rows through decide_batch.  Every
 row keeps its own PCG64 generator and consumes exactly the uniforms that
 model.sample_step draws, in its order, slot by slot, and model.advance, the
 successor law the exact solver also uses, ages every row at once.
@@ -110,9 +112,11 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
 
     Rows are (policy, episode) pairs, each with its own generator seeded with
     its episode seed.  The index-rule policies take the first rows, so that
-    one IndexRule call with a coefficient column per row decides for all of
-    them every slot; each other policy decides on its own rows.  The draws
-    and the age update, one model.advance call, then run once for all rows.
+    one call of their stacked rule, scaled once before the first slot,
+    decides for all of them every slot; its mask is the slot's schedule when
+    no other policy shares the block.  Each other policy decides on its own
+    rows.  The draws and the age update, one model.advance call, then run
+    once for all rows.
     Row b takes its success uniforms for the scheduled sources (ascending
     index) and then N arrival uniforms from its own buffer row after last[b],
     as sample_step draws them.  A buffer row holds CHUNK_SLOTS slots' worth
@@ -143,7 +147,7 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
     ranks = np.arange(1, n + 1)
     rules = [policy.rule for policy in policies if policy.rule is not None]
     indexed = len(rules) * e
-    rule = IndexRule.stack([r for r in rules for _ in seeds]) if rules else None
+    rule = IndexRule.stack([r for r in rules for _ in seeds]).scaled(n) if rules else None
     cursor = np.zeros(indexed, dtype=np.int64) if rules and np.any(rule.cyclic) else None
     distances = distance_table(n)
     others = [(policy, slice(indexed + i * e, indexed + (i + 1) * e))
@@ -157,19 +161,24 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
                 rng.random(out=row[width - used :])
             last[:] = before
         holders = g != EMPTY
-        if indexed:
+        if not others:  # every row follows the index rule: its mask is sched
+            sched, cursor = rule.decide(g, h, holders, d, cursor, distances)
+        elif indexed:
             sched[:indexed], cursor = rule.decide(
                 g[:indexed], h[:indexed], holders[:indexed], d, cursor, distances)
         for i, (policy, r) in enumerate(others):
             sched[r], mems[i] = policy.decide_batch(t, g[r], h[r], mems[i])
-        # upto ranks the scheduled sources from 1 up to each index, so a
-        # scheduled source reads last + its rank; unscheduled ones read a
-        # discarded value.  Source n's arrival uniform then follows at rank n + 1.
-        upto = np.cumsum(sched, axis=1)
-        success = sched & (flat[last[:, None] + upto] < p)
-        last += upto[:, -1]
-        stay = flat[last[:, None] + ranks] >= q  # no arrival
-        last += n
+        # at uniform index last + the count of scheduled sources up to each
+        # source, a scheduled source reads its success uniform; unscheduled
+        # ones read a discarded value.  Source n's arrival uniform then
+        # follows at rank n + 1 past the last success uniform.
+        upto = np.add.accumulate(sched, axis=1, dtype=np.intp)
+        upto += last[:, None]
+        success = flat.take(upto) < p
+        success &= sched
+        arrivals = upto[:, -1:] + ranks
+        stay = flat.take(arrivals) >= q  # no arrival
+        last = arrivals[:, -1]
         g, h = advance(g, h, holders, success, stay)
         ages += h
     return ages.reshape(len(policies), e, n)[back]

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,9 @@ from aoi_sched import cli, simulate
 from aoi_sched.policies import StateNotInTable
 
 from .conftest import run_cli
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+COMMANDS = ("simulate", "solve", "sweep", "verify")
 
 
 def read_csv(path):
@@ -228,6 +232,38 @@ def test_unknown_flag_reports_the_subcommand_usage(tmp_path, capsys, argv, flag)
     assert exc.value.code == 1 and not (tmp_path / "o").exists()
     assert err.startswith(f"usage: aoi-sched {name} [-h] [--config PATH]")
     assert f"aoi-sched {name}: error: unrecognized arguments: {flag}" in err
+
+
+def test_parsing_fills_only_the_subcommand_it_runs():
+    """A subcommand's parser adds its arguments only when it is used; a
+    parser left unfilled holds nothing but its -h."""
+    parser = cli.build_parser()
+    assert parser.parse_args(["simulate", "--horizon", "5"]).horizon == "5"
+    filled = {name: len(sp._actions) > 1 for name, sp in parser.commands.items()}
+    assert filled == {"simulate": True, "solve": False, "sweep": False, "verify": False}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_subcommand_help_is_frozen(monkeypatch, capsys, name):
+    """--help prints the frozen text at 80 columns, and so does formatting
+    the help of a subcommand's parser that has not parsed yet."""
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = (GOLDEN_DIR / f"help_{name}.txt").read_text()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == golden
+    assert cli.build_parser().commands[name].format_help() == golden
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_unknown_flag_exits_with_each_subcommands_usage(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([name, "--bogus"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.startswith(f"usage: aoi-sched {name} [-h] [--config PATH]")
+    assert err.endswith(f"aoi-sched {name}: error: unrecognized arguments: --bogus\n")
 
 
 def test_verify_ignores_model_p_of_a_shared_config(tmp_path):

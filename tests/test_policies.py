@@ -314,6 +314,26 @@ def test_stacked_index_rule_matches_each_rows_policy(case):
             assert got == (mems[i] if cyclic[i] else 0), (t, i, policy)
 
 
+@pytest.mark.parametrize("d", [1, 3, 4, 6])
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_index_rule_leaves_its_arguments_unchanged(d, cyclic):
+    """decide builds its key, mask and next cursor in place, and returns
+    holders itself as the mask when d >= N; it writes into none of its
+    arguments, for d < N and d >= N, with and without a cursor."""
+    g = np.array([[0, EMPTY, 2, 1], [EMPTY, 3, 0, EMPTY], [1, 0, EMPTY, 2]])
+    h = np.array([[4, 2, 3, 5], [1, 6, 2, 3], [2, 1, 4, 3]])
+    holders = g != EMPTY
+    policies = [DeltaPolicy(d), PIPolicy(d), RRPolicy(d=d) if cyclic else DeltaPolicy(d)]
+    rule = IndexRule.stack([pol.rule for pol in policies])
+    cursor = np.array([0, 0, 3]) if cyclic else None
+    args = (g, h, holders) if cursor is None else (g, h, holders, cursor)
+    before = [a.copy() for a in args]
+    mask, moved = rule.decide(g, h, holders, d, cursor, distance_table(4))
+    for arg, copy in zip(args, before):
+        assert np.array_equal(arg, copy) and arg.dtype == copy.dtype
+    assert (moved is None) == (not cyclic)
+
+
 @settings(max_examples=30)
 @given(states(max_n=3, max_h=4), st.integers(1, 3), st.floats(0.1, 1.0), st.integers(2, 4))
 def test_optimal_decide_batch_gives_stored_action_for_every_key(x0, d, p, horizon):

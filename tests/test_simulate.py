@@ -112,6 +112,38 @@ def test_fused_comparison_matches_scalar_episodes(case):
         assert summary.mean_total_cost == sum(totals) / replications
 
 
+def test_workload_shaped_block_matches_scalar_episodes(monkeypatch):
+    """The benchmark's Monte Carlo block: N=30, d=3 and delta, pi and rr
+    stacked in one block of 4 episodes each, over three buffer refills.
+    From 2 holders and a low arrival probability, slots schedule fewer than d
+    sources and rr's cursor wraps past source N-1; every row's per-source
+    age sums equal the slot-by-slot reference."""
+    n, d, replications, base_seed = 30, 3, 4, 2024
+    params = ModelParams(n, d, 0.7, (0.04,) * n, 3 * CHUNK_SLOTS + 5)
+    x0 = new_state([0 if k == 7 else 2 if k == 23 else EMPTY for k in range(n)],
+                   [1 + k % 5 if k != 23 else 3 for k in range(n)])
+    policies = [make_policy(name, params) for name in ("delta", "pi", "rr")]
+    seen = []  # (policy, scheduled count, memory before, memory after) per slot
+    decide = reference.decide
+
+    def recording(policy, t, x, memory=None):
+        action, after = decide(policy, t, x, memory)
+        seen.append((policy.name, len(action.scheduled), memory, after))
+        return action, after
+
+    monkeypatch.setattr(reference, "decide", recording)
+    expect = [[reference.run_episode(pol, params, x0, (base_seed + i) % 2**64)
+               for i in range(replications)] for pol in policies]
+    totals = policy_totals(policies, params, x0, replications, base_seed)
+    assert totals.tolist() == [[r.total_cost for r in row] for row in expect]
+    sums = simulate._block_totals(policies, params, x0,
+                                  [base_seed + i for i in range(replications)])
+    assert [[tuple(s / params.horizon for s in row) for row in pol] for pol in sums.tolist()] == [
+        [r.aaoi_per_source for r in row] for row in expect]
+    assert any(k < d for _, k, _, _ in seen)
+    assert any(name == "rr" and after < before for name, _, before, after in seen)
+
+
 def test_blocks_hold_at_most_block_episodes_rows(monkeypatch):
     params = ModelParams(3, 1, 0.6, (0.5, 0.5, 0.5), 5)
     x0 = fresh_state(3)
