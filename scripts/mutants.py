@@ -80,6 +80,22 @@ MUTANTS = (
            "self._half = word & _UINT32\n"
            "            return word >> 32",
            ("tests/test_verify.py::test_replay_matches_default_rng_call_for_call",)),
+    Mutant("validation-drops-g-below-h", "src/aoi_sched/verify.py",
+           "~((g >= 0) & (g < h))",
+           "~(g >= 0)",
+           ("tests/test_verify.py::test_batch_validation_raises_what_the_object_path_raises",)),
+    Mutant("draw-pads-q-with-one", "src/aoi_sched/verify.py",
+           "q, g, h = [0.0] * size,",
+           "q, g, h = [1.0] * size,",
+           ("tests/test_verify.py::test_draw_matches_random_case_on_default_rng",)),
+    Mutant("margin-split-repeats-by-d", "src/aoi_sched/verify.py",
+           "per = np.repeat(own, n_actions)",
+           "per = np.repeat(own, cases.d)",
+           ("tests/test_verify.py::test_batched_checks_match_scalar_loops",)),
+    Mutant("core-pads-q-with-one", "src/aoi_sched/model.py",
+           "params.q + (0.0,) * (width - params.n_sources)",
+           "params.q + (1.0,) * (width - params.n_sources)",
+           ("tests/test_verify.py::test_pair_adapter_matches_column_core",)),
     Mutant("rr-cursor-initial-zero", "src/aoi_sched/policies.py",
            "where=mask, initial=-1)",
            "where=mask, initial=0)",

@@ -15,15 +15,15 @@ resets to the delivered packet's age plus one; otherwise it grows by one.
 Because the draws are independent per source, the one-slot law is a product
 over sources, and each (successes, arrivals) event leads to its own successor
 state: on a source, success moves h to g+1 <= h instead of h+1, and an arrival
-alone leaves g = 0.  The exact kernel, transition_events, expands that product
-for a batch of (action, instance) cases at once into the event rows of each
-case's law, and emits nothing else; advance applies them to states, and
-enumerate_transitions is the one-case view.
-advance is the one statement of the successor law: next_states, the solver's
-forward pass and the Monte Carlo slot all age g and h through it.
+alone leaves g = 0.  The exact kernel, transition_law, expands that product
+for a batch of cases given as columns at once into the event rows of each
+case's law, and emits nothing else; transition_events is its adapter for
+(Action, ModelParams) pairs, and enumerate_transitions the one-case view.
+advance is the one statement of the successor law: successor_ages, the
+solver's forward pass and the Monte Carlo slot all age g and h through it.
 sample_step draws one slot's event from a generator in the order the Monte
 Carlo engine reads its uniforms.  A fault carried by ModelParams corrupts
-transition_events only, never the draws.
+the kernel only, never the draws.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 EMPTY = -1  # sentinel age: source buffer holds no packet ("psi" in file I/O)
 
 # Faults for negative-control verification (`verify --inject-fault`), carried
-# by ModelParams.fault and seen only by the exact kernel, transition_events.
+# by ModelParams.fault and seen only by the exact kernel, transition_law.
 # "age-drift": non-delivered destination ages advance by 2 instead of 1, which
 # breaks the one-step expected-age identity.  "drop-event": every case's law
 # omits the event where every scheduled transfer succeeds and every source
@@ -80,7 +80,7 @@ class ModelParams:
     p: float
     q: tuple[float, ...]
     horizon: int
-    fault: str | None = None  # one of FAULT_MODES; corrupts transition_events only
+    fault: str | None = None  # one of FAULT_MODES; corrupts transition_law only
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", tuple(float(v) for v in self.q))
@@ -181,8 +181,11 @@ class Events(NamedTuple):
         return [math.fsum(terms[i:j].tolist()) for i, j in zip([0, *ends], ends)]
 
 
-def transition_events(cases: Sequence[tuple[Action, ModelParams]]) -> Events:
-    """The exact one-slot law of a batch of (action, instance) cases.
+def transition_law(scheduled: Sequence[tuple[int, ...]], p: Sequence[float], q: np.ndarray,
+                   n: Sequence[int], faults: Sequence[str | None]) -> Events:
+    """The exact one-slot law of cases given as columns: each case's
+    scheduled sources, p (Python floats, whose pow the bases use), q
+    [cases, W] (0.0 past the case's N), N and fault.
 
     Success sets w come in combinations order with the base p^|w| (1-p)^(|a|-|w|),
     sets of base 0.0 skipped; arrivals are then expanded one source at a time
@@ -193,42 +196,50 @@ def transition_events(cases: Sequence[tuple[Action, ModelParams]]) -> Events:
     transfer succeeds and every source gets a packet out of the case's law
     (for an idle case, the event where every source gets a packet).
     """
-    width = max((params.n_sources for _, params in cases), default=0)
     case, pr, hits, cols = [], [], [], []
-    for i, (a, params) in enumerate(cases):
-        k, p = len(a.scheduled), params.p
+    for i, (s, pi) in enumerate(zip(scheduled, p)):
+        k = len(s)
         for nw in range(k + 1):
-            base = p**nw * (1.0 - p) ** (k - nw)
+            base = pi**nw * (1.0 - pi) ** (k - nw)
             if base != 0.0:
-                for w in combinations(a.scheduled, nw):
+                for w in combinations(s, nw):
                     hits += [len(pr)] * nw
                     cols += w
                     case.append(i)
                     pr.append(base)
-    delivered = np.zeros((len(pr), width), dtype=bool)
+    delivered = np.zeros((len(pr), q.shape[1]), dtype=bool)
     delivered[hits, cols] = True
-    q = np.array([params.q + (0.0,) * (width - params.n_sources) for _, params in cases])[case]
+    q = q[case]
     row, pr = np.arange(len(pr)), np.array(pr, dtype=float)
-    arrived = np.zeros((len(pr), width), dtype=bool)
-    for n in range(width):
-        qn = q[row, n]
+    arrived = np.zeros(delivered.shape, dtype=bool)
+    for col in range(q.shape[1]):
+        qn = q[row, col]
         both = np.empty(2 * len(pr))
         np.multiply(pr, 1.0 - qn, out=both[0::2])
         np.multiply(pr, qn, out=both[1::2])
         kept = both.nonzero()[0]
         src = kept >> 1
         row, pr, arrived = row[src], both[kept], arrived[src]
-        arrived[:, n] = kept & 1
+        arrived[:, col] = kept & 1
     case, delivered = np.array(case, dtype=np.intp)[row], delivered[row]
-    faults = [params.fault for _, params in cases]
     step = np.array([1 + (f == "age-drift") for f in faults], dtype=np.int64)
     if "drop-event" in faults:
-        every = np.array([(f == "drop-event", len(a.scheduled), params.n_sources)
-                          for f, (a, params) in zip(faults, cases)])[case]
-        keep = ~((every[:, 0] == 1) & (delivered.sum(axis=1) == every[:, 1])
-                 & (arrived.sum(axis=1) == every[:, 2]))
+        drop = np.array([f == "drop-event" for f in faults])[case]
+        k = np.array([len(s) for s in scheduled])[case]
+        every = (delivered.sum(axis=1) == k) & (arrived.sum(axis=1) == np.asarray(n)[case])
+        keep = ~(drop & every)
         case, delivered, arrived, pr = case[keep], delivered[keep], arrived[keep], pr[keep]
     return Events(case, delivered, arrived, pr, step)
+
+
+def transition_events(cases: Sequence[tuple[Action, ModelParams]]) -> Events:
+    """transition_law of (action, instance) pairs."""
+    width = max((params.n_sources for _, params in cases), default=0)
+    q = [params.q + (0.0,) * (width - params.n_sources) for _, params in cases]
+    return transition_law(
+        [a.scheduled for a, _ in cases], [params.p for _, params in cases],
+        np.array(q, dtype=float).reshape(len(cases), width),
+        [params.n_sources for _, params in cases], [params.fault for _, params in cases])
 
 
 def _signed_type(bound: int) -> np.dtype:
@@ -254,19 +265,17 @@ def advance(g, h, holders, delivered, stay, step=1):
     return g2, h2
 
 
-def next_states(xs: Sequence[SystemState], ev: Events) -> tuple[np.ndarray, np.ndarray]:
-    """The successor ages g', h' [rows, W] of xs[case] under each row's
-    event, undelivered ages grown by the case's step; sources past a case's
-    own N read g' = EMPTY, h' = 0 and add nothing to a cost or a margin."""
-    width = ev.delivered.shape[1]
-    pad = [width - len(x.g) for x in xs]
+def successor_ages(g: np.ndarray, h: np.ndarray, n: np.ndarray,
+                   ev: Events) -> tuple[np.ndarray, np.ndarray]:
+    """The successor ages g', h' [rows, W] of cases of n sources and ages g, h
+    under each row's event, undelivered ages grown by the case's step; h' is
+    0 past a case's own N, where g' reads EMPTY, so it adds to no sum."""
     # every age after the slot fits, since it grows by at most step <= 2
-    dtype = _signed_type(max((max(x.h) for x in xs), default=0) + 2)
-    g = np.array([x.g + (EMPTY,) * k for x, k in zip(xs, pad)], dtype=dtype)[ev.case]
-    h = np.array([x.h + (0,) * k for x, k in zip(xs, pad)], dtype=dtype)[ev.case]
+    dtype = _signed_type(int(h.max(initial=0)) + 2)
+    g, h = g.astype(dtype)[ev.case], h.astype(dtype)[ev.case]
     step = ev.step.astype(dtype)[ev.case, None]
     g, h = advance(g, h, g != EMPTY, ev.delivered, ~ev.arrived, step)
-    live = np.arange(width) < width - np.array(pad)[ev.case, None]
+    live = np.arange(g.shape[1]) < n[ev.case, None]
     return g, np.where(live, h, 0)
 
 
@@ -284,7 +293,7 @@ def enumerate_transitions(
     """
     _check_schedulable(x, a)
     ev = transition_events([(a, params)])
-    g, h = next_states([x], ev)
+    g, h = successor_ages(np.array([x.g]), np.array([x.h]), np.array([len(x.g)]), ev)
     return [
         (SystemState(tuple(gs), tuple(hs)), pr)
         for gs, hs, pr in zip(g.tolist(), h.tolist(), ev.pr.tolist())

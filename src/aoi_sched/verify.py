@@ -2,17 +2,15 @@
 
 Each check returns a CheckResult with a pass/fail/skipped status and the
 measured quantities, so the `verify` subcommand can emit a machine-readable
-report and the test suite can reuse the same oracles.  Randomized checks are
-seeded and therefore reproducible: each draws all of its cases one after
-another from its own stream, then expands them in one call of the batched
-kernel and reads its measurements off each case's law as arrays, every
-per-case expectation one math.fsum; expected_age_sums and margin_splits are
-the oracles of the paper's two one-step identities, and a fault reaches them
-only through the law the kernel emits.  The stream is a replay of PCG64's
-raw words (_Pcg64Draws): its draws equal those of
-np.random.default_rng(seed), and a test pins the two together.  The exact
-checks solve each gap instance once and compare value arrays aligned by
-DPTable.lookup.
+report and the test suite can reuse the same oracles.  Each randomized
+check draws all of its cases from its own seeded stream, a replay of
+PCG64's raw words equal to np.random.default_rng(seed)'s draws
+(_Pcg64Draws, pinned to numpy by a test), into one validated column batch
+(Cases), expands them in one call of the kernel's column core and reads
+each case's law as arrays, every expectation one math.fsum; a fault
+reaches the oracles of the two one-step identities, expected_age_sums and
+margin_splits, only through that law.  The exact checks solve each gap
+instance once and compare value arrays aligned by DPTable.lookup.
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import replace
 from itertools import chain
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -28,22 +27,17 @@ import numpy as np
 from .dp import DPTable, evaluate_policy, gap_report, optimality_gap, solve_optimal
 from .model import (  # enumerate_transitions stays importable from here
     EMPTY,
-    Action,
+    FAULT_MODES,
     Events,
+    InvalidState,
     ModelParams,
-    SystemState,
-    cost,
-    enumerate_actions,
     enumerate_transitions,
     fresh_state,
-    new_state,
-    next_states,
-    norm_inf,
-    sources_with_packets,
     success_probs,
-    transition_events,
+    successor_ages,
+    transition_law,
 )
-from .policies import DeltaPolicy, OptimalPolicy, min_schedule_margins, schedule_margin
+from .policies import DeltaPolicy, OptimalPolicy, min_schedule_margins
 
 STEP_TOL = 1e-12   # single-step identities
 VALUE_TOL = 1e-9   # multi-stage value comparisons
@@ -51,8 +45,6 @@ MAX_N = 4          # largest N of a random case
 MAX_AGE = 20       # largest destination age of a random state
 GRID_POINTS = 101  # p grid of the success-probability identity, endpoints included
 MAX_D = 6          # largest d of that identity
-
-Case = tuple[SystemState, Action, ModelParams]
 
 
 class CheckResult(NamedTuple):
@@ -66,43 +58,12 @@ class CheckResult(NamedTuple):
         return self.status == "fail"
 
 
-def random_state(rng, n_sources: int, ensure_holder: bool = False) -> SystemState:
-    h = [int(rng.integers(0, MAX_AGE + 1)) for _ in range(n_sources)]
-    g = []
-    for hn in h:
-        if hn >= 1 and rng.random() < 0.7:
-            g.append(int(rng.integers(0, hn)))
-        else:
-            g.append(EMPTY)
-    if ensure_holder and all(v == EMPTY for v in g):
-        i = int(rng.integers(0, n_sources))
-        h[i] = max(h[i], 1)
-        g[i] = int(rng.integers(0, h[i]))
-    return new_state(g, h)
-
-
-def random_case(
-    rng, ensure_holder: bool = False, fault: str | None = None
-) -> tuple[ModelParams, SystemState, Action]:
-    """A random instance plus a random work-conserving action, edge probabilities included."""
-    n = int(rng.integers(1, MAX_N + 1))
-    d = int(rng.integers(1, 4))
-    r = rng.random()
-    p = 0.0 if r < 0.05 else 1.0 if r < 0.10 else float(rng.uniform(0.0, 1.0))
-    q = [float(v) for v in rng.uniform(0.0, 1.0, n)]
-    for i in range(n):  # sprinkle exact endpoints
-        rr = rng.random()
-        if rr < 0.05:
-            q[i] = 0.0
-        elif rr < 0.10:
-            q[i] = 1.0
-    params = ModelParams(n, d, p, tuple(q), horizon=2, fault=fault)
-    x = random_state(rng, n, ensure_holder)
-    holders = list(sources_with_packets(x))
-    k = min(len(holders), d)
-    rng.shuffle(holders)
-    a = Action(tuple(sorted(holders[:k])))
-    return params, x, a
+class Cases(SimpleNamespace):
+    """(x, a, params) cases as columns, W the largest N of the batch: n, d
+    (int64 [cases]), p (float64 [cases]), q (float64 [cases, W], 0.0 past a
+    case's N), g (int64 [cases, W], EMPTY past N), h (int64 [cases, W], 0
+    past N), scheduled (each case's action, a tuple of ascending sources) and
+    fault (that of every case)."""
 
 
 _UINT32 = 0xFFFFFFFF
@@ -173,67 +134,132 @@ class _Pcg64Draws:
             x[i], x[j] = x[j], x[i]
 
 
-def _draw(n_cases: int, seed: int, ensure_holder: bool, fault: str | None) -> list[Case]:
-    """n_cases random (x, a, params) cases, drawn one after another from
-    default_rng(seed)'s stream."""
+def _draw(n_cases: int, seed: int, ensure_holder: bool, fault: str | None) -> Cases:
+    """n_cases random cases with work-conserving actions, edge probabilities
+    included, drawn one after another from default_rng(seed)'s stream."""
     rng = _Pcg64Draws(seed)
-    drawn = (random_case(rng, ensure_holder=ensure_holder, fault=fault) for _ in range(n_cases))
-    return [(x, a, params) for params, x, a in drawn]
+    ns, ds, ps, scheduled = [], [], [], []
+    size = n_cases * MAX_N
+    q, g, h = [0.0] * size, [EMPTY] * size, [0] * size
+    for at in range(0, size, MAX_N):
+        ns.append(n := rng.integers(1, MAX_N + 1))
+        ds.append(d := rng.integers(1, 4))
+        r = rng.random()
+        ps.append(0.0 if r < 0.05 else 1.0 if r < 0.10 else rng.uniform(0.0, 1.0))
+        qs = rng.uniform(0.0, 1.0, n)
+        for i in range(n):  # sprinkle exact endpoints
+            r = rng.random()
+            if r < 0.10:
+                qs[i] = 0.0 if r < 0.05 else 1.0
+        hs = [rng.integers(0, MAX_AGE + 1) for _ in range(n)]
+        gs = [rng.integers(0, hn) if hn >= 1 and rng.random() < 0.7 else EMPTY for hn in hs]
+        holders = [i for i, gi in enumerate(gs) if gi != EMPTY]
+        if ensure_holder and not holders:
+            i = rng.integers(0, n)
+            hs[i] = max(hs[i], 1)
+            gs[i] = rng.integers(0, hs[i])
+            holders = [i]
+        rng.shuffle(holders)
+        scheduled.append(tuple(sorted(holders[:d])))
+        q[at:at + n], g[at:at + n], h[at:at + n] = qs, gs, hs
+    width = np.s_[:, :max(ns, default=0)]
+    cases = Cases(n=np.array(ns, dtype=np.int64), d=np.array(ds, dtype=np.int64),
+                  p=np.array(ps, dtype=float), q=np.reshape(q, (n_cases, MAX_N))[width],
+                  g=np.reshape(g, (n_cases, MAX_N))[width],
+                  h=np.reshape(h, (n_cases, MAX_N))[width], scheduled=scheduled, fault=fault)
+    _validate(cases)
+    return cases
 
 
-def expected_age_sums(cases: Sequence[Case], ev: Events) -> tuple[list[float], list[float]]:
+def _scheduled(cases: Cases) -> np.ndarray:
+    mask = np.zeros(cases.g.shape, dtype=bool)
+    mask[[i for i, s in enumerate(cases.scheduled) for _ in s],
+         list(chain.from_iterable(cases.scheduled))] = True
+    return mask
+
+
+def _validate(cases: Cases) -> None:
+    """Raise what ModelParams (ValueError), new_state or a schedulable action
+    (InvalidState) would raise for the first rule some case breaks."""
+    g, h, pq = cases.g, cases.h, np.column_stack([cases.p, cases.q])
+    for error, broken, rule in (
+        (ValueError, np.minimum(cases.n, cases.d) < 1, "n_sources and n_channels must be >= 1"),
+        (ValueError, ~((pq >= 0.0) & (pq <= 1.0)).all(axis=1), "p and q must lie in [0,1]"),
+        (ValueError, np.full(len(g), cases.fault not in FAULT_MODES), "unknown fault mode"),
+        (InvalidState, (h < 0).any(axis=1), "h is negative"),
+        (InvalidState, ((g != EMPTY) & ~((g >= 0) & (g < h))).any(axis=1),
+         "g must be EMPTY or in [0, h)"),
+        (InvalidState, (_scheduled(cases) & (g == EMPTY)).any(axis=1),
+         "action schedules a source whose buffer is empty"),
+    ):
+        if broken.any():
+            raise error(f"case {int(broken.argmax())}: {rule}")
+
+
+def _take(cases: Cases, idx: np.ndarray, scheduled: list) -> Cases:
+    """The cases idx, in that order, taking the actions scheduled."""
+    return Cases(n=cases.n[idx], d=cases.d[idx], p=cases.p[idx], q=cases.q[idx],
+                 g=cases.g[idx], h=cases.h[idx], scheduled=scheduled, fault=cases.fault)
+
+
+def _expand(cases: Cases) -> Events:
+    return transition_law(cases.scheduled, cases.p.tolist(), cases.q, cases.n,
+                          [cases.fault] * len(cases.n))
+
+
+def expected_age_sums(cases: Cases, ev: Events) -> tuple[list[float], list[float]]:
     """Each case's expected next destination-age sum over ev, the law of its
     (a, params), and the closed form cost(x) + N + p * schedule_margin."""
-    _, h = next_states([x for x, _, _ in cases], ev)
+    _, h = successor_ages(cases.g, cases.h, cases.n, ev)
     lhs = ev.fsums(ev.pr * h.sum(axis=1))
-    rhs = [float(cost(x) + params.n_sources) + params.p * schedule_margin(x, a.scheduled)
-           for x, a, params in cases]
-    return lhs, rhs
+    margin = np.where(_scheduled(cases), cases.g - cases.h, 0).sum(axis=1)
+    rhs = (cases.h.sum(axis=1) + cases.n).astype(float) + cases.p * margin
+    return lhs, rhs.tolist()
 
 
-def margin_terms(cases: Sequence[Case], ev: Events) -> np.ndarray:
+def margin_terms(cases: Cases, ev: Events) -> np.ndarray:
     """Per row of ev: its probability times the successor's smallest schedule
     margin (min_schedule_margins)."""
-    g, h = next_states([x for x, _, _ in cases], ev)
-    d = np.array([params.n_channels for _, _, params in cases], dtype=np.int64)
-    return ev.pr * min_schedule_margins(g, h, d[ev.case])
+    g, h = successor_ages(cases.g, cases.h, cases.n, ev)
+    return ev.pr * min_schedule_margins(g, h, cases.d[ev.case])
 
 
-def margin_splits(
-    cases: Sequence[Case], acted: Events, idle: Events
-) -> list[tuple[float, float, float]]:
+def _any_success(cases: Cases, k: Sequence[int]) -> list[float]:
+    """success_probs' 1 - (1 - p)**k of each case, in pow, not np.power."""
+    return [1.0 - (1.0 - p) ** kc for p, kc in zip(cases.p.tolist(), k)]
+
+
+def margin_splits(cases: Cases, acted: Events, idle: Events) -> list[tuple[float, float, float]]:
     """(mean, no_success, success) of each case: its expected next-state best
     margin E[m] and that mean split by transfer outcome, so that
-    E[m] = (1 - p_att)*no_success + p_batch*success, p_att the chance that
-    some attempt made succeeds and p_batch that of a full channel batch.
-    acted is the law of the cases' (a, params): one pass of its terms p*m
-    gives E[m], and the same terms on the rows with a delivery give the
-    success part.  idle is the law of each case's (Action(()), params), the
-    pure arrival patterns, and gives the no-success part.  Both parts lie
-    within d * norm_inf(x) in absolute value; at p = 0 success is reported
-    as 0.0."""
+    E[m] = (1 - p_att)*no_success + p_batch*success.  acted is the law of
+    the cases' actions, whose terms p*m give E[m] and, on the rows with a
+    delivery, the success part (0.0 at p = 0); idle is that of no action,
+    the pure arrival patterns, and gives the no-success part."""
     u = idle.fsums(margin_terms(cases, idle))
     terms = margin_terms(cases, acted)
     hit = acted.fsums(np.where(acted.delivered.any(axis=1), terms, 0.0))
-    pds = [success_probs(params, 0).batch for _, _, params in cases]
+    pds = _any_success(cases, cases.d.tolist())
     return [(mean, ui, s / pd if pd > 0.0 else 0.0)
             for mean, ui, s, pd in zip(acted.fsums(terms), u, hit, pds)]
+
+
+def _step_result(name: str, worst: float, what: str, n_cases: int) -> CheckResult:
+    return CheckResult(
+        name,
+        "pass" if worst <= STEP_TOL else "fail",
+        f"max {what} = {worst:.3e} over {n_cases} random (x,a)",
+        {"max_abs_err": worst, "cases": n_cases, "tol": STEP_TOL},
+    )
 
 
 def check_prob_closure(
     n_cases: int = 1000, seed: int = 20260801, fault: str | None = None
 ) -> CheckResult:
     """Enumerated transition probabilities must sum to one for every (x, a)."""
-    cases = _draw(n_cases, seed, False, fault)
-    ev = transition_events([(a, params) for _, a, params in cases])
+    ev = _expand(_draw(n_cases, seed, False, fault))
     worst = max([0.0] + [abs(total - 1.0) for total in ev.fsums(ev.pr)])
-    status = "pass" if worst <= STEP_TOL else "fail"
-    return CheckResult(
-        "transition_prob_closure",
-        status,
-        f"max |sum-1| = {worst:.3e} over {n_cases} random (x,a)",
-        {"max_abs_err": worst, "cases": n_cases, "tol": STEP_TOL},
-    )
+    return _step_result("transition_prob_closure", worst, "|sum-1|", n_cases)
 
 
 def check_age_sum_identity(
@@ -241,47 +267,39 @@ def check_age_sum_identity(
 ) -> CheckResult:
     """One-step expected destination-age sum equals its closed form."""
     cases = _draw(n_cases, seed, False, fault)
-    ev = transition_events([(a, params) for _, a, params in cases])
-    lhs, rhs = expected_age_sums(cases, ev)
+    lhs, rhs = expected_age_sums(cases, _expand(cases))
     worst = max([0.0] + [abs(l - r) for l, r in zip(lhs, rhs)])
-    status = "pass" if worst <= STEP_TOL else "fail"
-    return CheckResult(
-        "expected_age_sum_identity",
-        status,
-        f"max |lhs-rhs| = {worst:.3e} over {n_cases} random (x,a)",
-        {"max_abs_err": worst, "cases": n_cases, "tol": STEP_TOL},
-    )
+    return _step_result("expected_age_sum_identity", worst, "|lhs-rhs|", n_cases)
 
 
 def check_margin_split(
     n_cases: int = 500, seed: int = 20260803, fault: str | None = None
 ) -> CheckResult:
     """Success/no-success split of the expected best margin: mixture identity,
-    magnitude bounds, and action-invariance of the no-success part.  One
-    kernel call serves the cases' actions, their idle instances, and one idle
-    instance per action of each case; margin_splits reads the law of each of
-    the first two once.  max_no_success_spread is 0.0 by construction, since
-    every per-action case is the same kernel case (Action(()), params);
-    ROADMAP direction 5 holds its fate."""
+    magnitude bounds (d * norm_inf(x)), and action-invariance of the
+    no-success part.  One kernel call serves the cases' actions, their idle
+    instances, and one idle instance per action of each case, so
+    max_no_success_spread is 0.0 by construction; ROADMAP direction 5 holds
+    its fate."""
     cases = _draw(n_cases, seed, True, fault)
-    actions = [enumerate_actions(x, params.n_channels) for x, _, params in cases]
-    others = [(x, b, params) for (x, _, params), bs in zip(cases, actions) for b in bs]
-    ev = transition_events([(a, params) for _, a, params in cases]
-                           + [(Action(()), params) for _, _, params in cases + others])
-    acted, idle, per_action = ev.split(n_cases, 2 * n_cases)
+    holders = (cases.g != EMPTY).sum(axis=1).tolist()
+    n_actions = [math.comb(k, min(k, d)) for k, d in zip(holders, cases.d.tolist())]
+    own = np.arange(n_cases)
+    per = np.repeat(own, n_actions)  # one idle case per action of each case
+    batch = _take(cases, np.concatenate([own, own, per]),
+                  cases.scheduled + [()] * (n_cases + len(per)))
+    acted, idle, per_action = _expand(batch).split(n_cases, 2 * n_cases)
     parts = margin_splits(cases, acted, idle)
+    others = _take(cases, per, [()] * len(per))
     spread = iter(per_action.fsums(margin_terms(others, per_action)))
-    worst_identity = 0.0
-    worst_bound = -math.inf
-    worst_spread = 0.0
-    for (x, a, params), (mean, u, v), bs in zip(cases, parts, actions):
-        d = params.n_channels
-        patt = success_probs(params, len(a.scheduled)).attempted
-        pd = success_probs(params, 0).batch
+    patts = _any_success(cases, [len(s) for s in cases.scheduled])
+    pds = _any_success(cases, cases.d.tolist())
+    limits = (cases.d * (cases.h.max(axis=1, initial=0) + 1)).tolist()  # d * norm_inf(x)
+    worst_identity, worst_bound, worst_spread = 0.0, -math.inf, 0.0
+    for (mean, u, v), patt, pd, limit, count in zip(parts, patts, pds, limits, n_actions):
         worst_identity = max(worst_identity, abs(mean - ((1.0 - patt) * u + pd * v)))
-        limit = d * norm_inf(x)
         worst_bound = max(worst_bound, abs(u) - limit, abs(v) - limit)
-        us = [next(spread) for _ in bs]
+        us = [next(spread) for _ in range(count)]
         worst_spread = max(worst_spread, max(us) - min(us))
     ok = worst_identity <= STEP_TOL and worst_bound <= STEP_TOL and worst_spread <= STEP_TOL
     return CheckResult(

@@ -16,9 +16,13 @@ reference `tests/reference.run_episode` resolves each event that
 in pure Python, so one call costs a few microseconds; `tests/dict_solver.py`
 makes its tens of thousands of calls through it.  The margin split and the
 one-step identity read the same expansion, and the three `check_*` loops
-draw one random case at a time and evaluate it on its own, as the battery
-did before it ran batched.  Every function keeps the fault semantics of the
-batched code: age-drift ages every non-delivered destination by 2, and
+draw one random case at a time, through `random_case` on a real
+`np.random.default_rng`, and evaluate it on its own, as the battery did
+before it ran batched.  `random_case` is also the object draw that
+`aoi_sched.verify._draw`'s column batches equal row by row; `columns`
+turns (x, a, params) cases into such a batch, and `next_states` applies
+`successor_ages` to states.  Every function keeps the fault semantics of
+the batched code: age-drift ages every non-delivered destination by 2, and
 drop-event leaves the all-succeed, all-arrive event out of each law that
 is read, the enumeration and both parts of the margin split alike (for the
 no-success part, the law of the idle action, that is the all-arrive
@@ -37,16 +41,19 @@ from aoi_sched.model import (
     EMPTY,
     Action,
     InvalidState,
+    ModelParams,
     SystemState,
     TransitionEvent,
     cost,
     enumerate_actions,
+    new_state,
     norm_inf,
     sources_with_packets,
     success_probs,
+    successor_ages,
 )
 from aoi_sched.policies import schedule_margin
-from aoi_sched.verify import STEP_TOL, random_case
+from aoi_sched.verify import MAX_AGE, MAX_N, STEP_TOL, Cases
 
 
 class InvalidEvent(ValueError):
@@ -183,6 +190,75 @@ def margin_decomposition(x, a, params) -> tuple[float, float]:
     pd = success_probs(params, 0).batch
     v = math.fsum(succ_terms) / pd if pd > 0.0 else 0.0
     return u, v
+
+
+def random_state(rng, n_sources: int, ensure_holder: bool = False) -> SystemState:
+    h = [int(rng.integers(0, MAX_AGE + 1)) for _ in range(n_sources)]
+    g = []
+    for hn in h:
+        if hn >= 1 and rng.random() < 0.7:
+            g.append(int(rng.integers(0, hn)))
+        else:
+            g.append(EMPTY)
+    if ensure_holder and all(v == EMPTY for v in g):
+        i = int(rng.integers(0, n_sources))
+        h[i] = max(h[i], 1)
+        g[i] = int(rng.integers(0, h[i]))
+    return new_state(g, h)
+
+
+def random_case(
+    rng, ensure_holder: bool = False, fault: str | None = None
+) -> tuple[ModelParams, SystemState, Action]:
+    """A random instance plus a random work-conserving action, edge
+    probabilities included: the reference draw, one object case at a time,
+    of the column batches aoi_sched.verify._draw replays from PCG64's words."""
+    n = int(rng.integers(1, MAX_N + 1))
+    d = int(rng.integers(1, 4))
+    r = rng.random()
+    p = 0.0 if r < 0.05 else 1.0 if r < 0.10 else float(rng.uniform(0.0, 1.0))
+    q = [float(v) for v in rng.uniform(0.0, 1.0, n)]
+    for i in range(n):  # sprinkle exact endpoints
+        rr = rng.random()
+        if rr < 0.05:
+            q[i] = 0.0
+        elif rr < 0.10:
+            q[i] = 1.0
+    params = ModelParams(n, d, p, tuple(q), horizon=2, fault=fault)
+    x = random_state(rng, n, ensure_holder)
+    holders = list(sources_with_packets(x))
+    k = min(len(holders), d)
+    rng.shuffle(holders)
+    a = Action(tuple(sorted(holders[:k])))
+    return params, x, a
+
+
+def columns(batch, fault=None) -> Cases:
+    """The (x, a, params) cases of batch as one column batch of fault: the
+    oracles of aoi_sched.verify read a case's fault only through the law
+    they are given, so a batch of mixed faults may carry any one of them."""
+    width = max((params.n_sources for _, _, params in batch), default=0)
+
+    def padded(rows, fill, dtype):
+        return np.array([tuple(r) + (fill,) * (width - len(r)) for r in rows],
+                        dtype=dtype).reshape(len(batch), width)
+
+    return Cases(
+        n=np.array([params.n_sources for _, _, params in batch], dtype=np.int64),
+        d=np.array([params.n_channels for _, _, params in batch], dtype=np.int64),
+        p=np.array([params.p for _, _, params in batch], dtype=float),
+        q=padded([params.q for _, _, params in batch], 0.0, float),
+        g=padded([x.g for x, _, _ in batch], EMPTY, np.int64),
+        h=padded([x.h for x, _, _ in batch], 0, np.int64),
+        scheduled=[a.scheduled for _, a, _ in batch], fault=fault)
+
+
+def next_states(xs, ev):
+    """successor_ages of the states xs[case] under the rows of ev."""
+    width = ev.delivered.shape[1]
+    g = [x.g + (EMPTY,) * (width - len(x.g)) for x in xs]
+    h = [x.h + (0,) * (width - len(x.h)) for x in xs]
+    return successor_ages(np.array(g), np.array(h), np.array([len(x.g) for x in xs]), ev)
 
 
 def prob_closure_measured(n_cases: int, seed: int, fault) -> dict:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from aoi_sched import cli, simulate
+from aoi_sched import cli, simulate, verify
 from aoi_sched.policies import StateNotInTable
 
 from .conftest import run_cli
@@ -339,6 +339,28 @@ def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys, tmp_pat
                 "--policies", policies, "--out", str(tmp_path / "o.csv"),
             ])
         assert "config error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("site", ["draw", "kernel"])
+def test_internal_value_error_in_verify_is_not_a_config_error(monkeypatch, capsys, tmp_path,
+                                                              site):
+    # a ValueError inside the randomized battery is a bug, whether the batch
+    # validation rejects a broken draw (every uniform 1.5) or the kernel
+    # raises: it surfaces as the exception, never as a config error
+    if site == "draw":
+        monkeypatch.setattr(verify._Pcg64Draws, "uniform",
+                            lambda self, low, high, size=None: [1.5] * size if size else 1.5)
+        match = "must lie in"
+    else:
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(verify, "transition_law", broken)
+        match = "broadcast"
+    with pytest.raises(ValueError, match=match):
+        cli.main(["verify", "--no-header-timestamp", "--out", str(tmp_path / "v.json")])
+    assert "config error" not in capsys.readouterr().err
+    assert not (tmp_path / "v.json").exists()
 
 
 def test_out_of_memory_is_a_resource_cap(monkeypatch, capsys, tmp_path):

@@ -41,7 +41,7 @@ from aoi_sched.policies import (
 from aoi_sched.verify import expected_age_sums
 
 from . import dict_solver, reference
-from .scalar_kernel import min_schedule_margin
+from .scalar_kernel import columns, min_schedule_margin
 from .test_kernel import split_margins
 from .reference import stage_dicts
 
@@ -254,7 +254,8 @@ class TestOneStepIdentities:
         params = ModelParams(2, 1, 0.45, (0.3, 0.8), 2)
         x = new_state((1, EMPTY), (4, 2))
         a = Action((0,))
-        (lhs,), (rhs,) = expected_age_sums([(x, a, params)], transition_events([(a, params)]))
+        (lhs,), (rhs,) = expected_age_sums(columns([(x, a, params)]),
+                                           transition_events([(a, params)]))
         assert abs(lhs - rhs) <= 1e-12
 
     def test_margin_decomposition_identity(self):

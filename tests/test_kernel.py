@@ -29,7 +29,6 @@ from aoi_sched.model import (
     advance,
     enumerate_transitions,
     new_state,
-    next_states,
     sources_with_packets,
     success_probs,
     transition_events,
@@ -37,7 +36,7 @@ from aoi_sched.model import (
 from aoi_sched.verify import margin_splits
 
 from . import scalar_kernel
-from .scalar_kernel import apply_transition, min_schedule_margin, transition_prob
+from .scalar_kernel import apply_transition, min_schedule_margin, next_states, transition_prob
 
 EDGE_PROBS = [0.0, 1.0, 1e-300, 1.0 - 1e-16, 0.5]
 
@@ -123,7 +122,8 @@ def split_margins(batch) -> list[tuple[float, float]]:
     case's instance with no action."""
     ev = transition_events([(a, params) for _, a, params in batch]
                            + [(Action(()), params) for _, _, params in batch])
-    return [(u, v) for _, u, v in margin_splits(batch, *ev.split(len(batch)))]
+    return [(u, v) for _, u, v in margin_splits(scalar_kernel.columns(batch),
+                                                *ev.split(len(batch)))]
 
 
 def as_hex(pairs) -> dict:

@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 from aoi_sched import dp, verify
-from aoi_sched.model import EMPTY, ModelParams, enumerate_transitions, new_state
+from aoi_sched.model import (
+    EMPTY,
+    Action,
+    InvalidState,
+    ModelParams,
+    enumerate_transitions,
+    new_state,
+    transition_events,
+    transition_law,
+)
 from aoi_sched.verify import check_prob_closure, run_suite
 
 from . import scalar_kernel
@@ -118,13 +127,13 @@ def test_closure_check_looks_up_kernel_in_verify_module(monkeypatch):
     aoi_sched.dp, where the benchmark tracer wraps it."""
     assert verify.enumerate_transitions is dp.enumerate_transitions is enumerate_transitions
     calls = []
-    kernel = verify.transition_events
+    kernel = verify.transition_law
 
-    def counting(cases):
-        calls.append(len(cases))
-        return kernel(cases)
+    def counting(scheduled, *columns):
+        calls.append(len(scheduled))
+        return kernel(scheduled, *columns)
 
-    monkeypatch.setattr(verify, "transition_events", counting)
+    monkeypatch.setattr(verify, "transition_law", counting)
     monkeypatch.setattr(dp, "transition_events", None)  # a call from dp would fail
     assert not check_prob_closure(n_cases=50).failed
     assert calls == [50]
@@ -216,13 +225,100 @@ def test_replay_rejects_as_lemire_does(span):
     assert replay.random() == ref.random()
 
 
-@pytest.mark.parametrize("ensure_holder, fault", [(False, None), (True, "age-drift")])
-@pytest.mark.parametrize("seed", [0, 43, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("ensure_holder, fault",
+                         [(False, None), (True, "age-drift"), (True, "drop-event")])
+@pytest.mark.parametrize("seed", [0, 43, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
 def test_draw_matches_random_case_on_default_rng(seed, ensure_holder, fault):
+    """Each row of the column batch is, field by field, the object case that
+    random_case draws on default_rng, padded to the widest N of the batch."""
     rng = np.random.default_rng(seed)
-    expect = [verify.random_case(rng, ensure_holder, fault) for _ in range(200)]
+    expect = [scalar_kernel.random_case(rng, ensure_holder, fault) for _ in range(200)]
     got = verify._draw(200, seed, ensure_holder, fault)
-    assert got == [(x, a, params) for params, x, a in expect]
+    width = max(params.n_sources for params, _, _ in expect)
+    assert got.fault == fault
+    assert got.q.shape == got.g.shape == got.h.shape == (200, width)
+    for i, (params, x, a) in enumerate(expect):
+        n = params.n_sources
+        assert (int(got.n[i]), int(got.d[i])) == (n, params.n_channels)
+        assert float(got.p[i]).hex() == params.p.hex()
+        assert [v.hex() for v in got.q[i, :n].tolist()] == [v.hex() for v in params.q]
+        assert (tuple(got.g[i, :n].tolist()), tuple(got.h[i, :n].tolist())) == x
+        assert got.scheduled[i] == a.scheduled
+        assert got.q[i, n:].tolist() == [0.0] * (width - n)
+        assert got.g[i, n:].tolist() == [EMPTY] * (width - n)
+        assert got.h[i, n:].tolist() == [0] * (width - n)
+
+
+@pytest.mark.parametrize("fault", [None, "age-drift", "drop-event"])
+@pytest.mark.parametrize("seed", [5, 2**63])
+def test_pair_adapter_matches_column_core(seed, fault):
+    """transition_events over (Action, ModelParams) pairs is the column core
+    on the same cases: every field equal, each probability to the bit."""
+    cases = verify._draw(300, seed, seed % 2 == 1, fault)
+    pairs = [(Action(s), ModelParams(n, d, p, tuple(q[:n]), 2, fault))
+             for n, d, p, q, s in zip(cases.n.tolist(), cases.d.tolist(), cases.p.tolist(),
+                                      cases.q.tolist(), cases.scheduled)]
+    got = transition_events(pairs)
+    core = transition_law(cases.scheduled, cases.p.tolist(), cases.q, cases.n, [fault] * 300)
+    assert got.case.tolist() == core.case.tolist()
+    assert got.delivered.tolist() == core.delivered.tolist()
+    assert got.arrived.tolist() == core.arrived.tolist()
+    assert got.pr.tobytes() == core.pr.tobytes()
+    assert got.step.tolist() == core.step.tolist()
+
+
+def _valid_batch():
+    """Three hand-made cases of N = 2, 1, 3 as one column batch."""
+    return scalar_kernel.columns([
+        (new_state((0, EMPTY), (1, 4)), Action((0,)), ModelParams(2, 1, 0.5, (0.3, 1.0), 2)),
+        (new_state((2,), (5,)), Action((0,)), ModelParams(1, 3, 1.0, (0.0,), 2)),
+        (new_state((EMPTY, 1, 0), (0, 2, 7)), Action((1, 2)),
+         ModelParams(3, 2, 0.0, (1, 0, 0.5), 2)),
+    ], "age-drift")
+
+
+def _corrupted(column, i, j, value):
+    """The valid batch with one entry of one column replaced."""
+    cases = _valid_batch()
+    if column == "scheduled":
+        value = [*cases.scheduled[:i], value, *cases.scheduled[i + 1:]]
+    elif column != "fault":
+        array = getattr(cases, column).copy()
+        array[(i, j) if array.ndim == 2 else i] = value
+        value = array
+    return verify.Cases(**{**vars(cases), column: value})
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("column, i, j, value, error", [
+    ("n", 1, None, 0, ValueError),
+    ("d", 0, None, 0, ValueError),
+    ("d", 2, None, -3, ValueError),
+    ("p", 0, None, -0.25, ValueError),
+    ("p", 1, None, 1.5, ValueError),
+    ("p", 2, None, NAN, ValueError),
+    ("q", 0, 1, 1.0000001, ValueError),
+    ("q", 2, 0, -1e-300, ValueError),
+    ("q", 1, 0, NAN, ValueError),
+    ("fault", None, None, "bit-flip", ValueError),
+    ("h", 2, 0, -1, InvalidState),
+    ("g", 0, 1, -2, InvalidState),
+    ("g", 1, 0, 5, InvalidState),
+    ("g", 2, 2, 9, InvalidState),
+    ("scheduled", 0, None, (1,), InvalidState),
+    ("scheduled", 2, None, (0, 1), InvalidState),
+])
+def test_batch_validation_raises_what_the_object_path_raises(column, i, j, value, error):
+    """Each rule of the batch validation rejects a batch broken in one entry
+    with the class ModelParams, new_state or a scheduled empty buffer
+    raises: ValueError for the instance, InvalidState for the state and the
+    action.  The unbroken batch passes."""
+    verify._validate(_valid_batch())
+    with pytest.raises(ValueError) as info:
+        verify._validate(_corrupted(column, i, j, value))
+    assert info.type is error
 
 
 def test_replay_refuses_what_it_cannot_match():
