@@ -92,10 +92,18 @@ MUTANTS = (
            "per = np.repeat(own, n_actions)",
            "per = np.repeat(own, cases.d)",
            ("tests/test_verify.py::test_batched_checks_match_scalar_loops",)),
-    Mutant("core-pads-q-with-one", "src/aoi_sched/model.py",
-           "params.q + (0.0,) * (width - params.n_sources)",
-           "params.q + (1.0,) * (width - params.n_sources)",
-           ("tests/test_verify.py::test_pair_adapter_matches_column_core",)),
+    Mutant("drop-event-drops-any-full-side", "src/aoi_sched/model.py",
+           "!= k) | (arrived.sum(axis=1)",
+           "!= k) & (arrived.sum(axis=1)",
+           ("tests/test_kernel.py::test_batched_kernel_matches_event_reference",)),
+    Mutant("age-drift-steps-one", "src/aoi_sched/model.py",
+           '1 + (fault == "age-drift")',
+           "1",
+           ("tests/test_kernel.py::test_kernel_matches_event_reference",)),
+    Mutant("fsums-stops-at-last-row", "src/aoi_sched/model.py",
+           "np.arange(1, self.cases + 1)",
+           "np.arange(1, self.case.max(initial=-1) + 2)",
+           ("tests/test_kernel.py::test_batched_margin_decompositions_match_event_reference",)),
     Mutant("rr-cursor-initial-zero", "src/aoi_sched/policies.py",
            "where=mask, initial=-1)",
            "where=mask, initial=0)",

@@ -38,7 +38,6 @@ Grammar (all sections and keys optional; flags win over file values):
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -326,6 +325,8 @@ def grid_points(cfg: SweepConfig) -> list[GridPoint]:
 
 def grid_point_seed(base_seed: int, point: GridPoint) -> int:
     """Stable per-point seed: adding grid points never shifts other points' streams."""
+    import hashlib  # only a seeded grid point hashes
+
     q = expand_q(point.q_spec, point.n_sources)
     canon = (
         f"N={point.n_sources};d={point.n_channels};p={point.p!r};"

@@ -33,7 +33,6 @@ import numpy as np
 
 from .model import (  # enumerate_transitions stays importable from here
     EMPTY,
-    Action,
     Events,
     ModelParams,
     SystemState,
@@ -43,7 +42,7 @@ from .model import (  # enumerate_transitions stays importable from here
     format_state,
     norm_inf,
     success_probs,
-    transition_events,
+    transition_law,
 )
 from .policies import DeltaPolicy, StateNotInTable
 
@@ -173,7 +172,7 @@ def _successors(rows: np.ndarray, ev: Events, mem, out: np.ndarray) -> None:
     the outcome of its kind.  mem fills the memory column."""
     n = ev.delivered.shape[1]
     g, h = rows[:, :n], rows[:, n : 2 * n]
-    g2, h2 = advance(g, h, g != EMPTY, _DELIVERED, _STAY, int(ev.step[0]))
+    g2, h2 = advance(g, h, g != EMPTY, _DELIVERED, _STAY, ev.step)
     kind = 2 * ev.delivered + ev.arrived
     src = np.arange(n)
     out[..., :n] = g2.transpose(1, 2, 0)[:, src, kind]
@@ -210,7 +209,8 @@ def _forward(params: ModelParams, root: np.ndarray, choose, cap: int):
         taken = []
         for a, rows, mem in choose(t, cur):
             if a not in events:
-                events[a] = transition_events([(Action(a), params)])
+                events[a] = transition_law([a], [params.p], np.array([params.q]),
+                                           [params.n_sources], params.fault)
             taken.append((a, rows, mem, events[a]))
         sizes = [len(rows) * len(ev.pr) for _, rows, _, ev in taken]
         ends = np.cumsum([0, *sizes]).tolist()

@@ -17,8 +17,8 @@ over sources, and each (successes, arrivals) event leads to its own successor
 state: on a source, success moves h to g+1 <= h instead of h+1, and an arrival
 alone leaves g = 0.  The exact kernel, transition_law, expands that product
 for a batch of cases given as columns at once into the event rows of each
-case's law, and emits nothing else; transition_events is its adapter for
-(Action, ModelParams) pairs, and enumerate_transitions the one-case view.
+case's law under one fault, and emits nothing else; enumerate_transitions
+is its one-case view.
 advance is the one statement of the successor law: successor_ages, the
 solver's forward pass and the Monte Carlo slot all age g and h through it.
 sample_step draws one slot's event from a generator in the order the Monte
@@ -156,43 +156,45 @@ def _check_schedulable(x: SystemState, a: Action) -> None:
 
 class Events(NamedTuple):
     """Each case's law: its events of nonzero probability, case after case,
-    in enumerate_transitions order; W is the largest N of the batch."""
+    in enumerate_transitions order; W is the largest N of the batch.  A
+    case may have no row at all (drop-event on a one-event law)."""
 
     case: np.ndarray       # intp [rows]: the case of each row, ascending
     delivered: np.ndarray  # bool [rows, W]: n's buffered packet got through
     arrived: np.ndarray    # bool [rows, W]: n received a fresh packet
     pr: np.ndarray         # float64 [rows]: the event's probability
-    step: np.ndarray       # int64 [cases]: slots an undelivered destination age grows by
+    cases: int             # the number of cases
+    step: int              # slots an undelivered destination age grows by
 
     def split(self, *starts: int) -> list[Events]:
         """The rows of cases [0, s1), [s1, s2), ..., [sk, cases), each part
         numbering its cases from 0."""
-        bounds = [0, *starts, len(self.step)]
+        bounds = [0, *starts, self.cases]
         ends = np.searchsorted(self.case, bounds).tolist()
         return [
             Events(self.case[r0:r1] - c0, self.delivered[r0:r1], self.arrived[r0:r1],
-                   self.pr[r0:r1], self.step[c0:c1])
+                   self.pr[r0:r1], c1 - c0, self.step)
             for c0, c1, r0, r1 in zip(bounds, bounds[1:], ends, ends[1:])
         ]
 
     def fsums(self, terms: np.ndarray) -> list[float]:
         """math.fsum of each case's terms, given one term per row."""
-        ends = np.searchsorted(self.case, np.arange(1, len(self.step) + 1)).tolist()
+        ends = np.searchsorted(self.case, np.arange(1, self.cases + 1)).tolist()
         return [math.fsum(terms[i:j].tolist()) for i, j in zip([0, *ends], ends)]
 
 
 def transition_law(scheduled: Sequence[tuple[int, ...]], p: Sequence[float], q: np.ndarray,
-                   n: Sequence[int], faults: Sequence[str | None]) -> Events:
+                   n: Sequence[int], fault: str | None) -> Events:
     """The exact one-slot law of cases given as columns: each case's
     scheduled sources, p (Python floats, whose pow the bases use), q
-    [cases, W] (0.0 past the case's N), N and fault.
+    [cases, W] (0.0 past the case's N) and N, under the one fault of them all.
 
     Success sets w come in combinations order with the base p^|w| (1-p)^(|a|-|w|),
     sets of base 0.0 skipped; arrivals are then expanded one source at a time
     for every row at once, so each probability is the base times q[n] or
     1 - q[n] for n = 0, 1, ..., multiplied left to right, and a branch is
-    dropped once its product is 0.0.  Both faults live here: age-drift sets a
-    case's step to 2, and drop-event leaves the event where every scheduled
+    dropped once its product is 0.0.  Both faults live here: age-drift sets
+    the step to 2, and drop-event leaves the event where every scheduled
     transfer succeeds and every source gets a packet out of the case's law
     (for an idle case, the event where every source gets a packet).
     """
@@ -222,24 +224,11 @@ def transition_law(scheduled: Sequence[tuple[int, ...]], p: Sequence[float], q: 
         row, pr, arrived = row[src], both[kept], arrived[src]
         arrived[:, col] = kept & 1
     case, delivered = np.array(case, dtype=np.intp)[row], delivered[row]
-    step = np.array([1 + (f == "age-drift") for f in faults], dtype=np.int64)
-    if "drop-event" in faults:
-        drop = np.array([f == "drop-event" for f in faults])[case]
+    if fault == "drop-event":
         k = np.array([len(s) for s in scheduled])[case]
-        every = (delivered.sum(axis=1) == k) & (arrived.sum(axis=1) == np.asarray(n)[case])
-        keep = ~(drop & every)
+        keep = (delivered.sum(axis=1) != k) | (arrived.sum(axis=1) != np.asarray(n)[case])
         case, delivered, arrived, pr = case[keep], delivered[keep], arrived[keep], pr[keep]
-    return Events(case, delivered, arrived, pr, step)
-
-
-def transition_events(cases: Sequence[tuple[Action, ModelParams]]) -> Events:
-    """transition_law of (action, instance) pairs."""
-    width = max((params.n_sources for _, params in cases), default=0)
-    q = [params.q + (0.0,) * (width - params.n_sources) for _, params in cases]
-    return transition_law(
-        [a.scheduled for a, _ in cases], [params.p for _, params in cases],
-        np.array(q, dtype=float).reshape(len(cases), width),
-        [params.n_sources for _, params in cases], [params.fault for _, params in cases])
+    return Events(case, delivered, arrived, pr, len(scheduled), 1 + (fault == "age-drift"))
 
 
 def _signed_type(bound: int) -> np.dtype:
@@ -268,13 +257,12 @@ def advance(g, h, holders, delivered, stay, step=1):
 def successor_ages(g: np.ndarray, h: np.ndarray, n: np.ndarray,
                    ev: Events) -> tuple[np.ndarray, np.ndarray]:
     """The successor ages g', h' [rows, W] of cases of n sources and ages g, h
-    under each row's event, undelivered ages grown by the case's step; h' is
+    under each row's event, undelivered ages grown by the law's step; h' is
     0 past a case's own N, where g' reads EMPTY, so it adds to no sum."""
     # every age after the slot fits, since it grows by at most step <= 2
     dtype = _signed_type(int(h.max(initial=0)) + 2)
     g, h = g.astype(dtype)[ev.case], h.astype(dtype)[ev.case]
-    step = ev.step.astype(dtype)[ev.case, None]
-    g, h = advance(g, h, g != EMPTY, ev.delivered, ~ev.arrived, step)
+    g, h = advance(g, h, g != EMPTY, ev.delivered, ~ev.arrived, ev.step)
     live = np.arange(g.shape[1]) < n[ev.case, None]
     return g, np.where(live, h, 0)
 
@@ -285,14 +273,15 @@ def enumerate_transitions(
     """Exact successor distribution for (x, a): one entry per (successes,
     arrivals) event of nonzero probability, so the support sums to one.
 
-    The one-case view of transition_events, whose probabilities it keeps
+    The one-case view of transition_law, whose probabilities it keeps
     bit for bit.  Nothing is merged: distinct events give distinct
     successors, since success sets h' = g+1 <= h < h+1 and only an
     arrival sets g' = 0.  Entries follow success-set order, then arrival
     patterns with source 0 most significant, no arrival before arrival.
     """
     _check_schedulable(x, a)
-    ev = transition_events([(a, params)])
+    ev = transition_law([a.scheduled], [params.p], np.array([params.q]), [params.n_sources],
+                        params.fault)
     g, h = successor_ages(np.array([x.g]), np.array([x.h]), np.array([len(x.g)]), ev)
     return [
         (SystemState(tuple(gs), tuple(hs)), pr)

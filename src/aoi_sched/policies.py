@@ -95,11 +95,8 @@ class IndexRule(NamedTuple):
     or one entry per row (see stack): a [B, 1] column for a and c, a flat
     [B] array for cyclic.
 
-    decide runs on scaled(N), which holds the block's constants: the key
-    is built pre-scaled as (a*N)*g + (c*N)*h + dist, the same integers, and
-    a row's next cursor is (cursor + (m + 1) * cyclic) mod N, where m is the
-    largest distance it picked, -1 when it picked nothing.  A caller that
-    decides on one block slot after slot builds scaled(N) once."""
+    The rule decides through scaled(N), which holds a block's constants; a
+    caller that decides on one block slot after slot builds it once."""
 
     a: int | np.ndarray
     c: int | np.ndarray
@@ -122,16 +119,6 @@ class IndexRule(NamedTuple):
         """This rule on N sources, its key coefficients multiplied by N once."""
         return _ScaledRule(self.a * n, self.c * n, self.cyclic, np.arange(n))
 
-    def decide(self, g, h, holders, d: int, cursor=None, distances=None):
-        """The scheduled mask of the [B, N] ages g, h with packet holders
-        holders, and each row's next cursor.  cursor is None when no row is
-        cyclic (every key then reads the source index); otherwise it holds
-        every row's cursor, 0 on the non-cyclic rows, which never move it,
-        and each row's distances are gathered from distances,
-        distance_table(N).  holders is never written to, and may be the mask
-        returned."""
-        return self.scaled(g.shape[1]).decide(g, h, holders, d, cursor, distances)
-
 
 class _ScaledRule(NamedTuple):
     """An IndexRule on N sources (see IndexRule.scaled): aN = a*N, cN = c*N."""
@@ -142,7 +129,15 @@ class _ScaledRule(NamedTuple):
     sources: np.ndarray  # each source's distance from cursor 0
 
     def decide(self, g, h, holders, d: int, cursor=None, distances=None):
-        """IndexRule.decide on the pre-scaled key, with its cursor rule."""
+        """The scheduled mask of the [B, N] ages g, h with packet holders
+        holders, and each row's next cursor.  cursor is None when no row is
+        cyclic (every key then reads the source index); otherwise it holds
+        every row's cursor, 0 on the non-cyclic rows, which never move it,
+        and each row's distances are gathered from distances,
+        distance_table(N).  holders is never written to, and may be the mask
+        returned.  The key aN*g + cN*h + dist is the rule's, and a row's next
+        cursor is (cursor + (m + 1) * cyclic) mod N, m the largest distance it
+        picked (-1 when it picked nothing)."""
         dist = self.sources if cursor is None else distances.take(cursor, axis=0)
         key = self.aN * g
         key += self.cN * h
@@ -191,11 +186,12 @@ class IndexPolicy(Policy):
     d: int
 
     def decide_batch(self, t, g, h, memory=None):
+        n = g.shape[1]
         if not self.rule.cyclic:
-            return self.rule.decide(g, h, g != EMPTY, self.d)[0], memory
+            return self.rule.scaled(n).decide(g, h, g != EMPTY, self.d)[0], memory
         if memory is None:
             memory = np.zeros(len(g), dtype=np.int64)
-        return self.rule.decide(g, h, g != EMPTY, self.d, memory, distance_table(g.shape[1]))
+        return self.rule.scaled(n).decide(g, h, g != EMPTY, self.d, memory, distance_table(n))
 
 
 # Each class binds decide in its own __dict__, where perfbench/tracer.py wraps it.

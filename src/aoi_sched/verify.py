@@ -6,7 +6,7 @@ report and the test suite can reuse the same oracles.  Each randomized
 check draws all of its cases from its own seeded stream, a replay of
 PCG64's raw words equal to np.random.default_rng(seed)'s draws
 (_Pcg64Draws, pinned to numpy by a test), into one validated column batch
-(Cases), expands them in one call of the kernel's column core and reads
+(Cases), expands them in one call of the exact kernel and reads
 each case's law as arrays, every expectation one math.fsum; a fault
 reaches the oracles of the two one-step identities, expected_age_sums and
 margin_splits, only through that law.  The exact checks solve each gap
@@ -68,11 +68,11 @@ class Cases(SimpleNamespace):
 
 _UINT32 = 0xFFFFFFFF
 _TWO_TO_MINUS_53 = 1.0 / 9007199254740992.0
-_RAW_CHUNK = 512  # raw words per numpy call; a random_case takes about 13
+_RAW_CHUNK = 512  # raw words per numpy call; a drawn case takes about 13
 
 
 class _Pcg64Draws:
-    """The Generator methods random_case calls, replayed bit for bit on
+    """The Generator methods _draw calls, replayed bit for bit on
     Python ints from the raw 64-bit words of PCG64(seed), the bit generator
     of np.random.default_rng(seed); one numpy call per chunk of words instead
     of one per draw.  As in numpy, a 32-bit draw is the low half of a word
@@ -97,24 +97,13 @@ class _Pcg64Draws:
     def random(self) -> float:
         return (self._word() >> 11) * _TWO_TO_MINUS_53
 
-    def uniform(self, low: float, high: float, size: int | None = None):
-        """low + (high - low) * random(), or a list of size of them."""
-        span = high - low
-        if not 0.0 <= span < math.inf:
-            raise ValueError(f"cannot replay uniform({low!r}, {high!r})")
-        if size is None:
-            return low + span * self.random()
-        return [low + span * self.random() for _ in range(size)]
-
     def integers(self, low: int, high: int) -> int:
         """An int in [low, high) by Lemire's method on 32-bit draws; a range
         above 2**32 raises."""
         top = high - low - 1
-        if not 0 < top < _UINT32:
+        if not 0 < top <= _UINT32:
             if top == 0:
                 return low
-            if top == _UINT32:
-                return low + self._uint32()
             raise ValueError(f"cannot replay integers({low}, {high})")
         span = top + 1
         m = self._uint32() * span
@@ -145,8 +134,8 @@ def _draw(n_cases: int, seed: int, ensure_holder: bool, fault: str | None) -> Ca
         ns.append(n := rng.integers(1, MAX_N + 1))
         ds.append(d := rng.integers(1, 4))
         r = rng.random()
-        ps.append(0.0 if r < 0.05 else 1.0 if r < 0.10 else rng.uniform(0.0, 1.0))
-        qs = rng.uniform(0.0, 1.0, n)
+        ps.append(0.0 if r < 0.05 else 1.0 if r < 0.10 else rng.random())
+        qs = [rng.random() for _ in range(n)]
         for i in range(n):  # sprinkle exact endpoints
             r = rng.random()
             if r < 0.10:
@@ -203,8 +192,7 @@ def _take(cases: Cases, idx: np.ndarray, scheduled: list) -> Cases:
 
 
 def _expand(cases: Cases) -> Events:
-    return transition_law(cases.scheduled, cases.p.tolist(), cases.q, cases.n,
-                          [cases.fault] * len(cases.n))
+    return transition_law(cases.scheduled, cases.p.tolist(), cases.q, cases.n, cases.fault)
 
 
 def expected_age_sums(cases: Cases, ev: Events) -> tuple[list[float], list[float]]:

@@ -1,7 +1,7 @@
 """The event-by-event slot law, the scalar per-source product kernel and the
 one-case loops built on them, kept as the differential references for the
 array law `aoi_sched.model.advance`, the batched kernel
-`aoi_sched.model.transition_events` and the batched checks in
+`aoi_sched.model.transition_law` and the batched checks in
 `aoi_sched.verify`.
 
 `apply_transition` resolves one (successes, arrivals) event of one state,
@@ -20,13 +20,14 @@ draw one random case at a time, through `random_case` on a real
 `np.random.default_rng`, and evaluate it on its own, as the battery did
 before it ran batched.  `random_case` is also the object draw that
 `aoi_sched.verify._draw`'s column batches equal row by row; `columns`
-turns (x, a, params) cases into such a batch, and `next_states` applies
-`successor_ages` to states.  Every function keeps the fault semantics of
-the batched code: age-drift ages every non-delivered destination by 2, and
-drop-event leaves the all-succeed, all-arrive event out of each law that
-is read, the enumeration and both parts of the margin split alike (for the
-no-success part, the law of the idle action, that is the all-arrive
-event).  `apply_transition` and `transition_prob` are the clean law, which
+turns (x, a, params) cases into such a batch, `pair_law` expands
+(action, instance) pairs of one fault through the batched kernel, and
+`next_states` applies `successor_ages` to states.  Every function keeps
+the fault semantics of the batched code: age-drift ages every
+non-delivered destination by 2, and drop-event leaves the all-succeed,
+all-arrive event out of each law that is read, the enumeration and both
+parts of the margin split alike (for the no-success part, the law of the
+idle action, that is the all-arrive event).  `apply_transition` and `transition_prob` are the clean law, which
 no fault reaches.
 """
 
@@ -51,6 +52,7 @@ from aoi_sched.model import (
     sources_with_packets,
     success_probs,
     successor_ages,
+    transition_law,
 )
 from aoi_sched.policies import schedule_margin
 from aoi_sched.verify import MAX_AGE, MAX_N, STEP_TOL, Cases
@@ -235,8 +237,8 @@ def random_case(
 
 def columns(batch, fault=None) -> Cases:
     """The (x, a, params) cases of batch as one column batch of fault: the
-    oracles of aoi_sched.verify read a case's fault only through the law
-    they are given, so a batch of mixed faults may carry any one of them."""
+    oracles of aoi_sched.verify read the fault only through the law they
+    are given, so the batch's fault need not be its instances'."""
     width = max((params.n_sources for _, _, params in batch), default=0)
 
     def padded(rows, fill, dtype):
@@ -251,6 +253,20 @@ def columns(batch, fault=None) -> Cases:
         g=padded([x.g for x, _, _ in batch], EMPTY, np.int64),
         h=padded([x.h for x, _, _ in batch], 0, np.int64),
         scheduled=[a.scheduled for _, a, _ in batch], fault=fault)
+
+
+def pair_law(pairs):
+    """transition_law of (Action, ModelParams) pairs, which share one fault,
+    each instance's q padded with 0.0 to the widest N."""
+    faults = {params.fault for _, params in pairs}
+    if len(faults) > 1:
+        raise ValueError(f"one kernel call takes one fault, got {sorted(map(str, faults))}")
+    width = max((params.n_sources for _, params in pairs), default=0)
+    q = [params.q + (0.0,) * (width - params.n_sources) for _, params in pairs]
+    return transition_law(
+        [a.scheduled for a, _ in pairs], [params.p for _, params in pairs],
+        np.array(q, dtype=float).reshape(len(pairs), width),
+        [params.n_sources for _, params in pairs], faults.pop() if faults else None)
 
 
 def next_states(xs, ev):

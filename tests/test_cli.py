@@ -345,11 +345,10 @@ def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys, tmp_pat
 def test_internal_value_error_in_verify_is_not_a_config_error(monkeypatch, capsys, tmp_path,
                                                               site):
     # a ValueError inside the randomized battery is a bug, whether the batch
-    # validation rejects a broken draw (every uniform 1.5) or the kernel
+    # validation rejects a broken draw (every random() 1.5) or the kernel
     # raises: it surfaces as the exception, never as a config error
     if site == "draw":
-        monkeypatch.setattr(verify._Pcg64Draws, "uniform",
-                            lambda self, low, high, size=None: [1.5] * size if size else 1.5)
+        monkeypatch.setattr(verify._Pcg64Draws, "random", lambda self: 1.5)
         match = "must lie in"
     else:
         def broken(*args, **kwargs):

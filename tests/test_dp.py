@@ -29,7 +29,6 @@ from aoi_sched.model import (
     fresh_state,
     new_state,
     success_probs,
-    transition_events,
 )
 from aoi_sched.policies import (
     DeltaPolicy,
@@ -41,7 +40,7 @@ from aoi_sched.policies import (
 from aoi_sched.verify import expected_age_sums
 
 from . import dict_solver, reference
-from .scalar_kernel import columns, min_schedule_margin
+from .scalar_kernel import columns, min_schedule_margin, pair_law
 from .test_kernel import split_margins
 from .reference import stage_dicts
 
@@ -254,8 +253,7 @@ class TestOneStepIdentities:
         params = ModelParams(2, 1, 0.45, (0.3, 0.8), 2)
         x = new_state((1, EMPTY), (4, 2))
         a = Action((0,))
-        (lhs,), (rhs,) = expected_age_sums(columns([(x, a, params)]),
-                                           transition_events([(a, params)]))
+        (lhs,), (rhs,) = expected_age_sums(columns([(x, a, params)]), pair_law([(a, params)]))
         assert abs(lhs - rhs) <= 1e-12
 
     def test_margin_decomposition_identity(self):
@@ -362,14 +360,14 @@ def test_each_action_events_read_once_per_pass(monkeypatch):
     """The array solver reads an action's events off the batched kernel once
     per solve or evaluation, one case per call, however many states take it."""
     calls = Counter()
-    kernel = dp.transition_events
+    kernel = dp.transition_law
 
-    def counting(cases):
-        [(a, _)] = cases
-        calls[a] += 1
-        return kernel(cases)
+    def counting(scheduled, *columns):
+        [a] = scheduled
+        calls[Action(a)] += 1
+        return kernel(scheduled, *columns)
 
-    monkeypatch.setattr(dp, "transition_events", counting)
+    monkeypatch.setattr(dp, "transition_law", counting)
     params = ModelParams(3, 2, 0.6, (0.5, 0.2, 0.9), 5)
     x0 = new_state((1, EMPTY, 0), (3, 2, 4))
     opt = solve_optimal(params, x0)

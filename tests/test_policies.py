@@ -306,7 +306,7 @@ def test_stacked_index_rule_matches_each_rows_policy(case):
     for t, xs in enumerate(slots, start=1):
         g = np.array([x.g for x in xs])
         h = np.array([x.h for x in xs])
-        mask, cursor = rule.decide(g, h, g != EMPTY, d, cursor, distances)
+        mask, cursor = rule.scaled(g.shape[1]).decide(g, h, g != EMPTY, d, cursor, distances)
         for i, (policy, x) in enumerate(zip(policies, xs)):
             action, mems[i] = reference.decide(policy, t, x, mems[i])
             assert tuple(np.flatnonzero(mask[i]).tolist()) == action.scheduled, (t, i, policy)
@@ -328,7 +328,7 @@ def test_index_rule_leaves_its_arguments_unchanged(d, cyclic):
     cursor = np.array([0, 0, 3]) if cyclic else None
     args = (g, h, holders) if cursor is None else (g, h, holders, cursor)
     before = [a.copy() for a in args]
-    mask, moved = rule.decide(g, h, holders, d, cursor, distance_table(4))
+    mask, moved = rule.scaled(4).decide(g, h, holders, d, cursor, distance_table(4))
     for arg, copy in zip(args, before):
         assert np.array_equal(arg, copy) and arg.dtype == copy.dtype
     assert (moved is None) == (not cyclic)

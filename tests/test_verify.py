@@ -17,8 +17,6 @@ from aoi_sched.model import (
     ModelParams,
     enumerate_transitions,
     new_state,
-    transition_events,
-    transition_law,
 )
 from aoi_sched.verify import check_prob_closure, run_suite
 
@@ -134,7 +132,7 @@ def test_closure_check_looks_up_kernel_in_verify_module(monkeypatch):
         return kernel(scheduled, *columns)
 
     monkeypatch.setattr(verify, "transition_law", counting)
-    monkeypatch.setattr(dp, "transition_events", None)  # a call from dp would fail
+    monkeypatch.setattr(dp, "transition_law", None)  # a call from dp would fail
     assert not check_prob_closure(n_cases=50).failed
     assert calls == [50]
     assert not verify.check_age_sum_identity(n_cases=40).failed
@@ -176,15 +174,10 @@ def _script(seed: int, n_ops: int) -> list:
     pick = random.Random(seed)
     ops = []
     for _ in range(n_ops):
-        kind = pick.randrange(5)
+        kind = pick.randrange(3)
         if kind == 0:
             ops.append(("random", ()))
         elif kind == 1:
-            low = pick.uniform(-5.0, 5.0)
-            ops.append(("uniform", (low, low + pick.uniform(0.0, 10.0))))
-        elif kind == 2:
-            ops.append(("uniform", (0.0, 1.0, pick.randrange(6))))
-        elif kind == 3:
             low = pick.randrange(-50, 50)
             ops.append(("integers", (low, low + pick.choice(RANGES))))
         else:
@@ -249,24 +242,6 @@ def test_draw_matches_random_case_on_default_rng(seed, ensure_holder, fault):
         assert got.h[i, n:].tolist() == [0] * (width - n)
 
 
-@pytest.mark.parametrize("fault", [None, "age-drift", "drop-event"])
-@pytest.mark.parametrize("seed", [5, 2**63])
-def test_pair_adapter_matches_column_core(seed, fault):
-    """transition_events over (Action, ModelParams) pairs is the column core
-    on the same cases: every field equal, each probability to the bit."""
-    cases = verify._draw(300, seed, seed % 2 == 1, fault)
-    pairs = [(Action(s), ModelParams(n, d, p, tuple(q[:n]), 2, fault))
-             for n, d, p, q, s in zip(cases.n.tolist(), cases.d.tolist(), cases.p.tolist(),
-                                      cases.q.tolist(), cases.scheduled)]
-    got = transition_events(pairs)
-    core = transition_law(cases.scheduled, cases.p.tolist(), cases.q, cases.n, [fault] * 300)
-    assert got.case.tolist() == core.case.tolist()
-    assert got.delivered.tolist() == core.delivered.tolist()
-    assert got.arrived.tolist() == core.arrived.tolist()
-    assert got.pr.tobytes() == core.pr.tobytes()
-    assert got.step.tolist() == core.step.tolist()
-
-
 def _valid_batch():
     """Three hand-made cases of N = 2, 1, 3 as one column batch."""
     return scalar_kernel.columns([
@@ -326,9 +301,6 @@ def test_replay_refuses_what_it_cannot_match():
     for low, high in ((0, 2**32 + 1), (0, 2**40), (5, 5)):
         with pytest.raises(ValueError):
             replay.integers(low, high)
-    for low, high in ((1.0, 0.0), (0.0, float("inf"))):
-        with pytest.raises(ValueError):
-            replay.uniform(low, high)
 
 
 # --- each bit-exact or scaling gate fails just past its threshold ----------
