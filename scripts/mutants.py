@@ -119,6 +119,16 @@ MUTANTS = (
            "",
            ("tests/test_policies.py::test_decide_batch_matches_reference_rules",
             "tests/test_simulate.py::test_workload_shaped_block_matches_scalar_episodes")),
+    Mutant("strict-rr-steps-one", "src/aoi_sched/policies.py",
+           "(cursor + self.d) % n",
+           "(cursor + 1) % n",
+           ("tests/test_policies.py::TestRRDecide::test_strict_advances_by_channel_count",
+            "tests/test_policies.py::test_decide_batch_matches_reference_rules")),
+    Mutant("cursor-distances-flipped", "src/aoi_sched/policies.py",
+           "(sources - sources[:, None]) % n",
+           "(sources[:, None] - sources) % n",
+           ("tests/test_policies.py::TestRRDecide::test_wraparound",
+            "tests/test_policies.py::test_stacked_index_rule_matches_each_rows_policy")),
     Mutant("success-unmasked", "src/aoi_sched/simulate.py",
            "        success &= sched\n",
            "",

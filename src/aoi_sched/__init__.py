@@ -38,6 +38,7 @@ from .policies import (
     PIPolicy,
     RRPolicy,
     StateNotInTable,
+    StrictRRPolicy,
     make_policy,
     schedule_margin,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "RRPolicy",
     "StateNotInTable",
     "StateSpaceTooLarge",
+    "StrictRRPolicy",
     "SweepConfig",
     "SystemState",
     "bound_constants",

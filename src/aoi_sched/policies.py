@@ -15,9 +15,9 @@ with per-policy coefficients (a, c, cyclic):
   the last pick, so that round-robin stays work-conserving.
 
 A non-cyclic rule's cursor stays 0, so its key breaks score ties by index
-order.  Strict round-robin is not an index rule: it takes the next d indices
-from its cursor, whichever of them hold packets, and burns channel slots on
-empty buffers.
+order.  Strict round-robin (StrictRRPolicy) is not an index rule: it takes
+the next d indices from its cursor, whichever of them hold packets, and
+burns channel slots on empty buffers.  Each CLI policy name is one class.
 
 Every decision schedules min(N_x, d) sources (strict round-robin may schedule
 fewer), sorted ascending.
@@ -64,30 +64,6 @@ def min_schedule_margins(g: np.ndarray, h: np.ndarray, d: np.ndarray | int) -> n
 _NO_PACKET_KEY = np.iinfo(np.int64).max
 
 
-def smallest_holders(keys: np.ndarray, holders: np.ndarray, d: int) -> np.ndarray:
-    """Row-wise mask of the min(N_x, d) packet holders with the smallest keys.
-
-    Keys must be distinct among each row's holders; a key of score*N + index
-    ranks by score, ties going to the lower index.  With fewer than d holders
-    the d-th smallest key is the no-packet key, so every holder is in.
-    """
-    if d >= keys.shape[1]:
-        return holders
-    keys = np.where(holders, keys, _NO_PACKET_KEY)
-    kth = keys.copy()
-    kth.partition(d - 1, axis=1)
-    mask = keys <= kth[:, d - 1 : d]
-    mask &= holders
-    return mask
-
-
-def distance_table(n: int) -> np.ndarray:
-    """[N, N] table whose row c holds the cyclic distance (m - c) mod N from
-    cursor c to each source m."""
-    sources = np.arange(n)
-    return (sources - sources[:, None]) % n
-
-
 class IndexRule(NamedTuple):
     """Schedule the min(N_x, d) holders with the smallest key
     (a*g + c*h)*N + ((n - cursor) mod N); a cyclic rule moves its cursor one
@@ -116,33 +92,47 @@ class IndexRule(NamedTuple):
                    column([r.cyclic for r in rules], -1))
 
     def scaled(self, n: int) -> _ScaledRule:
-        """This rule on N sources, its key coefficients multiplied by N once."""
-        return _ScaledRule(self.a * n, self.c * n, self.cyclic, np.arange(n))
+        """This rule on N sources, its key coefficients multiplied by N and
+        its cursor distances tabled once."""
+        sources = np.arange(n)
+        return _ScaledRule(self.a * n, self.c * n, self.cyclic, (sources - sources[:, None]) % n)
 
 
 class _ScaledRule(NamedTuple):
-    """An IndexRule on N sources (see IndexRule.scaled): aN = a*N, cN = c*N."""
+    """An IndexRule on N sources (see IndexRule.scaled): aN = a*N, cN = c*N,
+    and the [N, N] cursor_dist, whose row c holds the cyclic distance
+    (m - c) mod N from cursor c to each source m."""
 
     aN: int | np.ndarray
     cN: int | np.ndarray
     cyclic: bool | np.ndarray
-    sources: np.ndarray  # each source's distance from cursor 0
+    cursor_dist: np.ndarray
 
-    def decide(self, g, h, holders, d: int, cursor=None, distances=None):
+    def decide(self, g, h, holders, d: int, cursor=None):
         """The scheduled mask of the [B, N] ages g, h with packet holders
-        holders, and each row's next cursor.  cursor is None when no row is
-        cyclic (every key then reads the source index); otherwise it holds
-        every row's cursor, 0 on the non-cyclic rows, which never move it,
-        and each row's distances are gathered from distances,
-        distance_table(N).  holders is never written to, and may be the mask
-        returned.  The key aN*g + cN*h + dist is the rule's, and a row's next
-        cursor is (cursor + (m + 1) * cyclic) mod N, m the largest distance it
-        picked (-1 when it picked nothing)."""
-        dist = self.sources if cursor is None else distances.take(cursor, axis=0)
+        holders, the min(N_x, d) holders with the smallest key
+        aN*g + cN*h + dist, and each row's next cursor.  cursor is None when
+        no row is cyclic (dist is then row 0 of cursor_dist, the source
+        index); otherwise it holds every row's cursor, 0 on the non-cyclic
+        rows, which never move it.  holders is never written to, and may be
+        the mask returned.  A row's next cursor is
+        (cursor + (m + 1) * cyclic) mod N, m the largest distance it picked
+        (-1 when it picked nothing)."""
+        dist = self.cursor_dist[0] if cursor is None else self.cursor_dist.take(cursor, axis=0)
         key = self.aN * g
         key += self.cN * h
         key += dist
-        mask = smallest_holders(key, holders, d)
+        if d >= g.shape[1]:
+            mask = holders
+        else:
+            # with fewer than d holders the d-th smallest key is the
+            # no-packet key, so every holder is in
+            key = np.where(holders, key, _NO_PACKET_KEY)
+            kth = key.copy()
+            kth.partition(d - 1, axis=1)
+            mask = key <= kth[:, d - 1 : d]
+            mask &= holders
+
         if cursor is None:
             return mask, None
         moved = np.maximum.reduce(dist, axis=1, where=mask, initial=-1)
@@ -179,22 +169,21 @@ class Policy:
 
 @dataclass(frozen=True)
 class IndexPolicy(Policy):
-    """A policy that is its index rule on every row, on d channels.  Delta
-    and pi add no fields, so their repr, == and hash are this class's, which
-    name the subclass and never equate two classes."""
+    """A policy on d channels, which decides by its index rule on every row
+    unless it overrides decide_batch.  The subclasses add no fields, so
+    their repr, == and hash are this class's, which name the subclass and
+    never equate two classes."""
 
     d: int
 
     def decide_batch(self, t, g, h, memory=None):
-        n = g.shape[1]
-        if not self.rule.cyclic:
-            return self.rule.scaled(n).decide(g, h, g != EMPTY, self.d)[0], memory
-        if memory is None:
+        if memory is None and self.rule.cyclic:
             memory = np.zeros(len(g), dtype=np.int64)
-        return self.rule.scaled(n).decide(g, h, g != EMPTY, self.d, memory, distance_table(n))
+        return self.rule.scaled(g.shape[1]).decide(g, h, g != EMPTY, self.d, memory)
 
 
-# Each class binds decide in its own __dict__, where perfbench/tracer.py wraps it.
+# Delta, PI, RR and Optimal bind decide in their own __dict__, where
+# perfbench/tracer.py wraps it.
 
 
 class DeltaPolicy(IndexPolicy):
@@ -209,32 +198,27 @@ class PIPolicy(IndexPolicy):
     decide = Policy.decide
 
 
-_RR_RULE = IndexRule(0, 0, True)
-
-
-@dataclass(frozen=True)
 class RRPolicy(IndexPolicy):
-    """Round-robin over a cursor.  Work-conserving (default), it is the
-    cyclic index rule.  Strict, it schedules whichever of the next d indices
-    from the cursor hold packets, and the cursor advances by d."""
+    """Work-conserving round-robin over a cursor: the cyclic index rule."""
 
-    strict: bool = False
+    name = "rr"
+    rule = IndexRule(0, 0, True)
     decide = Policy.decide
 
-    @property
-    def name(self):
-        return "rr-strict" if self.strict else "rr"
+    def initial_memory(self):
+        return 0
 
-    @property
-    def rule(self):
-        return None if self.strict else _RR_RULE
+
+class StrictRRPolicy(IndexPolicy):
+    """Strict round-robin: schedules whichever of the next d indices from
+    the cursor hold packets, and the cursor advances by d."""
+
+    name = "rr-strict"
 
     def initial_memory(self):
         return 0
 
     def decide_batch(self, t, g, h, memory=None):
-        if not self.strict:
-            return super().decide_batch(t, g, h, memory)
         cursor = np.zeros(len(g), dtype=np.int64) if memory is None else memory
         n = g.shape[1]
         dist = (np.arange(n) - cursor[:, None]) % n
@@ -257,20 +241,18 @@ class OptimalPolicy(Policy):
         return table.decisions[t - 1][table.lookup(t, np.concatenate([g, h], axis=1))], memory
 
 
-POLICY_NAMES = ("delta", "pi", "rr", "rr-strict", "optimal")
+_POLICIES = {cls.name: cls for cls in (DeltaPolicy, PIPolicy, RRPolicy, StrictRRPolicy,
+                                        OptimalPolicy)}
+POLICY_NAMES = tuple(_POLICIES)
 
 
 def make_policy(name: str, params: ModelParams, *, table=None) -> Policy:
     """Build a policy from its CLI name.  `optimal` needs a solved table."""
-    d = params.n_channels
-    if name == "delta":
-        return DeltaPolicy(d)
-    if name == "pi":
-        return PIPolicy(d)
-    if name in ("rr", "rr-strict"):
-        return RRPolicy(d=d, strict=(name == "rr-strict"))
-    if name == "optimal":
-        if table is None:
-            raise ValueError("optimal policy needs a solved value table")
-        return OptimalPolicy(table)
-    raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
+    cls = _POLICIES.get(name)
+    if cls is None:
+        raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
+    if cls is not OptimalPolicy:
+        return cls(params.n_channels)
+    if table is None:
+        raise ValueError("optimal policy needs a solved value table")
+    return OptimalPolicy(table)

@@ -14,12 +14,13 @@ rows advance in lock step on [B, N] age arrays, the policies of a comparison
 sharing a block whenever all of their episodes fit in it.  The index policies
 of a block (delta, pi, work-conserving rr) decide for all of their rows in
 one call of their stacked IndexRule, whose constants (the key coefficients
-times N, the cyclic flags one per row) are computed once per block by
-IndexRule.scaled; strict round-robin and the table-backed optimal policy
-each decide on their own rows through decide_batch.  Every
-row keeps its own PCG64 generator and consumes exactly the uniforms that
-model.sample_step draws, in its order, slot by slot, and model.advance, the
-successor law the exact solver also uses, ages every row at once.
+times N, the cyclic flags one per row, the cursor-distance table) are
+computed once per block by IndexRule.scaled; strict round-robin and the
+table-backed optimal policy each decide on their own rows through
+decide_batch.  Every row keeps its own PCG64 generator and consumes exactly
+the uniforms that model.sample_step draws, in its order, slot by slot, and
+model.advance, the successor law the exact solver also uses, ages every row
+at once.
 
 compare_policies is the one summary entry, for one policy or several;
 run_experiment is its one-policy case and run_episode the engine's one-row
@@ -40,7 +41,7 @@ from .model import (  # sample_step stays importable from here
     advance,
     sample_step,
 )
-from .policies import IndexRule, distance_table
+from .policies import IndexRule
 
 # (policy, episode) rows advanced together, and slots of uniforms held per row
 # between refills; together they cap the uniform buffer at
@@ -149,7 +150,6 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
     indexed = len(rules) * e
     rule = IndexRule.stack([r for r in rules for _ in seeds]).scaled(n) if rules else None
     cursor = np.zeros(indexed, dtype=np.int64) if rules and np.any(rule.cyclic) else None
-    distances = distance_table(n)
     others = [(policy, slice(indexed + i * e, indexed + (i + 1) * e))
               for i, policy in enumerate(policies[len(rules) :])]
     mems = [None] * len(others)
@@ -162,10 +162,10 @@ def _block_totals(policies, params: ModelParams, x0: SystemState, seeds) -> np.n
             last[:] = before
         holders = g != EMPTY
         if not others:  # every row follows the index rule: its mask is sched
-            sched, cursor = rule.decide(g, h, holders, d, cursor, distances)
+            sched, cursor = rule.decide(g, h, holders, d, cursor)
         elif indexed:
             sched[:indexed], cursor = rule.decide(
-                g[:indexed], h[:indexed], holders[:indexed], d, cursor, distances)
+                g[:indexed], h[:indexed], holders[:indexed], d, cursor)
         for i, (policy, r) in enumerate(others):
             sched[r], mems[i] = policy.decide_batch(t, g[r], h[r], mems[i])
         # at uniform index last + the count of scheduled sources up to each

@@ -405,8 +405,9 @@ def check_gap_scaling(
     base: ModelParams = SCALING_BASE,
     p_grid: tuple[float, ...] = SCALING_P_GRID,
 ) -> CheckResult:
-    """Gap should vanish roughly quadratically in p: log-log slope >= 1.8."""
-    usable = [p for p in p_grid if p > 0.0]
+    """Gap should vanish roughly quadratically in p: log-log slope >= 1.8,
+    fitted over the distinct positive p values of the grid."""
+    usable = list(dict.fromkeys(p for p in p_grid if p > 0.0))
     if len(usable) < 2:
         return CheckResult(
             "gap_quadratic_scaling",

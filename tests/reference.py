@@ -32,7 +32,14 @@ from aoi_sched.model import (
     sample_step,
     sources_with_packets,
 )
-from aoi_sched.policies import DeltaPolicy, OptimalPolicy, PIPolicy, RRPolicy, StateNotInTable
+from aoi_sched.policies import (
+    DeltaPolicy,
+    OptimalPolicy,
+    PIPolicy,
+    RRPolicy,
+    StateNotInTable,
+    StrictRRPolicy,
+)
 from aoi_sched.simulate import EpisodeResult
 
 from .scalar_kernel import apply_transition
@@ -139,7 +146,9 @@ def decide(policy, t: int, x, memory=None) -> tuple[Action, object]:
     if isinstance(policy, PIPolicy):
         return pi_decide(x, policy.d), memory
     if isinstance(policy, RRPolicy):
-        return rr_decide(0 if memory is None else memory, x, policy.d, policy.strict)
+        return rr_decide(0 if memory is None else memory, x, policy.d)
+    if isinstance(policy, StrictRRPolicy):
+        return rr_decide(0 if memory is None else memory, x, policy.d, strict=True)
     if isinstance(policy, OptimalPolicy):
         return dp_policy_decide(policy.table, t, x), memory
     raise TypeError(f"no reference rule for {policy!r}")

@@ -35,6 +35,7 @@ from aoi_sched.policies import (
     OptimalPolicy,
     PIPolicy,
     RRPolicy,
+    StrictRRPolicy,
     make_policy,
 )
 from aoi_sched.verify import expected_age_sums
@@ -110,7 +111,7 @@ class TestSolveOptimal:
             DeltaPolicy(2),
             PIPolicy(2),
             RRPolicy(d=2),
-            RRPolicy(d=2, strict=True),
+            StrictRRPolicy(d=2),
         ):
             assert v_star <= evaluate_policy(pol, params, x0).root_value() + 1e-12
 

@@ -16,7 +16,7 @@ from aoi_sched.policies import (
     PIPolicy,
     RRPolicy,
     StateNotInTable,
-    distance_table,
+    StrictRRPolicy,
     make_policy,
     min_schedule_margins,
     schedule_margin,
@@ -73,10 +73,10 @@ def test_policies_are_values_named_by_their_class():
     # the subclass and never equate two classes on the same d
     assert repr(DeltaPolicy(2)) == "DeltaPolicy(d=2)"
     assert repr(PIPolicy(d=1)) == "PIPolicy(d=1)"
-    assert repr(RRPolicy(2, strict=True)) == "RRPolicy(d=2, strict=True)"
+    assert repr(StrictRRPolicy(2)) == "StrictRRPolicy(d=2)"
     assert DeltaPolicy(2) == DeltaPolicy(d=2) and hash(DeltaPolicy(2)) == hash(DeltaPolicy(d=2))
     assert DeltaPolicy(2) != PIPolicy(2) and PIPolicy(2) != RRPolicy(2)
-    assert DeltaPolicy(2) != DeltaPolicy(3) and RRPolicy(2) != RRPolicy(2, strict=True)
+    assert DeltaPolicy(2) != DeltaPolicy(3) and RRPolicy(2) != StrictRRPolicy(2)
     params = ModelParams(3, 2, 0.6, (0.5,) * 3, 4)
     for name in ("delta", "pi", "rr", "rr-strict"):
         policy = make_policy(name, params)
@@ -131,11 +131,11 @@ class TestRRDecide:
     def test_strict_may_idle_channels(self):
         # cursor points at an empty buffer; strict mode wastes that channel
         x = new_state((EMPTY, 1), (5, 9))
-        assert chosen(RRPolicy(d=1, strict=True), x, 0) == ((), 1)
+        assert chosen(StrictRRPolicy(d=1), x, 0) == ((), 1)
 
     def test_strict_advances_by_channel_count(self):
         x = new_state((0, 1, 2, 0), (9, 9, 9, 9))
-        assert chosen(RRPolicy(d=2, strict=True), x, 2) == ((2, 3), 0)
+        assert chosen(StrictRRPolicy(d=2), x, 2) == ((2, 3), 0)
 
 
 class TestDPPolicyDecide:
@@ -266,8 +266,8 @@ def test_decide_batch_matches_reference_rules(block):
     xs, d, cursors = block
     g = np.array([x.g for x in xs])
     h = np.array([x.h for x in xs])
-    for policy in (DeltaPolicy(d), PIPolicy(d), RRPolicy(d=d), RRPolicy(d=d, strict=True)):
-        rr = isinstance(policy, RRPolicy)
+    for policy in (DeltaPolicy(d), PIPolicy(d), RRPolicy(d=d), StrictRRPolicy(d=d)):
+        rr = isinstance(policy, (RRPolicy, StrictRRPolicy))
         mask, memory = policy.decide_batch(1, g, h, np.array(cursors) if rr else None)
         for i, x in enumerate(xs):
             action, want = reference.decide(policy, 1, x, cursors[i] if rr else None)
@@ -302,11 +302,10 @@ def test_stacked_index_rule_matches_each_rows_policy(case):
     cyclic = [bool(pol.rule.cyclic) for pol in policies]
     cursor = np.array(cursors) if any(cyclic) else None
     mems = [c if cyc else None for c, cyc in zip(cursors, cyclic)]
-    distances = distance_table(len(slots[0][0].g))
     for t, xs in enumerate(slots, start=1):
         g = np.array([x.g for x in xs])
         h = np.array([x.h for x in xs])
-        mask, cursor = rule.scaled(g.shape[1]).decide(g, h, g != EMPTY, d, cursor, distances)
+        mask, cursor = rule.scaled(g.shape[1]).decide(g, h, g != EMPTY, d, cursor)
         for i, (policy, x) in enumerate(zip(policies, xs)):
             action, mems[i] = reference.decide(policy, t, x, mems[i])
             assert tuple(np.flatnonzero(mask[i]).tolist()) == action.scheduled, (t, i, policy)
@@ -328,7 +327,7 @@ def test_index_rule_leaves_its_arguments_unchanged(d, cyclic):
     cursor = np.array([0, 0, 3]) if cyclic else None
     args = (g, h, holders) if cursor is None else (g, h, holders, cursor)
     before = [a.copy() for a in args]
-    mask, moved = rule.scaled(4).decide(g, h, holders, d, cursor, distance_table(4))
+    mask, moved = rule.scaled(4).decide(g, h, holders, d, cursor)
     for arg, copy in zip(args, before):
         assert np.array_equal(arg, copy) and arg.dtype == copy.dtype
     assert (moved is None) == (not cyclic)
@@ -358,6 +357,10 @@ class TestMakePolicy:
             pol = make_policy(name, params, table=table)
             assert pol.name == name
 
+    def test_names_are_the_cli_names(self):
+        # config errors print this tuple, in this order
+        assert POLICY_NAMES == ("delta", "pi", "rr", "rr-strict", "optimal")
+
     def test_optimal_requires_table(self):
         params = ModelParams(2, 1, 0.5, (0.5, 0.5), 3)
         with pytest.raises(ValueError):
@@ -373,4 +376,5 @@ class TestMakePolicy:
         assert DeltaPolicy(1).initial_memory() is None
         assert PIPolicy(1).initial_memory() is None
         assert RRPolicy(d=1).initial_memory() == 0
+        assert StrictRRPolicy(d=1).initial_memory() == 0
         assert OptimalPolicy(solve_optimal(params, fresh_state(2))).initial_memory() is None

@@ -1,6 +1,7 @@
 """Smoke test of the study script that README documents, and the upkeep of
 the standing mutant list."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -43,7 +44,9 @@ def test_gap_study_reports_null_z_at_p_zero():
 
 def test_every_mutant_applies_exactly_once():
     """scripts/mutants.py cannot rot silently: each mutant's old text occurs
-    once in its file, and each test it names is defined where it says."""
+    once in its file, the mutated file still parses (else pytest stops
+    before it runs the mutant's tests), and each test it names is defined
+    where it says."""
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
@@ -51,6 +54,7 @@ def test_every_mutant_applies_exactly_once():
     assert len(set(names)) == len(names)
     for m in mutants.MUTANTS:
         assert mutants.occurrences(m) == 1, m.name
+        ast.parse((ROOT / m.path).read_text().replace(m.old, m.new))
         assert m.tests, m.name
         for node in m.tests:
             path, *_, test = node.split("::")

@@ -361,3 +361,29 @@ def test_gap_scaling_needs_quadratic_decay(monkeypatch, power, status):
     res = verify.check_gap_scaling()
     assert res.status == status
     assert res.measured["slope"] == pytest.approx(power)
+
+
+def test_gap_scaling_needs_two_distinct_p(monkeypatch):
+    """A grid that repeats one p has a single log p, so no slope: the check
+    is not applicable, and solves nothing."""
+    def no_solve(params, x0):
+        raise AssertionError("solved a gap")
+
+    monkeypatch.setattr(verify, "optimality_gap", no_solve)
+    res = verify.check_gap_scaling(p_grid=(0.1, 0.1))
+    assert res.status == "not-applicable"
+    assert res.measured == {"p_grid": [0.1, 0.1]}
+
+
+def test_gap_scaling_solves_each_distinct_p_once(monkeypatch):
+    solved = []
+
+    def gap(params, x0):
+        solved.append(params.p)
+        return SimpleNamespace(diff=0.3 * params.p ** 2)
+
+    monkeypatch.setattr(verify, "optimality_gap", gap)
+    res = verify.check_gap_scaling(p_grid=(0.2, 0.1, 0.2, 0.0, 0.1))
+    assert solved == [0.2, 0.1]
+    assert res.measured["p_grid"] == [0.2, 0.1]
+    assert res.detail.endswith("over 2 points (need >= 1.8)")
