@@ -64,16 +64,21 @@ MUTANTS = (
            "z = diff / params.p if params.p > 0.0 else None",
            ("tests/test_dp.py::TestOptimalityGap::test_fields_cross_check",)),
     Mutant("backward-last-minimum", "src/aoi_sched/dp.py",
-           "win = q < best[b.rows]",
-           "win = q <= best[b.rows]",
+           "win = q < best[idx]",
+           "win = q <= best[idx]",
            ("tests/test_dp.py::TestSolveOptimal::test_ties_resolve_to_the_first_action",
             "tests/test_dp.py::test_tables_match_frozen_digests")),
     Mutant("backward-stale-mask-bits", "src/aoi_sched/dp.py",
            "mask = np.zeros(n, dtype=bool)\n"
-           "            mask[list(b.action)] = True\n"
-           "            act[b.rows[win]] = mask",
-           "act[np.ix_(b.rows[win], list(b.action))] = True",
+           "            mask[list(a)] = True\n"
+           "            act[idx[win]] = mask",
+           "act[np.ix_(idx[win], list(a))] = True",
            ("tests/test_dp.py::test_decisions_are_scheduled_masks",)),
+    Mutant("grid-gate-counts-events", "src/aoi_sched/dp.py",
+           "np.array_equal(ev.delivered, laws[a].delivered)\n"
+           "                   and np.array_equal(ev.arrived, laws[a].arrived)",
+           "len(ev.pr) == len(laws[a].pr)",
+           ("tests/test_dp_grid.py::test_gate_starts_a_pass_only_for_other_event_rows",)),
     Mutant("replay-high-half-first", "src/aoi_sched/verify.py",
            "self._half = word >> 32\n"
            "            return word & _UINT32",

@@ -13,6 +13,8 @@ from .dp import (
     StateSpaceTooLarge,
     bound_constants,
     evaluate_policy,
+    gap_report,
+    gap_tables,
     optimality_gap,
     solve_optimal,
 )
@@ -82,6 +84,8 @@ __all__ = [
     "evaluate_policy",
     "format_state",
     "fresh_state",
+    "gap_report",
+    "gap_tables",
     "grid_point_seed",
     "improvement_pct",
     "load_config",

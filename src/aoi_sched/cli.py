@@ -270,8 +270,8 @@ def cmd_solve(cfg: SweepConfig, dump_path: str | None = None) -> None:
     opt = solve_optimal(params, x0, cap=cfg.state_cap)
     policy_values = {}
     for name in cfg.policies:
-        pol = make_policy(name, params, table=opt)
-        policy_values[name] = evaluate_policy(pol, params, x0, cap=cfg.state_cap).root_value()
+        policy_values[name] = opt.root_value() if name == "optimal" else evaluate_policy(
+            make_policy(name, params), params, x0, cap=cfg.state_cap).root_value()
     v_delta = policy_values.get("delta")
     if v_delta is None:
         v_delta = evaluate_policy(

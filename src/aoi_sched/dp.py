@@ -20,12 +20,18 @@ kernel's (successor, probability) pairs gives.  A solved DPTable is those
 arrays: each stage's key rows with a value and, before stage T, a scheduled
 mask per row.  dump_table writes one as text.  The one-step identities live
 in `verify`, which checks them.
+
+Instances equal except for p share one forward pass (gap_tables): no chooser
+reads p, and p changes an action's event rows only where a probability is 0.0
+(p = 0 or 1, an underflowing p**k).  A point whose laws have a pass's rows,
+action by action, has its stages and blocks and binds only its own pr.  A
+single solve is a one-point grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, zip_longest
 from typing import NamedTuple
 
@@ -181,37 +187,29 @@ def _successors(rows: np.ndarray, ev: Events, mem, out: np.ndarray) -> None:
         out[..., 2 * n] = mem[:, None]
 
 
-class _Block(NamedTuple):
-    """Rows of one stage that take the same action."""
-
-    action: tuple      # the scheduled sources, ascending
-    rows: np.ndarray   # the stage rows
-    succ: np.ndarray   # [rows, events] index of each successor in the next stage
-    pr: np.ndarray     # [events]
-
-
-def _forward(params: ModelParams, root: np.ndarray, choose, cap: int):
+def _forward(params: ModelParams, root: np.ndarray, choose, cap: int, laws: dict):
     """Stage rows reachable from the one-row root stage, and the blocks of
-    stages 1..T-1.
+    stages 1..T-1: per stage, (action, rows taking it, [rows, events] index
+    of each successor in the next stage), the action's sources ascending.
 
     choose(t, rows) yields (action, row indices, next memory or None) for the
     rows of stage t; a row taking several actions appears in one block per
     action, in the order it tries them.  Each action's law, with the
-    instance's fault, is read off the kernel once per pass and serves every
-    row that takes it.  The cap counts distinct keys over all stages, and
-    each stage's keys are counted before that stage is expanded.
+    instance's fault, is read off the kernel once into laws, unless there,
+    and serves every row that takes it.  The cap counts distinct keys over
+    all stages, and each stage's keys are counted before that stage is
+    expanded.
     """
-    events: dict[tuple[int, ...], Events] = {}
     stages, blocks = [root], []
     total, limit = 1, max(cap, 1)  # the root counts but is never checked
     for t in range(1, params.horizon):
         cur = stages[-1]
         taken = []
         for a, rows, mem in choose(t, cur):
-            if a not in events:
-                events[a] = transition_law([a], [params.p], np.array([params.q]),
-                                           [params.n_sources], params.fault)
-            taken.append((a, rows, mem, events[a]))
+            if a not in laws:
+                laws[a] = transition_law([a], [params.p], np.array([params.q]),
+                                         [params.n_sources], params.fault)
+            taken.append((a, rows, mem, laws[a]))
         sizes = [len(rows) * len(ev.pr) for _, rows, _, ev in taken]
         ends = np.cumsum([0, *sizes]).tolist()
         succ = np.empty((ends[-1], cur.shape[1]), dtype=cur.dtype)
@@ -224,7 +222,7 @@ def _forward(params: ModelParams, root: np.ndarray, choose, cap: int):
         if total > limit:
             raise StateSpaceTooLarge(f"reachable set exceeds cap: {limit + 1} > {cap}")
         blocks.append([
-            _Block(a, rows, inv[start:stop].reshape(len(rows), len(ev.pr)), ev.pr)
+            (a, rows, inv[start:stop].reshape(len(rows), len(ev.pr)))
             for (a, rows, _, ev), start, stop in zip(taken, ends, ends[1:])
         ])
         stages.append(nxt)
@@ -235,9 +233,10 @@ def _stage_cost(rows: np.ndarray, n: int) -> np.ndarray:
     return rows[:, n : 2 * n].sum(axis=1, dtype=np.int64).astype(float)
 
 
-def _backward(stages: list, blocks: list, n: int):
+def _backward(stages: list, blocks: list, n: int, laws: dict):
     """Values per stage and scheduled masks per stage t < T.  V_T(x) = cost(x);
-    V_t(x) = min over the blocks holding x of cost(x) + sum_x' P(x'|x,a) V_{t+1}(x').
+    V_t(x) = min over the blocks holding x of cost(x) + sum_x' P(x'|x,a) V_{t+1}(x'),
+    P read off laws[a].
 
     Each product is one IEEE multiply, as in Python, and each sum is
     math.fsum, so candidate values that are equal in exact arithmetic round
@@ -249,14 +248,14 @@ def _backward(stages: list, blocks: list, n: int):
         base = _stage_cost(rows, n)
         best = np.full(len(rows), np.inf)
         act = np.zeros((len(rows), n), dtype=bool)
-        for b in stage_blocks:
-            terms = (b.pr * nxt[b.succ]).tolist()
-            q = base[b.rows] + np.fromiter(map(math.fsum, terms), float, len(terms))
-            win = q < best[b.rows]
-            best[b.rows[win]] = q[win]
+        for a, idx, succ in stage_blocks:
+            terms = (laws[a].pr * nxt[succ]).tolist()
+            q = base[idx] + np.fromiter(map(math.fsum, terms), float, len(terms))
+            win = q < best[idx]
+            best[idx[win]] = q[win]
             mask = np.zeros(n, dtype=bool)
-            mask[list(b.action)] = True
-            act[b.rows[win]] = mask
+            mask[list(a)] = True
+            act[idx[win]] = mask
         values.append(best)
         decisions.append(act)
     return values[::-1], decisions[::-1]
@@ -272,13 +271,43 @@ def _root(params: ModelParams, x0: SystemState, mem0) -> np.ndarray:
     return np.array([row], dtype=_signed_type(bound))
 
 
-def _solve(params: ModelParams, name, x0: SystemState, mem0, choose, cap: int) -> DPTable:
-    stages, blocks = _forward(params, _root(params, x0, mem0), choose, cap)
-    values, decisions = _backward(stages, blocks, params.n_sources)
-    augmented = mem0 is not None
-    key0 = (x0, mem0) if augmented else x0
-    return DPTable(params.horizon, name, augmented, key0, tuple(stages), tuple(values),
-                   tuple(decisions))
+def _grid_laws(params: ModelParams, actions: list, ps) -> list[dict]:
+    """The law of each action at each p of ps, off one kernel call."""
+    m, cases = len(actions), len(actions) * len(ps)
+    parts = transition_law(actions * len(ps), [p for p in ps for _ in actions],
+                           np.tile(params.q, (cases, 1)), [params.n_sources] * cases,
+                           params.fault).split(*range(1, cases)) if cases else []
+    return [dict(zip(actions, parts[i * m :])) for i in range(len(ps))]
+
+
+def _solve_grid(params: ModelParams, x0: SystemState, p_values, choosers, cap: int):
+    """The table of each chooser, a (policy name or None, initial memory,
+    choose) triple, at each p of p_values, the instance otherwise params.
+    A pass runs _forward per chooser at its first point and reads the later
+    points' laws of its actions in one kernel call; a later point joins the
+    first pass whose event rows its laws share."""
+    points = [params if p == params.p else replace(params, p=p) for p in p_values]
+    passes, tables = [], []
+    for j, point in enumerate(points):
+        for first, structs, later in passes:
+            laws = later[j]
+            if all(np.array_equal(ev.delivered, laws[a].delivered)
+                   and np.array_equal(ev.arrived, laws[a].arrived) for a, ev in first.items()):
+                break
+        else:
+            laws = {}
+            structs = [_forward(point, _root(point, x0, mem0), choose, cap, laws)
+                       for _, mem0, choose in choosers]
+            later = _grid_laws(point, list(laws), p_values[j + 1 :])
+            passes.append((laws, structs, dict(enumerate(later, j + 1))))
+        row = []
+        for (name, mem0, _), (stages, blocks) in zip(choosers, structs):
+            values, decisions = _backward(stages, blocks, params.n_sources, laws)
+            row.append(DPTable(params.horizon, name, mem0 is not None,
+                               x0 if mem0 is None else (x0, mem0), tuple(stages),
+                               tuple(values), tuple(decisions)))
+        tables.append(row)
+    return tables
 
 
 def _all_actions(params: ModelParams):
@@ -292,28 +321,29 @@ def _all_actions(params: ModelParams):
             for a in combinations(holders, min(len(holders), d)):
                 yield a, idx, None
 
-    return choose
+    return None, None, choose
 
 
-def _policy_actions(policy, n: int, augmented: bool):
+def _policy_actions(policy, n: int):
     """A fixed policy's chooser: its batch decision for every row, the memory
-    read from and written to the key's last column when augmented."""
+    read from and written to the key's last column when the policy has one."""
+    mem0 = policy.initial_memory()
 
     def choose(t, rows):
         g, h = rows[:, :n].astype(np.int64), rows[:, n : 2 * n].astype(np.int64)
-        mem = rows[:, 2 * n].astype(np.int64) if augmented else None
+        mem = None if mem0 is None else rows[:, 2 * n].astype(np.int64)
         mask, mem = policy.decide_batch(t, g, h, mem)
         for a, idx in _groups(mask):
             yield a, idx, None if mem is None else mem[idx]
 
-    return choose
+    return policy.name, mem0, choose
 
 
 def reachable_states(
     params: ModelParams, x0: SystemState, cap: int = DEFAULT_STATE_CAP
 ) -> list[set[SystemState]]:
     """Per-stage sets of states reachable from x0 under any action sequence."""
-    stages, _ = _forward(params, _root(params, x0, None), _all_actions(params), cap)
+    stages, _ = _forward(params, _root(params, x0, None), _all_actions(params)[2], cap, {})
     n = params.n_sources
     return [{_row_key(row, n, False) for row in rows.tolist()} for rows in stages]
 
@@ -323,7 +353,7 @@ def solve_optimal(
 ) -> DPTable:
     """Backward induction for the optimal values over every action, tried in
     enumerate_actions order, so ties resolve to the lexicographically smallest."""
-    return _solve(params, None, x0, None, _all_actions(params), cap)
+    return _solve_grid(params, x0, [params.p], [_all_actions(params)], cap)[0][0]
 
 
 def evaluate_policy(
@@ -336,9 +366,18 @@ def evaluate_policy(
     (state, memory); memoryless policies key by bare states so their tables
     compare directly against the optimal one.
     """
-    mem0 = policy.initial_memory()
-    choose = _policy_actions(policy, params.n_sources, mem0 is not None)
-    return _solve(params, policy.name, x0, mem0, choose, cap)
+    return _solve_grid(params, x0, [params.p], [_policy_actions(policy, params.n_sources)],
+                       cap)[0][0]
+
+
+def gap_tables(
+    params: ModelParams, x0: SystemState, p_values, cap: int = DEFAULT_STATE_CAP
+) -> list[list[DPTable]]:
+    """[optimal table, best-margin policy table] at each p of p_values, the
+    instance otherwise params; points share forward passes where they can."""
+    choosers = [_all_actions(params),
+                _policy_actions(DeltaPolicy(params.n_channels), params.n_sources)]
+    return _solve_grid(params, x0, p_values, choosers, cap)
 
 
 def bound_constants(k: int, p: float, d: int) -> BoundConstants:
@@ -385,9 +424,8 @@ def optimality_gap(
     root-stage difference with its normalized form and analytic bound.  At
     p = 0 no transfer succeeds, so every policy has the optimal value: diff is
     0.0 and z is None."""
-    v_star = solve_optimal(params, x0, cap=cap).root_value()
-    v_delta = evaluate_policy(DeltaPolicy(params.n_channels), params, x0, cap=cap).root_value()
-    return gap_report(params, x0, v_star, v_delta)
+    [[opt, dtab]] = gap_tables(params, x0, [params.p], cap)
+    return gap_report(params, x0, opt.root_value(), dtab.root_value())
 
 
 def dump_table(table: DPTable, path) -> None:

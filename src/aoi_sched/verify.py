@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dp import DPTable, evaluate_policy, gap_report, optimality_gap, solve_optimal
+from .dp import DPTable, evaluate_policy, gap_report, gap_tables, solve_optimal
 from .model import (  # enumerate_transitions stays importable from here
     EMPTY,
     FAULT_MODES,
@@ -37,7 +37,7 @@ from .model import (  # enumerate_transitions stays importable from here
     successor_ages,
     transition_law,
 )
-from .policies import DeltaPolicy, OptimalPolicy, min_schedule_margins
+from .policies import OptimalPolicy, min_schedule_margins
 
 STEP_TOL = 1e-12   # single-step identities
 VALUE_TOL = 1e-9   # multi-stage value comparisons
@@ -338,11 +338,16 @@ CONSISTENCY_PARAMS = ModelParams(2, 1, 0.6, (0.5, 0.5), 5)
 
 def solve_gap_instances(instances: Sequence[ModelParams]) -> list[tuple]:
     """(params, optimal table, best-margin policy table) of each instance,
-    solved from the fresh state."""
-    fresh = [fresh_state(params.n_sources) for params in instances]
-    return [(params, solve_optimal(params, x0),
-             evaluate_policy(DeltaPolicy(params.n_channels), params, x0))
-            for params, x0 in zip(instances, fresh)]
+    solved from the fresh state; instances equal but for p are one gap_tables call."""
+    groups: dict[ModelParams, list[int]] = {}
+    for i, params in enumerate(instances):
+        groups.setdefault(replace(params, p=0.0), []).append(i)
+    solved = [None] * len(instances)
+    for base, idx in groups.items():
+        grid = gap_tables(base, fresh_state(base.n_sources), [instances[i].p for i in idx])
+        for i, tables in zip(idx, grid):
+            solved[i] = (instances[i], *tables)
+    return solved
 
 
 def _stage_gap(table: DPTable, opt: DPTable, t: int) -> float:
@@ -401,25 +406,20 @@ def check_gap_sign_and_bound(solved: Sequence[tuple]) -> CheckResult:
     )
 
 
-def check_gap_scaling(
-    base: ModelParams = SCALING_BASE,
-    p_grid: tuple[float, ...] = SCALING_P_GRID,
-) -> CheckResult:
+def check_gap_scaling(solved: Sequence[tuple], p_grid: Sequence[float]) -> CheckResult:
     """Gap should vanish roughly quadratically in p: log-log slope >= 1.8,
-    fitted over the distinct positive p values of the grid."""
-    usable = list(dict.fromkeys(p for p in p_grid if p > 0.0))
-    if len(usable) < 2:
+    fitted over solved, the tables of the grid's distinct positive p values
+    (none when there are fewer than two)."""
+    if not solved:
         return CheckResult(
             "gap_quadratic_scaling",
             "not-applicable",
-            "fewer than two positive p grid points",
+            "fewer than two distinct positive p values",
             {"p_grid": list(p_grid)},
         )
-    x0 = fresh_state(base.n_sources)
-    gaps = []
-    for p in usable:
-        rep = optimality_gap(replace(base, p=p), x0)
-        gaps.append(rep.diff)
+    usable = [params.p for params, _, _ in solved]
+    gaps = [gap_report(params, fresh_state(params.n_sources), opt.root_value(),
+                       dtab.root_value()).diff for params, opt, dtab in solved]
     if all(gap < STEP_TOL for gap in gaps):
         return CheckResult(
             "gap_quadratic_scaling",
@@ -475,10 +475,14 @@ def run_suite(
         check_margin_split(seed=seed + 3, fault=fault),
         check_success_prob_identity(),
     ]
-    solved = solve_gap_instances([replace(params, fault=fault) for params in GAP_INSTANCES])
+    usable = list(dict.fromkeys(p for p in scaling_p_grid if p > 0.0))  # one p fits no slope
+    scaling = [replace(SCALING_BASE, p=p) for p in usable if len(usable) > 1]
+    k = len(GAP_INSTANCES)
+    solved = solve_gap_instances([replace(params, fault=fault)
+                                  for params in (*GAP_INSTANCES, *scaling)])
     return checks + [
-        check_penultimate_stage(solved),
-        check_gap_sign_and_bound(solved),
-        check_gap_scaling(replace(SCALING_BASE, fault=fault), scaling_p_grid),
+        check_penultimate_stage(solved[:k]),
+        check_gap_sign_and_bound(solved[:k]),
+        check_gap_scaling(solved[k:], scaling_p_grid),
         check_policy_eval_consistency(replace(CONSISTENCY_PARAMS, fault=fault)),
     ]

@@ -125,6 +125,26 @@ def test_solve_dump_tables_bytes_are_frozen(tmp_path):
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == GAP_DUMP_SHA256
 
 
+# sha256 of the exact_gap instance's solve report with --policies optimal,delta,
+# frozen when solve still re-evaluated the optimal policy on its own table
+OPT_DELTA_SHA256 = "b7bb2c24171f78e856c383cfa2053f64d2a168543f65ed05ed9e05236dc91902"
+
+
+def test_solve_reports_optimal_without_reevaluating_it(tmp_path, monkeypatch):
+    evaluated, evaluate = [], cli.evaluate_policy
+
+    def record(policy, *args, **kwargs):
+        evaluated.append(policy.name)
+        return evaluate(policy, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_policy", record)
+    out = tmp_path / "gap.json"
+    argv = GAP_ARGV[:-1] + ["optimal,delta", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert evaluated == ["delta"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OPT_DELTA_SHA256
+
+
 def test_sweep_one_file_per_axis(tmp_path):
     out = tmp_path / "sw.csv"
     res = run_cli([

@@ -1,0 +1,122 @@
+"""`dp.gap_tables`, whose points share forward passes, against one
+`solve_optimal` and one `evaluate_policy(DeltaPolicy)` per point.
+
+Every table of the grid must have the stage rows, the scheduled masks and,
+byte for byte, the values of its separate solve.  The gate cases are the
+points whose laws have other event rows than the pass they would join:
+p = 0, p = 1 and an underflowing p**k; each must start a pass of its own.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from aoi_sched import dp
+from aoi_sched.dp import evaluate_policy, gap_tables, solve_optimal
+from aoi_sched.model import FAULT_MODES, ModelParams, fresh_state
+from aoi_sched.policies import DeltaPolicy
+
+from .test_dp import FROZEN_INSTANCES
+
+P_GRID = (0.3, 0.0, 0.05, 1.0, 0.3, 0.8)
+
+
+def same_table(got, want) -> None:
+    assert (got.horizon, got.policy_name, got.augmented, got.root_key) == (
+        want.horizon, want.policy_name, want.augmented, want.root_key)
+    assert len(got.stages) == len(want.stages) == len(got.values) == len(want.values)
+    for t, (rows, ref) in enumerate(zip(got.stages, want.stages), 1):
+        assert rows.dtype == ref.dtype and np.array_equal(rows, ref), t
+    for t, (values, ref) in enumerate(zip(got.values, want.values), 1):
+        assert values.tobytes() == ref.tobytes(), t
+    assert len(got.decisions) == len(want.decisions)
+    for t, (masks, ref) in enumerate(zip(got.decisions, want.decisions), 1):
+        assert np.array_equal(masks, ref), t
+
+
+def check_grid(params, x0, p_grid) -> None:
+    grid = gap_tables(params, x0, p_grid)
+    assert len(grid) == len(p_grid)
+    for p, (opt, dtab) in zip(p_grid, grid):
+        point = replace(params, p=p)
+        same_table(opt, solve_optimal(point, x0))
+        same_table(dtab, evaluate_policy(DeltaPolicy(params.n_channels), point, x0))
+
+
+def forward_points(monkeypatch) -> list:
+    """The p of each forward pass run from now on."""
+    points, forward = [], dp._forward
+
+    def counting(params, *args):
+        points.append(params.p)
+        return forward(params, *args)
+
+    monkeypatch.setattr(dp, "_forward", counting)
+    return points
+
+
+@pytest.mark.parametrize("label, params, stale", FROZEN_INSTANCES,
+                         ids=[label for label, _, _ in FROZEN_INSTANCES])
+def test_grid_matches_separate_solves(monkeypatch, label, params, stale):
+    """Three passes per start, at 0.3, 0.0 and 1.0, two forward passes each;
+    at T = 1 no action is taken, so every point joins the first pass."""
+    points = forward_points(monkeypatch)
+    for x0 in (fresh_state(params.n_sources), stale):
+        check_grid(params, x0, P_GRID)
+    firsts = [0.3] if params.horizon == 1 else [0.3, 0.0, 1.0]
+    passes = [p for p in firsts for _ in range(2)]
+    # each start: the grid's passes, then one pass per separate solve
+    assert points == 2 * (passes + [p for p in P_GRID for _ in range(2)])
+
+
+@pytest.mark.parametrize("fault", [f for f in FAULT_MODES if f])
+def test_grid_matches_separate_solves_under_fault(fault):
+    """The fault is the whole grid's, so it splits no pass."""
+    for label, params, stale in FROZEN_INSTANCES[:2]:
+        check_grid(replace(params, fault=fault), stale, P_GRID)
+
+
+# (params, p grid, the p of each forward pass: two per pass, one per table)
+GATE_CASES = {
+    # p = 0 has no delivered row and p = 1 no failed one; each counts as many
+    # events as the other, so a gate on event counts alone would merge them
+    "p0-p1": (ModelParams(2, 1, 0.5, (0.5, 0.5), 5), P_GRID,
+              [0.3, 0.3, 0.0, 0.0, 1.0, 1.0]),
+    "q-edges": (ModelParams(3, 1, 0.5, (1.0, 0.0, 0.5), 4), (0.2, 0.5, 0.9),
+                [0.2, 0.2]),
+    # (1e-200)**2 underflows to 0.0, so the law of the pair drops a row
+    "underflow": (ModelParams(2, 2, 0.5, (0.5, 0.5), 4), (0.3, 1e-200, 0.6),
+                  [0.3, 0.3, 1e-200, 1e-200]),
+    "one-point": (ModelParams(2, 1, 0.5, (0.5, 0.5), 5), (0.4,), [0.4, 0.4]),
+}
+
+
+@pytest.mark.parametrize("case", GATE_CASES)
+def test_gate_starts_a_pass_only_for_other_event_rows(monkeypatch, case):
+    params, p_grid, passes = GATE_CASES[case]
+    points = forward_points(monkeypatch)
+    gap_tables(params, fresh_state(params.n_sources), p_grid)
+    assert points == passes
+    monkeypatch.undo()
+    check_grid(params, fresh_state(params.n_sources), p_grid)
+
+
+def test_one_pass_reads_later_laws_in_one_call(monkeypatch):
+    """A pass reads its first point's laws one action per call, as a single
+    solve does, and every later point's laws in one batched call; a one-point
+    grid makes no batched call."""
+    sizes, kernel = [], dp.transition_law
+
+    def counting(scheduled, *columns):
+        sizes.append(len(scheduled))
+        return kernel(scheduled, *columns)
+
+    monkeypatch.setattr(dp, "transition_law", counting)
+    params, x0 = ModelParams(3, 2, 0.5, (0.5, 0.2, 0.9), 4), fresh_state(3)
+    gap_tables(params, x0, (0.4,))
+    actions = len(sizes)
+    assert set(sizes) == {1}
+    sizes.clear()
+    gap_tables(params, x0, (0.4, 0.1, 0.7))
+    assert sizes == [1] * actions + [2 * actions]

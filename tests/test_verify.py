@@ -352,38 +352,58 @@ def test_policy_eval_consistency_fails_on_one_ulp(monkeypatch):
     assert res.measured["max_abs_err"] == np.spacing(3.0)
 
 
+def _root_only(value: float) -> SimpleNamespace:
+    return SimpleNamespace(root_value=lambda: value)
+
+
+def _recording_gap_tables(monkeypatch) -> list:
+    """The p values of each gap_tables call verify makes, solved for real."""
+    calls, solve = [], verify.gap_tables
+
+    def record(params, x0, p_values):
+        calls.append(list(p_values))
+        return solve(params, x0, p_values)
+
+    monkeypatch.setattr(verify, "gap_tables", record)
+    return calls
+
+
 @pytest.mark.parametrize("power, status", [(2.0, "pass"), (1.5, "fail")])
 def test_gap_scaling_needs_quadratic_decay(monkeypatch, power, status):
     """Kills the mutant that passes any nonnegative log-log slope: gaps
     proportional to p**1.5 fail the 1.8 gate, and p**2 passes it."""
-    monkeypatch.setattr(verify, "optimality_gap",
-                        lambda params, x0: SimpleNamespace(diff=0.3 * params.p ** power))
-    res = verify.check_gap_scaling()
+    monkeypatch.setattr(verify, "gap_tables", lambda params, x0, p_values: [
+        [_root_only(1.0), _root_only(1.0 + 0.3 * p ** power)] for p in p_values])
+    grid = verify.SCALING_P_GRID
+    solved = verify.solve_gap_instances([replace(verify.SCALING_BASE, p=p) for p in grid])
+    res = verify.check_gap_scaling(solved, grid)
     assert res.status == status
     assert res.measured["slope"] == pytest.approx(power)
 
 
 def test_gap_scaling_needs_two_distinct_p(monkeypatch):
     """A grid that repeats one p has a single log p, so no slope: the check
-    is not applicable, and solves nothing."""
-    def no_solve(params, x0):
-        raise AssertionError("solved a gap")
-
-    monkeypatch.setattr(verify, "optimality_gap", no_solve)
-    res = verify.check_gap_scaling(p_grid=(0.1, 0.1))
+    is not applicable, says why, and its p is never solved."""
+    calls = _recording_gap_tables(monkeypatch)
+    res = {c.name: c for c in run_suite(scaling_p_grid=(0.1, 0.1))}["gap_quadratic_scaling"]
     assert res.status == "not-applicable"
+    assert res.detail == "fewer than two distinct positive p values"
     assert res.measured == {"p_grid": [0.1, 0.1]}
+    assert calls == [[0.5], [0.3, 0.7], [0.6], [0.9]]
 
 
 def test_gap_scaling_solves_each_distinct_p_once(monkeypatch):
-    solved = []
-
-    def gap(params, x0):
-        solved.append(params.p)
-        return SimpleNamespace(diff=0.3 * params.p ** 2)
-
-    monkeypatch.setattr(verify, "optimality_gap", gap)
-    res = verify.check_gap_scaling(p_grid=(0.2, 0.1, 0.2, 0.0, 0.1))
-    assert solved == [0.2, 0.1]
-    assert res.measured["p_grid"] == [0.2, 0.1]
-    assert res.detail.endswith("over 2 points (need >= 1.8)")
+    """The grid's distinct positive p values join the gap instances equal to
+    SCALING_BASE but for p in one gap_tables call, whose six points share
+    one forward pass per table: four instance groups, two passes each, and
+    the two solves of policy_eval_consistency."""
+    calls = _recording_gap_tables(monkeypatch)
+    passes, forward = [], dp._forward
+    monkeypatch.setattr(dp, "_forward", lambda params, *a: passes.append(params) or forward(
+        params, *a))
+    res = {c.name: c for c in run_suite(scaling_p_grid=(0.2, 0.1, 0.2, 0.0, 0.1))}
+    assert calls == [[0.5], [0.3, 0.7, 0.2, 0.1], [0.6], [0.9]]
+    assert len(passes) == 2 * len(calls) + 2
+    scaling = res["gap_quadratic_scaling"]
+    assert scaling.measured["p_grid"] == [0.2, 0.1]
+    assert scaling.detail.endswith("over 2 points (need >= 1.8)")
