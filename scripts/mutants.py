@@ -60,8 +60,8 @@ MUTANTS = (
            "c1n = (1.0 + pd) * c1 + 2.0 * j * d",
            ("tests/test_dp.py::TestBoundConstants::test_hand_recursion_depth_three",)),
     Mutant("gap-z-over-p", "src/aoi_sched/dp.py",
-           "z = diff / p_pd if params.p > 0.0 else None",
-           "z = diff / params.p if params.p > 0.0 else None",
+           "z = diff / p_pd if p_pd > 0.0 else None",
+           "z = diff / params.p if p_pd > 0.0 else None",
            ("tests/test_dp.py::TestOptimalityGap::test_fields_cross_check",)),
     Mutant("backward-last-minimum", "src/aoi_sched/dp.py",
            "win = q < best[idx]",
@@ -79,6 +79,15 @@ MUTANTS = (
            "                   and np.array_equal(ev.arrived, laws[a].arrived)",
            "len(ev.pr) == len(laws[a].pr)",
            ("tests/test_dp_grid.py::test_gate_starts_a_pass_only_for_other_event_rows",)),
+    Mutant("moves-in-insertion-order", "src/aoi_sched/dp.py",
+           "for a in sorted(merged):",
+           "for a in merged:",
+           ("tests/test_dp_differential.py::"
+            "test_ties_keep_enumerate_actions_order_across_holder_sets",)),
+    Mutant("rider-reaches-from-every-row", "src/aoi_sched/dp.py",
+           "reached = np.flatnonzero(keep[-1])",
+           "reached = np.arange(len(rows))",
+           ("tests/test_dp_grid.py::test_evaluate_matches_evaluate_policy",)),
     Mutant("replay-high-half-first", "src/aoi_sched/verify.py",
            "self._half = word >> 32\n"
            "            return word & _UINT32",

@@ -20,6 +20,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from .config import (
@@ -40,7 +41,7 @@ from .dp import (
     solve_optimal,
 )
 from .model import FAULT_MODES, format_state
-from .policies import DeltaPolicy, make_policy
+from .policies import make_policy
 from .simulate import (  # run_experiment stays importable from here
     compare_policies,
     run_experiment,
@@ -191,7 +192,9 @@ def _run_point(cfg: SweepConfig, point: GridPoint) -> list[dict]:
     params = point.params()
     x0 = resolve_initial_state(cfg.initial_state, params.n_sources)
     seed = grid_point_seed(cfg.base_seed, point)
-    table = solve_optimal(params, x0, cap=cfg.state_cap) if "optimal" in cfg.policies else None
+    table = None
+    if "optimal" in cfg.policies:  # the policy reads the masks, not the pass's moves
+        table = replace(solve_optimal(params, x0, cap=cfg.state_cap), moves=None)
     policies = [make_policy(name, params, table=table) for name in cfg.policies]
     comp = compare_policies(policies, params, x0, cfg.replications, seed)
     rows = []
@@ -268,16 +271,16 @@ def cmd_solve(cfg: SweepConfig, dump_path: str | None = None) -> None:
     params = GridPoint(cfg.n_sources, cfg.n_channels, cfg.p, cfg.horizon, cfg.q_spec).params()
     x0 = resolve_initial_state(cfg.initial_state, params.n_sources)
     opt = solve_optimal(params, x0, cap=cfg.state_cap)
-    policy_values = {}
-    for name in cfg.policies:
-        policy_values[name] = opt.root_value() if name == "optimal" else evaluate_policy(
-            make_policy(name, params), params, x0, cap=cfg.state_cap).root_value()
-    v_delta = policy_values.get("delta")
-    if v_delta is None:
-        v_delta = evaluate_policy(
-            DeltaPolicy(params.n_channels), params, x0, cap=cfg.state_cap
-        ).root_value()
-    gap = gap_report(params, x0, opt.root_value(), v_delta)
+    policies = {name: make_policy(name, params) for name in ("delta", *cfg.policies)
+                if name != "optimal"}
+    # memoryless policies ride the optimal pass, whose moves go before the other passes run
+    values = {name: opt.evaluate(policy).root_value()
+              for name, policy in policies.items() if policy.initial_memory() is None}
+    opt = replace(opt, moves=None)
+    values.update((name, evaluate_policy(policy, params, x0, cap=cfg.state_cap).root_value())
+                  for name, policy in policies.items() if name not in values)
+    values["optimal"] = opt.root_value()
+    gap = gap_report(params, x0, values["optimal"], values["delta"])
     report: dict = {}
     if cfg.timestamp:
         report["generated"] = _now_iso()
@@ -290,7 +293,7 @@ def cmd_solve(cfg: SweepConfig, dump_path: str | None = None) -> None:
         "x0": format_state(x0),
         "v_star": gap.v_star,
         "v_delta": gap.v_delta,
-        "policy_values": policy_values,
+        "policy_values": {name: values[name] for name in cfg.policies},
         "diff": gap.diff,
         "p_pd": gap.p_pd,
         "z": gap.z,

@@ -18,8 +18,10 @@ share.  The backward pass sums each expectation with math.fsum, which is
 exact, so every value and tie-break is the one a state-by-state pass over the
 kernel's (successor, probability) pairs gives.  A solved DPTable is those
 arrays: each stage's key rows with a value and, before stage T, a scheduled
-mask per row.  dump_table writes one as text.  The one-step identities live
-in `verify`, which checks them.
+mask per row.  The optimal table keeps its pass's moves, so a memoryless
+policy's table is those moves with one kept per row (DPTable.evaluate).
+dump_table writes a table as text.  The one-step identities live in
+`verify`, which checks them.
 
 Instances equal except for p share one forward pass (gap_tables): no chooser
 reads p, and p changes an action's event rows only where a probability is 0.0
@@ -113,7 +115,8 @@ class DPTable:
     integer row g | h per key, plus a memory column when the evaluated policy
     threads one (augmented round-robin cursor); values[t-1] and, for t < T,
     decisions[t-1] follow the same rows.  root_key is stage 1's one key, a
-    state or a (state, memory) pair."""
+    state or a (state, memory) pair.  moves, kept on optimal tables only,
+    is per stage t < T one _backward block per action."""
 
     horizon: int
     policy_name: str | None  # None marks the optimal table
@@ -122,9 +125,44 @@ class DPTable:
     stages: tuple[np.ndarray, ...]      # per stage: one key row g | h (| memory) per key
     values: tuple[np.ndarray, ...]      # per stage: float64 value of each row
     decisions: tuple[np.ndarray, ...]   # stages 1..T-1: bool [rows, N] scheduled masks
+    moves: tuple | None = None
 
     def root_value(self) -> float:
         return float(self.values[0][0])
+
+    def evaluate(self, policy) -> DPTable:
+        """evaluate_policy's table of a memoryless policy, read off these
+        moves: each row the policy reaches keeps the move of its pick.
+        ValueError for a policy with memory, a table without moves, or a
+        reached row whose pick no move holds."""
+        if policy.initial_memory() is not None:
+            raise ValueError(f"policy {policy.name!r} has memory")
+        if self.moves is None:
+            raise ValueError("only an optimal table keeps its moves")
+        n = self.stages[0].shape[1] // 2
+        keep, kept = [np.ones(1, dtype=bool)], []
+        for t, (rows, moves) in enumerate(zip(self.stages, self.moves), 1):
+            mask, _ = policy.decide_batch(t, rows[:, :n].astype(np.int64),
+                                          rows[:, n:].astype(np.int64))
+            reached = np.flatnonzero(keep[-1])
+            pick, ids = np.full(len(rows), -1), {}  # each reached row's action id
+            for k, (a, idx) in enumerate(_groups(mask[reached])):
+                pick[reached[idx]] = ids[a] = k
+            nxt = np.zeros(len(self.stages[t]), dtype=bool)
+            kept.append([])
+            for a, idx, succ, pr in moves:
+                if a in ids:
+                    on = pick[idx] == ids[a]
+                    nxt[succ[on]] = True
+                    kept[-1].append((a, idx[on], succ[on], pr))
+            if sum(len(move[1]) for move in kept[-1]) < len(reached):
+                raise ValueError(f"policy {policy.name!r} picks at stage {t} an action "
+                                 "no move holds")
+            keep.append(nxt)
+        values, decisions = _backward(self.stages, kept, n)
+        return DPTable(self.horizon, policy.name, False, self.root_key,
+                       *(tuple(a[k] for a, k in zip(arrays, keep))
+                         for arrays in (self.stages, values, decisions)))
 
     def lookup(self, t: int, rows: np.ndarray) -> np.ndarray:
         """Index in stage t's arrays of each key row, given as integers of any
@@ -156,7 +194,7 @@ class GapReport(NamedTuple):
     p: float
     diff: float
     p_pd: float
-    z: float | None  # diff / (p * p_d); None at p = 0
+    z: float | None  # diff / (p * p_d); None where p * p_d is 0.0
     bound: float
     v_star: float
     v_delta: float
@@ -233,10 +271,11 @@ def _stage_cost(rows: np.ndarray, n: int) -> np.ndarray:
     return rows[:, n : 2 * n].sum(axis=1, dtype=np.int64).astype(float)
 
 
-def _backward(stages: list, blocks: list, n: int, laws: dict):
-    """Values per stage and scheduled masks per stage t < T.  V_T(x) = cost(x);
-    V_t(x) = min over the blocks holding x of cost(x) + sum_x' P(x'|x,a) V_{t+1}(x'),
-    P read off laws[a].
+def _backward(stages, blocks, n: int):
+    """Values per stage and scheduled masks per stage t < T, from the
+    (action, rows, successor index, event probabilities) blocks of stages
+    1..T-1.  V_T(x) = cost(x);
+    V_t(x) = min over the blocks holding x of cost(x) + sum_x' P(x'|x,a) V_{t+1}(x').
 
     Each product is one IEEE multiply, as in Python, and each sum is
     math.fsum, so candidate values that are equal in exact arithmetic round
@@ -248,8 +287,8 @@ def _backward(stages: list, blocks: list, n: int, laws: dict):
         base = _stage_cost(rows, n)
         best = np.full(len(rows), np.inf)
         act = np.zeros((len(rows), n), dtype=bool)
-        for a, idx, succ in stage_blocks:
-            terms = (laws[a].pr * nxt[succ]).tolist()
+        for a, idx, succ, pr in stage_blocks:
+            terms = (pr * nxt[succ]).tolist()
             q = base[idx] + np.fromiter(map(math.fsum, terms), float, len(terms))
             win = q < best[idx]
             best[idx[win]] = q[win]
@@ -280,46 +319,48 @@ def _grid_laws(params: ModelParams, actions: list, ps) -> list[dict]:
     return [dict(zip(actions, parts[i * m :])) for i in range(len(ps))]
 
 
-def _solve_grid(params: ModelParams, x0: SystemState, p_values, choosers, cap: int):
-    """The table of each chooser, a (policy name or None, initial memory,
+def _solve_grid(params: ModelParams, x0: SystemState, p_values, chooser, cap: int):
+    """The table of a chooser, a (policy name or None, initial memory,
     choose) triple, at each p of p_values, the instance otherwise params.
-    A pass runs _forward per chooser at its first point and reads the later
-    points' laws of its actions in one kernel call; a later point joins the
-    first pass whose event rows its laws share."""
+    A pass runs _forward at its first point and reads the later points'
+    laws of its actions in one kernel call; a later point joins the first
+    pass whose event rows its laws share."""
+    name, mem0, choose = chooser
     points = [params if p == params.p else replace(params, p=p) for p in p_values]
     passes, tables = [], []
     for j, point in enumerate(points):
-        for first, structs, later in passes:
+        for first, (stages, blocks), later in passes:
             laws = later[j]
             if all(np.array_equal(ev.delivered, laws[a].delivered)
                    and np.array_equal(ev.arrived, laws[a].arrived) for a, ev in first.items()):
                 break
         else:
             laws = {}
-            structs = [_forward(point, _root(point, x0, mem0), choose, cap, laws)
-                       for _, mem0, choose in choosers]
+            stages, blocks = _forward(point, _root(point, x0, mem0), choose, cap, laws)
             later = _grid_laws(point, list(laws), p_values[j + 1 :])
-            passes.append((laws, structs, dict(enumerate(later, j + 1))))
-        row = []
-        for (name, mem0, _), (stages, blocks) in zip(choosers, structs):
-            values, decisions = _backward(stages, blocks, params.n_sources, laws)
-            row.append(DPTable(params.horizon, name, mem0 is not None,
-                               x0 if mem0 is None else (x0, mem0), tuple(stages),
-                               tuple(values), tuple(decisions)))
-        tables.append(row)
+            passes.append((laws, (stages, blocks), dict(enumerate(later, j + 1))))
+        moves = tuple(tuple((a, idx, succ, laws[a].pr) for a, idx, succ in stage)
+                      for stage in blocks)
+        values, decisions = _backward(stages, moves, params.n_sources)
+        tables.append(DPTable(params.horizon, name, mem0 is not None,
+                              x0 if mem0 is None else (x0, mem0), tuple(stages),
+                              tuple(values), tuple(decisions), moves if name is None else None))
     return tables
 
 
 def _all_actions(params: ModelParams):
-    """The optimal solve's chooser: every work-conserving action of each row.
-    For a holder set, combinations order is enumerate_actions order, so each
-    row tries its actions in that order."""
+    """The optimal solve's chooser: one block per work-conserving action,
+    holding every row that can take it.  Sorted action order is, on one
+    row's actions, enumerate_actions order, so each row tries them in it."""
     n, d = params.n_sources, params.n_channels
 
     def choose(t, rows):
+        merged = {}
         for holders, idx in _groups(rows[:, :n] != EMPTY):
             for a in combinations(holders, min(len(holders), d)):
-                yield a, idx, None
+                merged.setdefault(a, []).append(idx)
+        for a in sorted(merged):
+            yield a, np.concatenate(merged[a]), None
 
     return None, None, choose
 
@@ -353,31 +394,33 @@ def solve_optimal(
 ) -> DPTable:
     """Backward induction for the optimal values over every action, tried in
     enumerate_actions order, so ties resolve to the lexicographically smallest."""
-    return _solve_grid(params, x0, [params.p], [_all_actions(params)], cap)[0][0]
+    return _solve_grid(params, x0, [params.p], _all_actions(params), cap)[0]
 
 
 def evaluate_policy(
     policy, params: ModelParams, x0: SystemState, cap: int = DEFAULT_STATE_CAP
 ) -> DPTable:
     """Exact value of a fixed deterministic policy by the same backward pass,
-    the minimization replaced by the policy's decision.
+    the minimization replaced by the policy's decision; DPTable.evaluate's
+    reference.
 
     A policy with memory (round-robin cursor) is evaluated on augmented keys
     (state, memory); memoryless policies key by bare states so their tables
     compare directly against the optimal one.
     """
-    return _solve_grid(params, x0, [params.p], [_policy_actions(policy, params.n_sources)],
-                       cap)[0][0]
+    return _solve_grid(params, x0, [params.p], _policy_actions(policy, params.n_sources),
+                       cap)[0]
 
 
 def gap_tables(
     params: ModelParams, x0: SystemState, p_values, cap: int = DEFAULT_STATE_CAP
 ) -> list[list[DPTable]]:
     """[optimal table, best-margin policy table] at each p of p_values, the
-    instance otherwise params; points share forward passes where they can."""
-    choosers = [_all_actions(params),
-                _policy_actions(DeltaPolicy(params.n_channels), params.n_sources)]
-    return _solve_grid(params, x0, p_values, choosers, cap)
+    instance otherwise params; points share forward passes where they can.
+    The policy's table rides the optimal one's moves; no returned table keeps them."""
+    delta = DeltaPolicy(params.n_channels)
+    return [[replace(opt, moves=None), opt.evaluate(delta)]
+            for opt in _solve_grid(params, x0, p_values, _all_actions(params), cap)]
 
 
 def bound_constants(k: int, p: float, d: int) -> BoundConstants:
@@ -409,7 +452,7 @@ def gap_report(
     the bound is 0 and there are no constants."""
     diff = v_delta - v_star
     p_pd = params.p * success_probs(params, 0).batch
-    z = diff / p_pd if params.p > 0.0 else None
+    z = diff / p_pd if p_pd > 0.0 else None
     bound, constants = 0.0, None
     if params.horizon >= 3:
         constants = bound_constants(params.horizon - 1, params.p, params.n_channels)
@@ -420,7 +463,7 @@ def gap_report(
 def optimality_gap(
     params: ModelParams, x0: SystemState, cap: int = DEFAULT_STATE_CAP
 ) -> GapReport:
-    """Solve the instance twice (optimal and best-margin policy) and report the
+    """Solve the instance (optimal and best-margin policy) and report the
     root-stage difference with its normalized form and analytic bound.  At
     p = 0 no transfer succeeds, so every policy has the optimal value: diff is
     0.0 and z is None."""

@@ -448,8 +448,8 @@ def check_gap_scaling(solved: Sequence[tuple], p_grid: Sequence[float]) -> Check
 
 
 def check_policy_eval_consistency(params: ModelParams = CONSISTENCY_PARAMS) -> CheckResult:
-    """Re-evaluating the table-backed optimal policy must reproduce the optimal
-    values bit for bit."""
+    """Re-evaluating the table-backed optimal policy on a pass of its own
+    (not off the table's moves) must reproduce the optimal values bit for bit."""
     x0 = fresh_state(params.n_sources)
     opt = solve_optimal(params, x0)
     redo = evaluate_policy(OptimalPolicy(opt), params, x0)

@@ -100,6 +100,18 @@ def test_solve_degenerate_p_reports_null_z(tmp_path):
     assert rep["diff"] == 0.0 and rep["z"] is None and rep["bound"] == 0.0
 
 
+def test_solve_underflowing_p_pd_reports_null_z(tmp_path):
+    # p * p_d underflows to 0.0 although p > 0, so z is undefined there too
+    out = tmp_path / "solve.json"
+    res = run_cli([
+        "solve", "--n-sources", "2", "--n-channels", "2", "--p", "1e-200",
+        "--horizon", "4", "--no-header-timestamp", "--out", str(out),
+    ])
+    assert res.returncode == 0, res.stderr
+    rep = json.loads(out.read_text())
+    assert rep["p"] == 1e-200 and rep["p_pd"] == 0.0 and rep["z"] is None
+
+
 def test_solve_dump_tables(tmp_path):
     dump = tmp_path / "table.txt"
     res = run_cli([
@@ -141,7 +153,8 @@ def test_solve_reports_optimal_without_reevaluating_it(tmp_path, monkeypatch):
     out = tmp_path / "gap.json"
     argv = GAP_ARGV[:-1] + ["optimal,delta", "--out", str(out)]
     assert cli.main(argv) == 0
-    assert evaluated == ["delta"]
+    # delta's table is read off the optimal table's moves: no pass of its own
+    assert evaluated == []
     assert hashlib.sha256(out.read_bytes()).hexdigest() == OPT_DELTA_SHA256
 
 

@@ -88,3 +88,11 @@ def test_wide_rows_match_dict_reference():
     # 48 age columns: a mixed-radix code over per-source age ranges would
     # overflow int64 here, while p = q = 1 keeps the reachable set small
     check_instance(ModelParams(24, 1, 1.0, (1.0,) * 24, 4), fresh_state(24))
+
+
+def test_ties_keep_enumerate_actions_order_across_holder_sets():
+    # rows with other holder sets share one block per action; at p = 1 and
+    # q in {0.5, 1} many actions tie exactly, and each row must still keep
+    # the first of its own actions in enumerate_actions order
+    check_instance(ModelParams(4, 2, 1.0, (0.5, 1.0, 0.5, 1.0), 3),
+                   new_state((0, EMPTY, 1, 0), (3, 1, 4, 1)))

@@ -1,5 +1,7 @@
 """`dp.gap_tables`, whose points share forward passes, against one
-`solve_optimal` and one `evaluate_policy(DeltaPolicy)` per point.
+`solve_optimal` and one `evaluate_policy(DeltaPolicy)` per point, and
+`DPTable.evaluate`, which reads a memoryless policy's table off the optimal
+table's moves, against `evaluate_policy`'s own pass.
 
 Every table of the grid must have the stage rows, the scheduled masks and,
 byte for byte, the values of its separate solve.  The gate cases are the
@@ -15,7 +17,7 @@ import pytest
 from aoi_sched import dp
 from aoi_sched.dp import evaluate_policy, gap_tables, solve_optimal
 from aoi_sched.model import FAULT_MODES, ModelParams, fresh_state
-from aoi_sched.policies import DeltaPolicy
+from aoi_sched.policies import DeltaPolicy, OptimalPolicy, PIPolicy, RRPolicy
 
 from .test_dp import FROZEN_INSTANCES
 
@@ -59,13 +61,12 @@ def forward_points(monkeypatch) -> list:
 @pytest.mark.parametrize("label, params, stale", FROZEN_INSTANCES,
                          ids=[label for label, _, _ in FROZEN_INSTANCES])
 def test_grid_matches_separate_solves(monkeypatch, label, params, stale):
-    """Three passes per start, at 0.3, 0.0 and 1.0, two forward passes each;
+    """Three passes per start, at 0.3, 0.0 and 1.0, one forward pass each;
     at T = 1 no action is taken, so every point joins the first pass."""
     points = forward_points(monkeypatch)
     for x0 in (fresh_state(params.n_sources), stale):
         check_grid(params, x0, P_GRID)
-    firsts = [0.3] if params.horizon == 1 else [0.3, 0.0, 1.0]
-    passes = [p for p in firsts for _ in range(2)]
+    passes = [0.3] if params.horizon == 1 else [0.3, 0.0, 1.0]
     # each start: the grid's passes, then one pass per separate solve
     assert points == 2 * (passes + [p for p in P_GRID for _ in range(2)])
 
@@ -77,18 +78,16 @@ def test_grid_matches_separate_solves_under_fault(fault):
         check_grid(replace(params, fault=fault), stale, P_GRID)
 
 
-# (params, p grid, the p of each forward pass: two per pass, one per table)
+# (params, p grid, the p of each forward pass: one per pass, the optimal
+# table's; the policy's table rides it)
 GATE_CASES = {
     # p = 0 has no delivered row and p = 1 no failed one; each counts as many
     # events as the other, so a gate on event counts alone would merge them
-    "p0-p1": (ModelParams(2, 1, 0.5, (0.5, 0.5), 5), P_GRID,
-              [0.3, 0.3, 0.0, 0.0, 1.0, 1.0]),
-    "q-edges": (ModelParams(3, 1, 0.5, (1.0, 0.0, 0.5), 4), (0.2, 0.5, 0.9),
-                [0.2, 0.2]),
+    "p0-p1": (ModelParams(2, 1, 0.5, (0.5, 0.5), 5), P_GRID, [0.3, 0.0, 1.0]),
+    "q-edges": (ModelParams(3, 1, 0.5, (1.0, 0.0, 0.5), 4), (0.2, 0.5, 0.9), [0.2]),
     # (1e-200)**2 underflows to 0.0, so the law of the pair drops a row
-    "underflow": (ModelParams(2, 2, 0.5, (0.5, 0.5), 4), (0.3, 1e-200, 0.6),
-                  [0.3, 0.3, 1e-200, 1e-200]),
-    "one-point": (ModelParams(2, 1, 0.5, (0.5, 0.5), 5), (0.4,), [0.4, 0.4]),
+    "underflow": (ModelParams(2, 2, 0.5, (0.5, 0.5), 4), (0.3, 1e-200, 0.6), [0.3, 1e-200]),
+    "one-point": (ModelParams(2, 1, 0.5, (0.5, 0.5), 5), (0.4,), [0.4]),
 }
 
 
@@ -120,3 +119,35 @@ def test_one_pass_reads_later_laws_in_one_call(monkeypatch):
     sizes.clear()
     gap_tables(params, x0, (0.4, 0.1, 0.7))
     assert sizes == [1] * actions + [2 * actions]
+
+
+@pytest.mark.parametrize("fault", FAULT_MODES)
+def test_evaluate_matches_evaluate_policy(monkeypatch, fault):
+    """On every frozen-digest instance from both starts: the table of each
+    memoryless policy, the optimal table's own included, equals its own
+    pass's table, and reading it runs no forward pass."""
+    for label, params, stale in FROZEN_INSTANCES:
+        params = replace(params, fault=fault)
+        for x0 in (fresh_state(params.n_sources), stale):
+            opt = solve_optimal(params, x0)
+            policies = (DeltaPolicy(params.n_channels), PIPolicy(params.n_channels),
+                        OptimalPolicy(opt))
+            points = forward_points(monkeypatch)
+            tables = [opt.evaluate(policy) for policy in policies]
+            assert points == [], label
+            monkeypatch.undo()
+            for policy, table in zip(policies, tables):
+                same_table(table, evaluate_policy(policy, params, x0))
+
+
+def test_evaluate_refuses_what_it_cannot_read():
+    params, x0 = ModelParams(2, 1, 0.6, (0.5, 0.5), 4), fresh_state(2)
+    opt = solve_optimal(params, x0)
+    with pytest.raises(ValueError, match="has memory"):
+        opt.evaluate(RRPolicy(1))
+    with pytest.raises(ValueError, match="keeps its moves"):
+        evaluate_policy(DeltaPolicy(1), params, x0).evaluate(DeltaPolicy(1))
+    # a two-channel rule on one channel: the fresh root holds both packets,
+    # and no move of it schedules both
+    with pytest.raises(ValueError, match="picks at stage 1 an action no move holds"):
+        opt.evaluate(DeltaPolicy(2))

@@ -42,6 +42,14 @@ def test_gap_study_reports_null_z_at_p_zero():
     assert rows[1][3] != "null"
 
 
+def test_gap_study_reports_null_z_where_p_pd_underflows():
+    # p * p_d underflows to 0.0 at p = 1e-200 on two channels
+    res = run_script("--p-grid", "1e-200", "--n-channels", "2")
+    assert res.returncode == 0, res.stderr
+    [row] = [line.split() for line in res.stdout.splitlines()[2:]]
+    assert row[0] == "1e-200" and row[3] == "null"
+
+
 def test_every_mutant_applies_exactly_once():
     """scripts/mutants.py cannot rot silently: each mutant's old text occurs
     once in its file, the mutated file still parses (else pytest stops

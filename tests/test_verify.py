@@ -395,15 +395,16 @@ def test_gap_scaling_needs_two_distinct_p(monkeypatch):
 def test_gap_scaling_solves_each_distinct_p_once(monkeypatch):
     """The grid's distinct positive p values join the gap instances equal to
     SCALING_BASE but for p in one gap_tables call, whose six points share
-    one forward pass per table: four instance groups, two passes each, and
-    the two solves of policy_eval_consistency."""
+    one forward pass, the margin policy's tables riding the optimal ones:
+    four instance groups, one pass each, and the two solves of
+    policy_eval_consistency."""
     calls = _recording_gap_tables(monkeypatch)
     passes, forward = [], dp._forward
     monkeypatch.setattr(dp, "_forward", lambda params, *a: passes.append(params) or forward(
         params, *a))
     res = {c.name: c for c in run_suite(scaling_p_grid=(0.2, 0.1, 0.2, 0.0, 0.1))}
     assert calls == [[0.5], [0.3, 0.7, 0.2, 0.1], [0.6], [0.9]]
-    assert len(passes) == 2 * len(calls) + 2
+    assert len(passes) == len(calls) + 2
     scaling = res["gap_quadratic_scaling"]
     assert scaling.measured["p_grid"] == [0.2, 0.1]
     assert scaling.detail.endswith("over 2 points (need >= 1.8)")
