@@ -74,6 +74,18 @@ MUTANTS = (
            "            act[idx[win]] = mask",
            "act[np.ix_(idx[win], list(a))] = True",
            ("tests/test_dp.py::test_decisions_are_scheduled_masks",)),
+    Mutant("exact-sum-first-term-start", "src/aoi_sched/dp.py",
+           "at = (terms.argmax(axis=0), np.arange(cols))",
+           "at = (np.zeros(cols, dtype=np.intp), np.arange(cols))",
+           ("tests/test_exact_sum.py::test_crafted_columns_match_fsum",)),
+    Mutant("exact-sum-loose-certificate", "src/aoi_sched/dp.py",
+           "spread > 54",
+           "spread > 60",
+           ("tests/test_exact_sum.py::test_certificate_edge_is_exact",)),
+    Mutant("exact-sum-no-finite-guard", "src/aoi_sched/dp.py",
+           "bad = ~np.isfinite(total) | (lo < 0.0)",
+           "bad = (lo < 0.0)",
+           ("tests/test_exact_sum.py::test_overflow_raises_as_fsum_does",)),
     Mutant("grid-gate-counts-events", "src/aoi_sched/dp.py",
            "np.array_equal(ev.delivered, laws[a].delivered)\n"
            "                   and np.array_equal(ev.arrived, laws[a].arrived)",

@@ -14,9 +14,10 @@ probability depends only on the scheduled set, not on the state, so each
 action's events are read once per pass off the batched kernel, and the
 successors of every row taking that action come from one call of
 model.advance, the successor law that the kernel and the Monte Carlo slot
-share.  The backward pass sums each expectation with math.fsum, which is
-exact, so every value and tie-break is the one a state-by-state pass over the
-kernel's (successor, probability) pairs gives.  A solved DPTable is those
+share.  The backward pass sums each expectation to math.fsum's value, which
+is exact (_exact_sums), so every value and tie-break is the one a
+state-by-state pass over the kernel's (successor, probability) pairs gives.
+A solved DPTable is those
 arrays: each stage's key rows with a value and, before stage T, a scheduled
 mask per row.  The optimal table keeps its pass's moves, so a memoryless
 policy's table is those moves with one kept per row (DPTable.evaluate).
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations, zip_longest
+from itertools import accumulate, combinations, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -135,6 +136,12 @@ class DPTable:
         moves: each row the policy reaches keeps the move of its pick.
         ValueError for a policy with memory, a table without moves, or a
         reached row whose pick no move holds."""
+        return self._ride(self._select(policy))
+
+    def _select(self, policy):
+        """The policy's name, each stage's rows it reaches, and per stage
+        t < T its kept moves as (index among the moves, action, rows,
+        successor index): the same for every table of one forward pass."""
         if policy.initial_memory() is not None:
             raise ValueError(f"policy {policy.name!r} has memory")
         if self.moves is None:
@@ -150,17 +157,24 @@ class DPTable:
                 pick[reached[idx]] = ids[a] = k
             nxt = np.zeros(len(self.stages[t]), dtype=bool)
             kept.append([])
-            for a, idx, succ, pr in moves:
+            for k, (a, idx, succ, _) in enumerate(moves):
                 if a in ids:
                     on = pick[idx] == ids[a]
                     nxt[succ[on]] = True
-                    kept[-1].append((a, idx[on], succ[on], pr))
-            if sum(len(move[1]) for move in kept[-1]) < len(reached):
+                    kept[-1].append((k, a, idx[on], succ[on]))
+            if sum(len(move[2]) for move in kept[-1]) < len(reached):
                 raise ValueError(f"policy {policy.name!r} picks at stage {t} an action "
                                  "no move holds")
             keep.append(nxt)
-        values, decisions = _backward(self.stages, kept, n)
-        return DPTable(self.horizon, policy.name, False, self.root_key,
+        return policy.name, keep, kept
+
+    def _ride(self, selection) -> DPTable:
+        """The table of a _select result under this table's probabilities."""
+        name, keep, kept = selection
+        moves = [[(a, idx, succ, stage[k][3]) for k, a, idx, succ in picks]
+                 for stage, picks in zip(self.moves, kept)]
+        values, decisions = _backward(self.stages, moves, self.stages[0].shape[1] // 2)
+        return DPTable(self.horizon, name, False, self.root_key,
                        *(tuple(a[k] for a, k in zip(arrays, keep))
                          for arrays in (self.stages, values, decisions)))
 
@@ -271,14 +285,62 @@ def _stage_cost(rows: np.ndarray, n: int) -> np.ndarray:
     return rows[:, n : 2 * n].sum(axis=1, dtype=np.int64).astype(float)
 
 
+# below this many row-actions numpy's per-call cost exceeds fsum's
+SUM_CUTOFF = 128
+
+
+def _fsums(terms: np.ndarray) -> np.ndarray:
+    """math.fsum of each column of a float64 [m, cols] array."""
+    return np.fromiter(map(math.fsum, terms.T.tolist()), float, terms.shape[1])
+
+
+def _exact_sums(terms: np.ndarray) -> tuple[np.ndarray, int]:
+    """math.fsum of each column of a float64 [m, cols] array, and how many
+    columns took fsum itself.  Overwrites terms.
+
+    A column's sum s starts at its largest term, zeroed, and adds the rest by
+    Fast2Sum (t = s + x; e = x - (t - s)), exact as terms >= 0 keep s >= x;
+    c sums the errors.  With emin, emax the frexp exponents of the smallest
+    nonzero term and of s, all values are multiples of 2**(emin - 53) and
+    |e| <= 2**(emax - 54), so c is exact while
+    emax - emin <= 54 - (m - 1).bit_length().  Then s + c is the exact sum,
+    which one add rounds half to even, as fsum (Ogita, Rump and Oishi, SIAM
+    J. Sci. Comput. 26(6), 2005).  Columns outside that, with a negative
+    term or a sum not finite take fsum."""
+    m, cols = terms.shape
+    if not m:
+        return np.zeros(cols), 0
+    lo = np.min(terms, axis=0, where=terms != 0.0, initial=np.inf)
+    at = (terms.argmax(axis=0), np.arange(cols))
+    top = terms[at]
+    terms[at] = 0.0
+    s, t, e, c = top.copy(), np.empty(cols), np.empty(cols), np.zeros(cols)
+    for x in terms:
+        np.add(s, x, out=t)
+        np.subtract(t, s, out=e)
+        np.subtract(x, e, out=e)
+        c += e
+        s, t = t, s
+    total = s + c
+    spread = np.frexp(s)[1] - np.frexp(lo)[1]
+    bad = ~np.isfinite(total) | (lo < 0.0) | (spread > 54 - (m - 1).bit_length())
+    if not bad.any():
+        return total, 0
+    terms[at] = top
+    total[bad] = _fsums(terms[:, bad])
+    return total, int(bad.sum())
+
+
 def _backward(stages, blocks, n: int):
     """Values per stage and scheduled masks per stage t < T, from the
     (action, rows, successor index, event probabilities) blocks of stages
     1..T-1.  V_T(x) = cost(x);
     V_t(x) = min over the blocks holding x of cost(x) + sum_x' P(x'|x,a) V_{t+1}(x').
 
-    Each product is one IEEE multiply, as in Python, and each sum is
-    math.fsum, so candidate values that are equal in exact arithmetic round
+    Each product is one IEEE multiply, as in Python, into a stage's
+    [events, row-actions] array, its blocks zero-padded side by side; each
+    column sums to math.fsum's value (_exact_sums, or fsum below SUM_CUTOFF
+    row-actions), so candidate values that are equal in exact arithmetic round
     identically; a strict comparison then keeps the first candidate, and
     each win overwrites the row's whole mask."""
     values, decisions = [_stage_cost(stages[-1], n)], []
@@ -287,9 +349,13 @@ def _backward(stages, blocks, n: int):
         base = _stage_cost(rows, n)
         best = np.full(len(rows), np.inf)
         act = np.zeros((len(rows), n), dtype=bool)
-        for a, idx, succ, pr in stage_blocks:
-            terms = (pr * nxt[succ]).tolist()
-            q = base[idx] + np.fromiter(map(math.fsum, terms), float, len(terms))
+        ends = [0, *accumulate(len(idx) for _, idx, _, _ in stage_blocks)]
+        terms = np.zeros((max((len(pr) for *_, pr in stage_blocks), default=0), ends[-1]))
+        for (_, _, succ, pr), start, stop in zip(stage_blocks, ends, ends[1:]):
+            np.multiply(pr[:, None], nxt[succ.T], out=terms[: len(pr), start:stop])
+        sums = _fsums(terms) if ends[-1] < SUM_CUTOFF else _exact_sums(terms)[0]
+        for (a, idx, _, _), start, stop in zip(stage_blocks, ends, ends[1:]):
+            q = base[idx] + sums[start:stop]
             win = q < best[idx]
             best[idx[win]] = q[win]
             mask = np.zeros(n, dtype=bool)
@@ -337,13 +403,14 @@ def _solve_grid(params: ModelParams, x0: SystemState, p_values, chooser, cap: in
         else:
             laws = {}
             stages, blocks = _forward(point, _root(point, x0, mem0), choose, cap, laws)
+            stages = tuple(stages)
             later = _grid_laws(point, list(laws), p_values[j + 1 :])
             passes.append((laws, (stages, blocks), dict(enumerate(later, j + 1))))
         moves = tuple(tuple((a, idx, succ, laws[a].pr) for a, idx, succ in stage)
                       for stage in blocks)
         values, decisions = _backward(stages, moves, params.n_sources)
         tables.append(DPTable(params.horizon, name, mem0 is not None,
-                              x0 if mem0 is None else (x0, mem0), tuple(stages),
+                              x0 if mem0 is None else (x0, mem0), stages,
                               tuple(values), tuple(decisions), moves if name is None else None))
     return tables
 
@@ -417,10 +484,14 @@ def gap_tables(
 ) -> list[list[DPTable]]:
     """[optimal table, best-margin policy table] at each p of p_values, the
     instance otherwise params; points share forward passes where they can.
-    The policy's table rides the optimal one's moves; no returned table keeps them."""
-    delta = DeltaPolicy(params.n_channels)
-    return [[replace(opt, moves=None), opt.evaluate(delta)]
-            for opt in _solve_grid(params, x0, p_values, _all_actions(params), cap)]
+    The policy's table rides the optimal one's moves, selected once per pass
+    (whose tables share one stages tuple); no returned table keeps them."""
+    delta, selections, tables = DeltaPolicy(params.n_channels), {}, []
+    for opt in _solve_grid(params, x0, p_values, _all_actions(params), cap):
+        if id(opt.stages) not in selections:
+            selections[id(opt.stages)] = opt._select(delta)
+        tables.append([replace(opt, moves=None), opt._ride(selections[id(opt.stages)])])
+    return tables
 
 
 def bound_constants(k: int, p: float, d: int) -> BoundConstants:
