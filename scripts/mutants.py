@@ -75,7 +75,7 @@ MUTANTS = (
            "act[np.ix_(idx[win], list(a))] = True",
            ("tests/test_dp.py::test_decisions_are_scheduled_masks",)),
     Mutant("exact-sum-first-term-start", "src/aoi_sched/dp.py",
-           "at = (terms.argmax(axis=0), np.arange(cols))",
+           "at = ((terms == terms.max(axis=0)).argmax(axis=0), np.arange(cols))",
            "at = (np.zeros(cols, dtype=np.intp), np.arange(cols))",
            ("tests/test_exact_sum.py::test_crafted_columns_match_fsum",)),
     Mutant("exact-sum-loose-certificate", "src/aoi_sched/dp.py",
@@ -97,8 +97,16 @@ MUTANTS = (
            ("tests/test_dp_differential.py::"
             "test_ties_keep_enumerate_actions_order_across_holder_sets",)),
     Mutant("rider-reaches-from-every-row", "src/aoi_sched/dp.py",
-           "reached = np.flatnonzero(keep[-1])",
-           "reached = np.arange(len(rows))",
+           "reach = np.zeros((len(stages[t]), width), dtype=bool)",
+           "reach = np.ones((len(stages[t]), width), dtype=bool)",
+           ("tests/test_dp_grid.py::test_evaluate_matches_evaluate_policy",)),
+    Mutant("rider-keeps-old-cursor", "src/aoi_sched/dp.py",
+           "nxt = after[r, col]",
+           "nxt = col",
+           ("tests/test_dp_grid.py::test_evaluate_matches_evaluate_policy",)),
+    Mutant("rider-reads-optimal-values", "src/aoi_sched/dp.py",
+           "rides[-1][stage_blocks[k][2][j], after[:, None]]",
+           "nxt[stage_blocks[k][2][j]]",
            ("tests/test_dp_grid.py::test_evaluate_matches_evaluate_policy",)),
     Mutant("replay-high-half-first", "src/aoi_sched/verify.py",
            "self._half = word >> 32\n"

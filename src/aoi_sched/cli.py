@@ -20,7 +20,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 
 from .config import (
@@ -193,8 +192,8 @@ def _run_point(cfg: SweepConfig, point: GridPoint) -> list[dict]:
     x0 = resolve_initial_state(cfg.initial_state, params.n_sources)
     seed = grid_point_seed(cfg.base_seed, point)
     table = None
-    if "optimal" in cfg.policies:  # the policy reads the masks, not the pass's moves
-        table = replace(solve_optimal(params, x0, cap=cfg.state_cap), moves=None)
+    if "optimal" in cfg.policies:
+        table = solve_optimal(params, x0, cap=cfg.state_cap)
     policies = [make_policy(name, params, table=table) for name in cfg.policies]
     comp = compare_policies(policies, params, x0, cfg.replications, seed)
     rows = []
@@ -270,13 +269,12 @@ def cmd_simulate(cfg: SweepConfig) -> None:
 def cmd_solve(cfg: SweepConfig, dump_path: str | None = None) -> None:
     params = GridPoint(cfg.n_sources, cfg.n_channels, cfg.p, cfg.horizon, cfg.q_spec).params()
     x0 = resolve_initial_state(cfg.initial_state, params.n_sources)
-    opt = solve_optimal(params, x0, cap=cfg.state_cap)
     policies = {name: make_policy(name, params) for name in ("delta", *cfg.policies)
                 if name != "optimal"}
-    # memoryless policies ride the optimal pass, whose moves go before the other passes run
-    values = {name: opt.evaluate(policy).root_value()
-              for name, policy in policies.items() if policy.initial_memory() is None}
-    opt = replace(opt, moves=None)
+    # the index rules ride the optimal pass; rr-strict idles channels, so it runs its own
+    opt = solve_optimal(params, x0, cap=cfg.state_cap,
+                        riders=[policy for policy in policies.values() if policy.rule is not None])
+    values = {table.policy_name: table.root_value() for table in opt.riders}
     values.update((name, evaluate_policy(policy, params, x0, cap=cfg.state_cap).root_value())
                   for name, policy in policies.items() if name not in values)
     values["optimal"] = opt.root_value()

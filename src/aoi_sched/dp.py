@@ -19,8 +19,9 @@ is exact (_exact_sums), so every value and tie-break is the one a
 state-by-state pass over the kernel's (successor, probability) pairs gives.
 A solved DPTable is those
 arrays: each stage's key rows with a value and, before stage T, a scheduled
-mask per row.  The optimal table keeps its pass's moves, so a memoryless
-policy's table is those moves with one kept per row (DPTable.evaluate).
+mask per row.  Policies whose picks are work-conserving ride the optimal
+solve (_sweep): their keys are swept over its moves, one kept per key, and
+their values summed in its backward pass.
 dump_table writes a table as text.  The one-step identities live in
 `verify`, which checks them.
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate, combinations, zip_longest
+from itertools import accumulate, chain, combinations, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -116,8 +117,8 @@ class DPTable:
     integer row g | h per key, plus a memory column when the evaluated policy
     threads one (augmented round-robin cursor); values[t-1] and, for t < T,
     decisions[t-1] follow the same rows.  root_key is stage 1's one key, a
-    state or a (state, memory) pair.  moves, kept on optimal tables only,
-    is per stage t < T one _backward block per action."""
+    state or a (state, memory) pair.  riders, on an optimal table, are the
+    tables of the policies that rode its pass (solve_optimal), in order."""
 
     horizon: int
     policy_name: str | None  # None marks the optimal table
@@ -126,57 +127,10 @@ class DPTable:
     stages: tuple[np.ndarray, ...]      # per stage: one key row g | h (| memory) per key
     values: tuple[np.ndarray, ...]      # per stage: float64 value of each row
     decisions: tuple[np.ndarray, ...]   # stages 1..T-1: bool [rows, N] scheduled masks
-    moves: tuple | None = None
+    riders: tuple = ()
 
     def root_value(self) -> float:
         return float(self.values[0][0])
-
-    def evaluate(self, policy) -> DPTable:
-        """evaluate_policy's table of a memoryless policy, read off these
-        moves: each row the policy reaches keeps the move of its pick.
-        ValueError for a policy with memory, a table without moves, or a
-        reached row whose pick no move holds."""
-        return self._ride(self._select(policy))
-
-    def _select(self, policy):
-        """The policy's name, each stage's rows it reaches, and per stage
-        t < T its kept moves as (index among the moves, action, rows,
-        successor index): the same for every table of one forward pass."""
-        if policy.initial_memory() is not None:
-            raise ValueError(f"policy {policy.name!r} has memory")
-        if self.moves is None:
-            raise ValueError("only an optimal table keeps its moves")
-        n = self.stages[0].shape[1] // 2
-        keep, kept = [np.ones(1, dtype=bool)], []
-        for t, (rows, moves) in enumerate(zip(self.stages, self.moves), 1):
-            mask, _ = policy.decide_batch(t, rows[:, :n].astype(np.int64),
-                                          rows[:, n:].astype(np.int64))
-            reached = np.flatnonzero(keep[-1])
-            pick, ids = np.full(len(rows), -1), {}  # each reached row's action id
-            for k, (a, idx) in enumerate(_groups(mask[reached])):
-                pick[reached[idx]] = ids[a] = k
-            nxt = np.zeros(len(self.stages[t]), dtype=bool)
-            kept.append([])
-            for k, (a, idx, succ, _) in enumerate(moves):
-                if a in ids:
-                    on = pick[idx] == ids[a]
-                    nxt[succ[on]] = True
-                    kept[-1].append((k, a, idx[on], succ[on]))
-            if sum(len(move[2]) for move in kept[-1]) < len(reached):
-                raise ValueError(f"policy {policy.name!r} picks at stage {t} an action "
-                                 "no move holds")
-            keep.append(nxt)
-        return policy.name, keep, kept
-
-    def _ride(self, selection) -> DPTable:
-        """The table of a _select result under this table's probabilities."""
-        name, keep, kept = selection
-        moves = [[(a, idx, succ, stage[k][3]) for k, a, idx, succ in picks]
-                 for stage, picks in zip(self.moves, kept)]
-        values, decisions = _backward(self.stages, moves, self.stages[0].shape[1] // 2)
-        return DPTable(self.horizon, name, False, self.root_key,
-                       *(tuple(a[k] for a, k in zip(arrays, keep))
-                         for arrays in (self.stages, values, decisions)))
 
     def lookup(self, t: int, rows: np.ndarray) -> np.ndarray:
         """Index in stage t's arrays of each key row, given as integers of any
@@ -289,11 +243,6 @@ def _stage_cost(rows: np.ndarray, n: int) -> np.ndarray:
 SUM_CUTOFF = 128
 
 
-def _fsums(terms: np.ndarray) -> np.ndarray:
-    """math.fsum of each column of a float64 [m, cols] array."""
-    return np.fromiter(map(math.fsum, terms.T.tolist()), float, terms.shape[1])
-
-
 def _exact_sums(terms: np.ndarray) -> tuple[np.ndarray, int]:
     """math.fsum of each column of a float64 [m, cols] array, and how many
     columns took fsum itself.  Overwrites terms.
@@ -311,7 +260,8 @@ def _exact_sums(terms: np.ndarray) -> tuple[np.ndarray, int]:
     if not m:
         return np.zeros(cols), 0
     lo = np.min(terms, axis=0, where=terms != 0.0, initial=np.inf)
-    at = (terms.argmax(axis=0), np.arange(cols))
+    # each column's first largest term; argmax along axis 0 would copy terms
+    at = ((terms == terms.max(axis=0)).argmax(axis=0), np.arange(cols))
     top = terms[at]
     terms[at] = 0.0
     s, t, e, c = top.copy(), np.empty(cols), np.empty(cols), np.zeros(cols)
@@ -327,35 +277,48 @@ def _exact_sums(terms: np.ndarray) -> tuple[np.ndarray, int]:
     if not bad.any():
         return total, 0
     terms[at] = top
-    total[bad] = _fsums(terms[:, bad])
+    total[bad] = list(map(math.fsum, terms[:, bad].T.tolist()))
     return total, int(bad.sum())
 
 
-def _backward(stages, blocks, n: int):
-    """Values per stage and scheduled masks per stage t < T, from the
+def _backward(stages, blocks, n: int, width: int = 0, kept=None):
+    """Per stage the values and, for t < T, scheduled masks, from the
     (action, rows, successor index, event probabilities) blocks of stages
-    1..T-1.  V_T(x) = cost(x);
-    V_t(x) = min over the blocks holding x of cost(x) + sum_x' P(x'|x,a) V_{t+1}(x').
+    1..T-1; and the riders' [rows, width] slot values, from _sweep's
+    (width, kept moves).  V_T(x) = cost(x);
+    V_t(x) = min over the blocks holding x of cost(x) + sum_x' P(x'|x,a) V_{t+1}(x'),
+    a slot's the same sum over its kept move.
 
-    Each product is one IEEE multiply, as in Python, into a stage's
-    [events, row-actions] array, its blocks zero-padded side by side; each
-    column sums to math.fsum's value (_exact_sums, or fsum below SUM_CUTOFF
-    row-actions), so candidate values that are equal in exact arithmetic round
-    identically; a strict comparison then keeps the first candidate, and
-    each win overwrites the row's whole mask."""
+    Each product is one IEEE multiply, as in Python, and each sum math.fsum's
+    (_exact_sums over a stage's zero-padded [events, columns] array, or fsum
+    below SUM_CUTOFF columns), so candidates equal in exact arithmetic round
+    identically; a strict comparison keeps the first, and each win
+    overwrites the row's whole mask."""
     values, decisions = [_stage_cost(stages[-1], n)], []
-    for rows, stage_blocks in zip(stages[-2::-1], blocks[::-1]):
-        nxt = values[-1]
+    rides = [np.repeat(values[0][:, None], width, axis=1)]
+    for t in range(len(stages) - 2, -1, -1):
+        rows, stage_blocks, nxt = stages[t], blocks[t], values[-1]
+        picks = kept[t] if kept else ()
         base = _stage_cost(rows, n)
+        # each column block's probabilities and [columns, events] successor values
+        reads = chain(((pr, nxt[succ]) for _, _, succ, pr in stage_blocks),
+                      ((stage_blocks[k][3], rides[-1][stage_blocks[k][2][j], after[:, None]])
+                       for k, j, _, _, after in picks))
+        ends = [0, *accumulate([len(idx) for _, idx, _, _ in stage_blocks]
+                               + [len(j) for _, j, _, _, _ in picks])]
+        if ends[-1] < SUM_CUTOFF:
+            sums = [np.fromiter(map(math.fsum, (pr * v).tolist()), float, len(v))
+                    for pr, v in reads]
+        else:
+            terms = np.zeros((max((len(pr) for _, _, _, pr in stage_blocks), default=0), ends[-1]))
+            for (pr, v), start, stop in zip(reads, ends, ends[1:]):
+                np.multiply(pr[:, None], v.T, out=terms[: len(pr), start:stop])
+            total = _exact_sums(terms)[0]
+            sums = [total[start:stop] for start, stop in zip(ends, ends[1:])]
         best = np.full(len(rows), np.inf)
         act = np.zeros((len(rows), n), dtype=bool)
-        ends = [0, *accumulate(len(idx) for _, idx, _, _ in stage_blocks)]
-        terms = np.zeros((max((len(pr) for *_, pr in stage_blocks), default=0), ends[-1]))
-        for (_, _, succ, pr), start, stop in zip(stage_blocks, ends, ends[1:]):
-            np.multiply(pr[:, None], nxt[succ.T], out=terms[: len(pr), start:stop])
-        sums = _fsums(terms) if ends[-1] < SUM_CUTOFF else _exact_sums(terms)[0]
-        for (a, idx, _, _), start, stop in zip(stage_blocks, ends, ends[1:]):
-            q = base[idx] + sums[start:stop]
+        for (a, idx, _, _), part in zip(stage_blocks, sums):
+            q = base[idx] + part
             win = q < best[idx]
             best[idx[win]] = q[win]
             mask = np.zeros(n, dtype=bool)
@@ -363,7 +326,71 @@ def _backward(stages, blocks, n: int):
             act[idx[win]] = mask
         values.append(best)
         decisions.append(act)
-    return values[::-1], decisions[::-1]
+        rides.append(np.empty((len(rows), width)))
+        for (_, _, r, col, _), part in zip(picks, sums[len(stage_blocks) :]):
+            rides[-1][r, col] = base[r] + part
+    return values[::-1], decisions[::-1], rides[::-1]
+
+
+def _sweep(policies, x0: SystemState, stages, blocks):
+    """The keys that riders reach over a pass's moves: slots of a stage's
+    [rows, width] array, a policy owning a column per memory value (the rr
+    cursor) or one.  Returns the width, per stage t < T the kept moves
+    (move index, positions among its rows, those rows, slot columns,
+    successor slot columns), and each policy's table fields but the values,
+    with each key's flat slot.  ValueError names the policy and the stage
+    of a pick that no move holds."""
+    n, mems = len(x0.g), [policy.initial_memory() for policy in policies]
+    offs = [0, *accumulate(1 if mem is None else n for mem in mems)]
+    width = offs[-1]
+    reach = np.zeros((1, width), dtype=bool)
+    reach[0, [off + (mem or 0) for off, mem in zip(offs, mems)]] = True
+    keys, slots, masks, kept = [], [], [], []
+    for t, rows in enumerate(stages, 1):
+        spans = []  # each policy's reached (rows, memory), in key order
+        for mem0, off, end in zip(mems, offs, offs[1:]):
+            r, c = np.nonzero(reach[:, off:end])
+            key = rows[r]
+            if mem0 is not None:  # g | h | memory rows in evaluate_policy's order
+                key, inv = _unique_rows(np.concatenate([key, c.astype(key.dtype)[:, None]], 1))
+                r[inv], c[inv] = r.copy(), c.copy()
+            keys.append(key)
+            slots.append(r * width + off + c)
+            spans.append((r, c))
+        if t == len(stages):
+            break
+        moves = blocks[t - 1]
+        ids = {a: k for k, (a, _, _) in enumerate(moves)}
+        pick = np.full((len(rows), width), -1)  # each reached slot's move, or len(moves)
+        after = np.empty((len(rows), width), dtype=np.intp)
+        for policy, mem0, off, (r, c) in zip(policies, mems, offs, spans):
+            mask, mem = policy.decide_batch(t, rows[r, :n].astype(np.int64),
+                                            rows[r, n:].astype(np.int64),
+                                            None if mem0 is None else c)
+            masks.append(mask)
+            for a, idx in _groups(mask):
+                pick[r[idx], off + c[idx]] = ids.get(a, len(moves))
+            after[r, off + c] = off if mem is None else off + mem
+        picked = set(pick[reach].tolist())
+        reach = np.zeros((len(stages[t]), width), dtype=bool)
+        held = np.zeros(width, dtype=int)
+        kept.append([])
+        for k, (_, idx, succ) in enumerate(moves):
+            if k in picked:
+                j, col = np.nonzero(pick[idx] == k)
+                r = idx[j]
+                nxt = after[r, col]
+                reach[succ[j], nxt[:, None]] = True
+                held += np.bincount(col, minlength=width)
+                kept[-1].append((k, j, r, col, nxt))
+        for policy, off, end, (r, _) in zip(policies, offs, offs[1:], spans):
+            if held[off:end].sum() < len(r):
+                raise ValueError(f"policy {policy.name!r} picks at stage {t} an action "
+                                 "no move holds")
+    step = len(policies)
+    return width, kept, [(policy.name, mem is not None, x0 if mem is None else (x0, mem),
+                          tuple(keys[i::step]), slots[i::step], tuple(masks[i::step]))
+                         for i, (policy, mem) in enumerate(zip(policies, mems))]
 
 
 def _root(params: ModelParams, x0: SystemState, mem0) -> np.ndarray:
@@ -385,17 +412,19 @@ def _grid_laws(params: ModelParams, actions: list, ps) -> list[dict]:
     return [dict(zip(actions, parts[i * m :])) for i in range(len(ps))]
 
 
-def _solve_grid(params: ModelParams, x0: SystemState, p_values, chooser, cap: int):
+def _solve_grid(params: ModelParams, x0: SystemState, p_values, chooser, cap: int,
+                riders=()):
     """The table of a chooser, a (policy name or None, initial memory,
-    choose) triple, at each p of p_values, the instance otherwise params.
-    A pass runs _forward at its first point and reads the later points'
-    laws of its actions in one kernel call; a later point joins the first
-    pass whose event rows its laws share."""
+    choose) triple, holding the riders' tables, at each p of p_values, the
+    instance otherwise params.  A pass runs _forward and _sweep at its first
+    point and reads the later points' laws of its actions in one kernel
+    call; a later point joins the first pass whose event rows its laws
+    share.  Each point runs one _backward."""
     name, mem0, choose = chooser
     points = [params if p == params.p else replace(params, p=p) for p in p_values]
     passes, tables = [], []
     for j, point in enumerate(points):
-        for first, (stages, blocks), later in passes:
+        for first, (stages, blocks, swept), later in passes:
             laws = later[j]
             if all(np.array_equal(ev.delivered, laws[a].delivered)
                    and np.array_equal(ev.arrived, laws[a].arrived) for a, ev in first.items()):
@@ -404,14 +433,17 @@ def _solve_grid(params: ModelParams, x0: SystemState, p_values, chooser, cap: in
             laws = {}
             stages, blocks = _forward(point, _root(point, x0, mem0), choose, cap, laws)
             stages = tuple(stages)
+            swept = _sweep(riders, x0, stages, blocks) if riders else (0, None, ())
             later = _grid_laws(point, list(laws), p_values[j + 1 :])
-            passes.append((laws, (stages, blocks), dict(enumerate(later, j + 1))))
-        moves = tuple(tuple((a, idx, succ, laws[a].pr) for a, idx, succ in stage)
-                      for stage in blocks)
-        values, decisions = _backward(stages, moves, params.n_sources)
+            passes.append((laws, (stages, blocks, swept), dict(enumerate(later, j + 1))))
+        moves = [[(a, idx, succ, laws[a].pr) for a, idx, succ in stage] for stage in blocks]
+        values, decisions, rides = _backward(stages, moves, params.n_sources, *swept[:2])
+        riding = tuple(DPTable(params.horizon, rider, augmented, root, keys,
+                               tuple(v.ravel()[i] for v, i in zip(rides, slots)), masks)
+                       for rider, augmented, root, keys, slots, masks in swept[2])
         tables.append(DPTable(params.horizon, name, mem0 is not None,
-                              x0 if mem0 is None else (x0, mem0), stages,
-                              tuple(values), tuple(decisions), moves if name is None else None))
+                              x0 if mem0 is None else (x0, mem0), stages, tuple(values),
+                              tuple(decisions), riding))
     return tables
 
 
@@ -457,19 +489,21 @@ def reachable_states(
 
 
 def solve_optimal(
-    params: ModelParams, x0: SystemState, cap: int = DEFAULT_STATE_CAP
+    params: ModelParams, x0: SystemState, cap: int = DEFAULT_STATE_CAP, riders=()
 ) -> DPTable:
     """Backward induction for the optimal values over every action, tried in
-    enumerate_actions order, so ties resolve to the lexicographically smallest."""
-    return _solve_grid(params, x0, [params.p], _all_actions(params), cap)[0]
+    enumerate_actions order, so ties resolve to the lexicographically smallest.
+    Its riders, policies whose picks are work-conserving (not rr-strict),
+    ride the pass; their evaluate_policy tables are the table's riders."""
+    return _solve_grid(params, x0, [params.p], _all_actions(params), cap, riders)[0]
 
 
 def evaluate_policy(
     policy, params: ModelParams, x0: SystemState, cap: int = DEFAULT_STATE_CAP
 ) -> DPTable:
-    """Exact value of a fixed deterministic policy by the same backward pass,
-    the minimization replaced by the policy's decision; DPTable.evaluate's
-    reference.
+    """Exact value of a fixed deterministic policy by a forward and a
+    backward pass of its own, the minimization replaced by the policy's
+    decision; the reference of solve_optimal's riders.
 
     A policy with memory (round-robin cursor) is evaluated on augmented keys
     (state, memory); memoryless policies key by bare states so their tables
@@ -484,14 +518,10 @@ def gap_tables(
 ) -> list[list[DPTable]]:
     """[optimal table, best-margin policy table] at each p of p_values, the
     instance otherwise params; points share forward passes where they can.
-    The policy's table rides the optimal one's moves, selected once per pass
-    (whose tables share one stages tuple); no returned table keeps them."""
-    delta, selections, tables = DeltaPolicy(params.n_channels), {}, []
-    for opt in _solve_grid(params, x0, p_values, _all_actions(params), cap):
-        if id(opt.stages) not in selections:
-            selections[id(opt.stages)] = opt._select(delta)
-        tables.append([replace(opt, moves=None), opt._ride(selections[id(opt.stages)])])
-    return tables
+    The policy rides the optimal pass, swept once per pass."""
+    riders = (DeltaPolicy(params.n_channels),)
+    return [[opt, *opt.riders] for opt in _solve_grid(params, x0, p_values,
+                                                       _all_actions(params), cap, riders)]
 
 
 def bound_constants(k: int, p: float, d: int) -> BoundConstants:

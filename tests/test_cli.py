@@ -12,6 +12,7 @@ from aoi_sched import cli, simulate, verify
 from aoi_sched.policies import StateNotInTable
 
 from .conftest import run_cli
+from .test_dp_grid import counting
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 COMMANDS = ("simulate", "solve", "sweep", "verify")
@@ -144,18 +145,48 @@ OPT_DELTA_SHA256 = "b7bb2c24171f78e856c383cfa2053f64d2a168543f65ed05ed9e05236dc9
 
 def test_solve_reports_optimal_without_reevaluating_it(tmp_path, monkeypatch):
     evaluated, evaluate = [], cli.evaluate_policy
+    ridden, solve = [], cli.solve_optimal
 
     def record(policy, *args, **kwargs):
         evaluated.append(policy.name)
         return evaluate(policy, *args, **kwargs)
 
+    def record_riders(*args, riders=(), **kwargs):
+        ridden.append([policy.name for policy in riders])
+        return solve(*args, riders=riders, **kwargs)
+
     monkeypatch.setattr(cli, "evaluate_policy", record)
+    monkeypatch.setattr(cli, "solve_optimal", record_riders)
     out = tmp_path / "gap.json"
     argv = GAP_ARGV[:-1] + ["optimal,delta", "--out", str(out)]
     assert cli.main(argv) == 0
-    # delta's table is read off the optimal table's moves: no pass of its own
-    assert evaluated == []
+    # delta rides the one optimal solve, and optimal is its root value: no
+    # pass of their own
+    assert (ridden, evaluated) == ([["delta"]], [])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == OPT_DELTA_SHA256
+
+
+@pytest.mark.parametrize("policies, passes", [("delta,pi,rr", 1), ("delta,pi,rr,rr-strict", 2)])
+def test_solve_runs_one_pass_unless_a_policy_idles(tmp_path, monkeypatch, policies, passes):
+    """The index rules ride the optimal solve's one forward and one backward
+    pass; rr-strict, which can idle a channel, adds a pass of each."""
+    calls = counting(monkeypatch, "_forward", "_backward")
+    argv = GAP_ARGV[:-1] + [policies, "--out", str(tmp_path / "gap.json")]
+    assert cli.main(argv) == 0
+    assert calls == {"_forward": passes, "_backward": passes}
+
+
+def test_state_cap_counts_the_passes_that_run(tmp_path):
+    """The exact_gap instance has 2404 states and rr 3152 (state, cursor)
+    pairs; rr rides the optimal pass, so a cap between the two stops
+    nothing, and the report keeps its bytes."""
+    out = tmp_path / "gap.json"
+    argv = GAP_ARGV[:-1] + ["rr", "--out", str(out)]
+    assert cli.main(argv) == 0
+    capped = tmp_path / "capped.json"
+    assert cli.main(argv[:-1] + [str(capped), "--state-cap", "2404"]) == 0
+    assert capped.read_bytes() == out.read_bytes()
+    assert cli.main(argv[:-1] + [str(capped), "--state-cap", "2403"]) == 3
 
 
 def test_sweep_one_file_per_axis(tmp_path):

@@ -1,7 +1,8 @@
 """`dp.gap_tables`, whose points share forward passes, against one
-`solve_optimal` and one `evaluate_policy(DeltaPolicy)` per point, and
-`DPTable.evaluate`, which reads a memoryless policy's table off the optimal
-table's moves, against `evaluate_policy`'s own pass.
+`solve_optimal` and one `evaluate_policy(DeltaPolicy)` per point, and the
+riders of `solve_optimal`, policies whose tables are read off the optimal
+pass's moves and summed in its backward induction, against
+`evaluate_policy`'s own pass.
 
 Every table of the grid must have the stage rows, the scheduled masks and,
 byte for byte, the values of its separate solve.  The gate cases are the
@@ -16,10 +17,12 @@ import pytest
 
 from aoi_sched import dp
 from aoi_sched.dp import evaluate_policy, gap_tables, solve_optimal
-from aoi_sched.model import FAULT_MODES, ModelParams, fresh_state
-from aoi_sched.policies import DeltaPolicy, OptimalPolicy, PIPolicy, RRPolicy
+from aoi_sched.model import EMPTY, FAULT_MODES, ModelParams, fresh_state, new_state
+from aoi_sched.policies import DeltaPolicy, OptimalPolicy, PIPolicy, RRPolicy, StrictRRPolicy
 
+from . import dict_solver
 from .test_dp import FROZEN_INSTANCES
+from .test_dp_differential import same_tables
 
 P_GRID = (0.3, 0.0, 0.05, 1.0, 0.3, 0.8)
 
@@ -121,33 +124,63 @@ def test_one_pass_reads_later_laws_in_one_call(monkeypatch):
     assert sizes == [1] * actions + [2 * actions]
 
 
+def counting(monkeypatch, *names) -> dict:
+    """The number of calls of each named dp function from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapped(*args, _name=name, _f=getattr(dp, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(dp, name, wrapped)
+    return calls
+
+
 @pytest.mark.parametrize("fault", FAULT_MODES)
 def test_evaluate_matches_evaluate_policy(monkeypatch, fault):
     """On every frozen-digest instance from both starts: the table of each
-    memoryless policy, the optimal table's own included, equals its own
-    pass's table, and reading it runs no forward pass."""
+    rider (delta, pi, rr on (state, cursor) keys, and the optimal policy on
+    its own table) equals its own pass's table, the optimal table is the
+    plain solve's, and the riders add no forward or backward pass."""
     for label, params, stale in FROZEN_INSTANCES:
         params = replace(params, fault=fault)
+        d = params.n_channels
         for x0 in (fresh_state(params.n_sources), stale):
-            opt = solve_optimal(params, x0)
-            policies = (DeltaPolicy(params.n_channels), PIPolicy(params.n_channels),
-                        OptimalPolicy(opt))
-            points = forward_points(monkeypatch)
-            tables = [opt.evaluate(policy) for policy in policies]
-            assert points == [], label
+            plain = solve_optimal(params, x0)
+            policies = (DeltaPolicy(d), PIPolicy(d), RRPolicy(d), OptimalPolicy(plain))
+            calls = counting(monkeypatch, "_forward", "_backward")
+            opt = solve_optimal(params, x0, riders=policies)
+            assert calls == {"_forward": 1, "_backward": 1}, label
             monkeypatch.undo()
-            for policy, table in zip(policies, tables):
+            same_table(opt, plain)
+            assert len(opt.riders) == len(policies)
+            for policy, table in zip(policies, opt.riders):
                 same_table(table, evaluate_policy(policy, params, x0))
 
 
+def test_rr_rider_matches_dict_solver():
+    """The rr rider's (state, cursor) table against the dict reference."""
+    for params, x0 in ((ModelParams(3, 1, 0.6, (0.2, 0.5, 0.9), 5), fresh_state(3)),
+                       (ModelParams(3, 2, 0.7, (0.5, 0.5, 0.5), 4, fault="age-drift"),
+                        new_state((1, EMPTY, 0), (3, 2, 4)))):
+        policy = RRPolicy(params.n_channels)
+        [table] = solve_optimal(params, x0, riders=[policy]).riders
+        same_tables(table, dict_solver.evaluate_policy(policy, params, x0))
+
+
 def test_evaluate_refuses_what_it_cannot_read():
-    params, x0 = ModelParams(2, 1, 0.6, (0.5, 0.5), 4), fresh_state(2)
-    opt = solve_optimal(params, x0)
-    with pytest.raises(ValueError, match="has memory"):
-        opt.evaluate(RRPolicy(1))
-    with pytest.raises(ValueError, match="keeps its moves"):
-        evaluate_policy(DeltaPolicy(1), params, x0).evaluate(DeltaPolicy(1))
+    """A reached pick that no move of the optimal pass holds stops the solve,
+    naming the policy and the stage."""
+    params = ModelParams(2, 1, 0.6, (0.5, 0.5), 4)
     # a two-channel rule on one channel: the fresh root holds both packets,
     # and no move of it schedules both
-    with pytest.raises(ValueError, match="picks at stage 1 an action no move holds"):
-        opt.evaluate(DeltaPolicy(2))
+    with pytest.raises(ValueError, match="'delta' picks at stage 1 an action no move holds"):
+        solve_optimal(params, fresh_state(2), riders=[PIPolicy(1), DeltaPolicy(2)])
+    # strict round-robin's cursor 0 points at source 0, which holds no packet
+    # at the root, so it idles the channel while source 1 waits
+    x0 = new_state((EMPTY, 0), (2, 1))
+    with pytest.raises(ValueError, match="'rr-strict' picks at stage 1 an action no move holds"):
+        solve_optimal(params, x0, riders=[RRPolicy(1), StrictRRPolicy(1)])
+    # from the fresh root it first schedules source 0, a work-conserving
+    # pick, and idles only at a later stage
+    with pytest.raises(ValueError, match="'rr-strict' picks at stage [2-9] an action"):
+        solve_optimal(params, fresh_state(2), riders=[StrictRRPolicy(1)])

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 from aoi_sched import dp
 from aoi_sched.dp import evaluate_policy, solve_optimal
 from aoi_sched.model import ModelParams, fresh_state
-from aoi_sched.policies import DeltaPolicy, PIPolicy, RRPolicy
+from aoi_sched.policies import DeltaPolicy, PIPolicy, RRPolicy, StrictRRPolicy
 
 from .test_dp import FROZEN_INSTANCES, GOLDEN_DIR, frozen_table_digests
 from .test_dp_grid import same_table
@@ -144,10 +144,11 @@ STARTS = [(params, x0) for _, params, stale in FROZEN_INSTANCES
 
 
 def solve_all(params, x0):
-    opt = solve_optimal(params, x0)
+    """The optimal table with delta, pi and rr riding it, and rr-strict on a
+    pass of its own."""
     d = params.n_channels
-    return [opt, opt.evaluate(DeltaPolicy(d)), opt.evaluate(PIPolicy(d)),
-            evaluate_policy(RRPolicy(d), params, x0)]
+    opt = solve_optimal(params, x0, riders=[DeltaPolicy(d), PIPolicy(d), RRPolicy(d)])
+    return [opt, *opt.riders, evaluate_policy(StrictRRPolicy(d), params, x0)]
 
 
 def counting_fallbacks(monkeypatch) -> list:
@@ -178,6 +179,18 @@ def test_vector_path_matches_fsum_path_on_every_stage(monkeypatch):
         for got, want in zip(by_vector, by_fsum):
             same_table(got, want)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("cutoff", [0, math.inf], ids=["vector", "fsum"])
+def test_riders_match_their_own_passes_on_either_path(monkeypatch, cutoff):
+    """Summed beside the optimal table's columns, on one path for every
+    stage, each rider's table is that of its own pass on the same path."""
+    monkeypatch.setattr(dp, "SUM_CUTOFF", cutoff)
+    for params, x0 in STARTS:
+        opt, *riders, _ = solve_all(params, x0)
+        for table in riders:
+            policy = {"delta": DeltaPolicy, "pi": PIPolicy, "rr": RRPolicy}[table.policy_name]
+            same_table(table, evaluate_policy(policy(params.n_channels), params, x0))
 
 
 @pytest.mark.parametrize("cutoff", [0, math.inf], ids=["vector", "fsum"])
