@@ -70,8 +70,8 @@ MUTANTS = (
             "tests/test_dp.py::test_tables_match_frozen_digests")),
     Mutant("backward-stale-mask-bits", "src/aoi_sched/dp.py",
            "mask = np.zeros(n, dtype=bool)\n"
-           "            mask[list(a)] = True\n"
-           "            act[idx[win]] = mask",
+           "                mask[list(a)] = True\n"
+           "                act[idx[win]] = mask",
            "act[np.ix_(idx[win], list(a))] = True",
            ("tests/test_dp.py::test_decisions_are_scheduled_masks",)),
     Mutant("exact-sum-first-term-start", "src/aoi_sched/dp.py",
@@ -97,17 +97,25 @@ MUTANTS = (
            ("tests/test_dp_differential.py::"
             "test_ties_keep_enumerate_actions_order_across_holder_sets",)),
     Mutant("rider-reaches-from-every-row", "src/aoi_sched/dp.py",
-           "reach = np.zeros((len(stages[t]), width), dtype=bool)",
-           "reach = np.ones((len(stages[t]), width), dtype=bool)",
-           ("tests/test_dp_grid.py::test_evaluate_matches_evaluate_policy",)),
+           "reach = np.zeros((len(nxt), width), dtype=bool)",
+           "reach = np.ones((len(nxt), width), dtype=bool)",
+           ("tests/test_dp_grid.py::test_evaluate_matches_evaluate_policy",
+            "tests/test_dp.py::test_tables_match_frozen_digests")),
     Mutant("rider-keeps-old-cursor", "src/aoi_sched/dp.py",
-           "nxt = after[r, col]",
-           "nxt = col",
-           ("tests/test_dp_grid.py::test_evaluate_matches_evaluate_policy",)),
+           "goes = after[idx[j], col]",
+           "goes = col",
+           ("tests/test_dp_grid.py::test_evaluate_matches_evaluate_policy",
+            "tests/test_dp_grid.py::test_rr_rider_matches_dict_solver",
+            "tests/test_dp.py::test_tables_match_frozen_digests")),
     Mutant("rider-reads-optimal-values", "src/aoi_sched/dp.py",
            "rides[-1][stage_blocks[k][2][j], after[:, None]]",
            "nxt[stage_blocks[k][2][j]]",
-           ("tests/test_dp_grid.py::test_evaluate_matches_evaluate_policy",)),
+           ("tests/test_dp_grid.py::test_evaluate_matches_evaluate_policy",
+            "tests/test_dp.py::test_tables_match_frozen_digests")),
+    Mutant("own-pass-cap-counts-states", "src/aoi_sched/dp.py",
+           "total += len(nxt) if optimal else int(reach.sum())",
+           "total += len(nxt)",
+           ("tests/test_dp_grid.py::test_own_pass_cap_counts_the_policys_keys",)),
     Mutant("replay-high-half-first", "src/aoi_sched/verify.py",
            "self._half = word >> 32\n"
            "            return word & _UINT32",

@@ -8,28 +8,30 @@ Stages run 1..T.  Cost is accrued every stage; decisions happen at stages
 reachable from the initial state are tabulated, which keeps the unbounded age
 grid finite (ages grow by at most one per slot).
 
-Both passes work on per-stage arrays.  A stage is one integer row per distinct
-key, g | h, plus the memory value when a policy threads one.  An event's
-probability depends only on the scheduled set, not on the state, so each
-action's events are read once per pass off the batched kernel, and the
-successors of every row taking that action come from one call of
-model.advance, the successor law that the kernel and the Monte Carlo slot
-share.  The backward pass sums each expectation to math.fsum's value, which
-is exact (_exact_sums), so every value and tie-break is the one a
-state-by-state pass over the kernel's (successor, probability) pairs gives.
-A solved DPTable is those
-arrays: each stage's key rows with a value and, before stage T, a scheduled
-mask per row.  Policies whose picks are work-conserving ride the optimal
-solve (_sweep): their keys are swept over its moves, one kept per key, and
-their values summed in its backward pass.
-dump_table writes a table as text.  The one-step identities live in
-`verify`, which checks them.
+Both passes work on per-stage arrays.  A stage is one integer row g | h per
+distinct state.  An event's probability depends only on the scheduled set,
+not on the state, so each action's events are read once per pass off the
+batched kernel, and the successors of every row taking that action come
+from one call of model.advance, the successor law that the kernel and the
+Monte Carlo slot share.  The backward pass sums each expectation to
+math.fsum's value, which is exact (_exact_sums), so every value and
+tie-break is the one a state-by-state pass over the kernel's (successor,
+probability) pairs gives.  A solved DPTable is those arrays: each stage's
+key rows with a value and, before stage T, a scheduled mask per row.
 
-Instances equal except for p share one forward pass (gap_tables): no chooser
-reads p, and p changes an action's event rows only where a probability is 0.0
-(p = 0 or 1, an underflowing p**k).  A point whose laws have a pass's rows,
-action by action, has its stages and blocks and binds only its own pr.  A
-single solve is a one-point grid.
+A fixed policy is a rider: the forward pass sweeps its keys, slots of a
+stage's rows by memory value (the rr cursor), over the stage's moves, one
+kept per key, and the backward pass sums its values.  Policies whose picks
+are work-conserving ride the optimal solve; any policy rides a pass of its
+own, whose moves are its picks (evaluate_policy).  dump_table writes a
+table as text.  The one-step identities live in `verify`, which checks
+them.
+
+Instances equal except for p share one forward pass (gap_tables): no move
+or pick reads p, and p changes an action's event rows only where a
+probability is 0.0 (p = 0 or 1, an underflowing p**k).  A point whose laws
+have a pass's rows, action by action, has its stages and blocks and binds
+only its own pr.  A single solve is a one-point grid.
 """
 
 from __future__ import annotations
@@ -176,63 +178,133 @@ _DELIVERED = np.array([False, False, True, True])[:, None, None]
 _STAY = np.array([True, False, True, False])[:, None, None]  # no arrival
 
 
-def _successors(rows: np.ndarray, ev: Events, mem, out: np.ndarray) -> None:
-    """Write into out [rows, events, C] the successor key of each stage row
+def _successors(rows: np.ndarray, ev: Events, out: np.ndarray) -> None:
+    """Write into out [rows, events, 2N] the successor row of each stage row
     under each event.  One advance call ages every source of every row under
     each of its four outcomes (nothing happens, a fresh packet arrives, the
     buffered packet is delivered, or both); each event then picks per source
-    the outcome of its kind.  mem fills the memory column."""
+    the outcome of its kind."""
     n = ev.delivered.shape[1]
-    g, h = rows[:, :n], rows[:, n : 2 * n]
+    g, h = rows[:, :n], rows[:, n:]
     g2, h2 = advance(g, h, g != EMPTY, _DELIVERED, _STAY, ev.step)
     kind = 2 * ev.delivered + ev.arrived
     src = np.arange(n)
     out[..., :n] = g2.transpose(1, 2, 0)[:, src, kind]
-    out[..., n : 2 * n] = h2.transpose(1, 2, 0)[:, src, kind]
-    if mem is not None:
-        out[..., 2 * n] = mem[:, None]
+    out[..., n:] = h2.transpose(1, 2, 0)[:, src, kind]
 
 
-def _forward(params: ModelParams, root: np.ndarray, choose, cap: int, laws: dict):
-    """Stage rows reachable from the one-row root stage, and the blocks of
-    stages 1..T-1: per stage, (action, rows taking it, [rows, events] index
-    of each successor in the next stage), the action's sources ascending.
+def _all_actions(rows: np.ndarray, n: int, d: int):
+    """An optimal pass's moves: one (action, rows) block per work-conserving
+    action, holding every row that can take it.  Sorted action order is, on
+    one row's actions, enumerate_actions order, so each row tries them in it."""
+    merged = {}
+    for holders, idx in _groups(rows[:, :n] != EMPTY):
+        for a in combinations(holders, min(len(holders), d)):
+            merged.setdefault(a, []).append(idx)
+    for a in sorted(merged):
+        yield a, np.concatenate(merged[a])
 
-    choose(t, rows) yields (action, row indices, next memory or None) for the
-    rows of stage t; a row taking several actions appears in one block per
-    action, in the order it tries them.  Each action's law, with the
-    instance's fault, is read off the kernel once into laws, unless there,
-    and serves every row that takes it.  The cap counts distinct keys over
-    all stages, and each stage's keys are counted before that stage is
-    expanded.
+
+def _forward(params: ModelParams, x0: SystemState, riders, optimal: bool, cap: int,
+             laws: dict):
+    """The stage rows g | h reachable from x0, the moves of stages 1..T-1 and
+    the riders' sweep over them, built stage by stage in one loop.
+
+    A move is (action, rows taking it, [rows, events] index of each
+    successor in the next stage), the action's sources ascending.  On an
+    optimal pass a stage's moves are every work-conserving action
+    (_all_actions); on a policy's own pass (optimal False) they are the
+    actions the riders pick on their reached keys, each holding the rows
+    that pick it.  Each action's law, with the instance's fault, is read off
+    the kernel once into laws, unless there, and serves every row that
+    takes it.
+
+    A rider's keys are slots of a stage's [rows, width] array, a policy
+    owning a column per memory value (the rr cursor) or one.  Each reached
+    slot's pick is matched to a move, and the slot reaches the move's
+    successors of its row at its next memory.  Returns the stages, the
+    moves, and the sweep: the width, per stage t < T the kept moves (move
+    index, positions among its rows, slot columns, successor slot columns),
+    and each rider's table fields but the values, with each key's flat slot.
+    ValueError names the policy and the stage of a pick that no move holds.
+    The cap counts distinct keys over all stages, each stage's before it is
+    expanded: the stage rows on an optimal pass, the riders' keys on an own
+    pass.
     """
-    stages, blocks = [root], []
+    n, d = params.n_sources, params.n_channels
+    mems = [policy.initial_memory() for policy in riders]
+    offs = [0, *accumulate(1 if mem is None else n for mem in mems)]
+    width = offs[-1]
+    reach = np.zeros((1, width), dtype=bool)
+    reach[0, [off + (mem or 0) for off, mem in zip(offs, mems)]] = True
+    stages, blocks, kept, keys, slots, masks = [_root(params, x0)], [], [], [], [], []
     total, limit = 1, max(cap, 1)  # the root counts but is never checked
-    for t in range(1, params.horizon):
-        cur = stages[-1]
-        taken = []
-        for a, rows, mem in choose(t, cur):
+    for t in range(1, params.horizon + 1):
+        rows = stages[-1]
+        spans = []  # each policy's reached (rows, memory), in key order
+        for mem0, off, end in zip(mems, offs, offs[1:]):
+            r, c = np.nonzero(reach[:, off:end])
+            key = rows[r]
+            if mem0 is not None:  # g | h | memory rows, in _unique_rows' order
+                key, inv = _unique_rows(np.concatenate([key, c.astype(key.dtype)[:, None]], 1))
+                r[inv], c[inv] = r.copy(), c.copy()
+            keys.append(key)
+            slots.append(r * width + off + c)
+            spans.append((r, c))
+        if t == params.horizon:
+            break
+        moves = list(_all_actions(rows, n, d)) if optimal else []
+        ids = {a: k for k, (a, _) in enumerate(moves)}
+        pick = np.full((len(rows), width), -1)  # each reached slot's move; ids past moves: unheld
+        after = np.empty((len(rows), width), dtype=np.intp)
+        for policy, mem0, off, (r, c) in zip(riders, mems, offs, spans):
+            mask, mem = policy.decide_batch(t, rows[r, :n].astype(np.int64),
+                                            rows[r, n:].astype(np.int64),
+                                            None if mem0 is None else c)
+            masks.append(mask)
+            for a, idx in _groups(mask):
+                pick[r[idx], off + c[idx]] = ids.setdefault(a, len(ids))
+            after[r, off + c] = off if mem is None else off + mem
+        if not optimal:
+            moves = [(a, np.flatnonzero((pick == k).any(axis=1))) for a, k in ids.items()]
+        for a, _ in moves:
             if a not in laws:
                 laws[a] = transition_law([a], [params.p], np.array([params.q]),
                                          [params.n_sources], params.fault)
-            taken.append((a, rows, mem, laws[a]))
-        sizes = [len(rows) * len(ev.pr) for _, rows, _, ev in taken]
-        ends = np.cumsum([0, *sizes]).tolist()
-        succ = np.empty((ends[-1], cur.shape[1]), dtype=cur.dtype)
-        for (a, rows, mem, ev), start, stop in zip(taken, ends, ends[1:]):
-            out = succ[start:stop].reshape(len(rows), len(ev.pr), cur.shape[1])
-            _successors(cur[rows], ev, mem, out)
+        shapes = [(len(idx), len(laws[a].pr)) for a, idx in moves]
+        ends = [0, *accumulate(math.prod(shape) for shape in shapes)]
+        succ = np.empty((ends[-1], rows.shape[1]), dtype=rows.dtype)
+        for (a, idx), shape, start, stop in zip(moves, shapes, ends, ends[1:]):
+            _successors(rows[idx], laws[a], succ[start:stop].reshape(*shape, rows.shape[1]))
         nxt, inv = _unique_rows(succ)
         del succ
-        total += len(nxt)
+        moves = [(a, idx, inv[start:stop].reshape(shape))
+                 for (a, idx), shape, start, stop in zip(moves, shapes, ends, ends[1:])]
+        picked = set(pick[reach].tolist())
+        reach = np.zeros((len(nxt), width), dtype=bool)
+        held = np.zeros(width, dtype=int)
+        kept.append([])
+        for k, (_, idx, succ) in enumerate(moves):
+            if k in picked:
+                j, col = np.nonzero(pick[idx] == k)
+                goes = after[idx[j], col]
+                reach[succ[j], goes[:, None]] = True
+                held += np.bincount(col, minlength=width)
+                kept[-1].append((k, j, col, goes))
+        for policy, off, end, (r, _) in zip(riders, offs, offs[1:], spans):
+            if held[off:end].sum() < len(r):
+                raise ValueError(f"policy {policy.name!r} picks at stage {t} an action "
+                                 "no move holds")
+        total += len(nxt) if optimal else int(reach.sum())
         if total > limit:
             raise StateSpaceTooLarge(f"reachable set exceeds cap: {limit + 1} > {cap}")
-        blocks.append([
-            (a, rows, inv[start:stop].reshape(len(rows), len(ev.pr)))
-            for (a, rows, _, ev), start, stop in zip(taken, ends, ends[1:])
-        ])
         stages.append(nxt)
-    return stages, blocks
+        blocks.append(moves)
+    step = len(riders)
+    return tuple(stages), blocks, (width, kept, [
+        (policy.name, mem is not None, x0 if mem is None else (x0, mem),
+         tuple(keys[i::step]), slots[i::step], tuple(masks[i::step]))
+        for i, (policy, mem) in enumerate(zip(riders, mems))])
 
 
 def _stage_cost(rows: np.ndarray, n: int) -> np.ndarray:
@@ -281,13 +353,14 @@ def _exact_sums(terms: np.ndarray) -> tuple[np.ndarray, int]:
     return total, int(bad.sum())
 
 
-def _backward(stages, blocks, n: int, width: int = 0, kept=None):
-    """Per stage the values and, for t < T, scheduled masks, from the
-    (action, rows, successor index, event probabilities) blocks of stages
-    1..T-1; and the riders' [rows, width] slot values, from _sweep's
-    (width, kept moves).  V_T(x) = cost(x);
-    V_t(x) = min over the blocks holding x of cost(x) + sum_x' P(x'|x,a) V_{t+1}(x'),
-    a slot's the same sum over its kept move.
+def _backward(stages, blocks, n: int, optimal: bool, width: int, kept):
+    """The riders' [rows, width] slot values per stage, from the (action,
+    rows, successor index, event probabilities) moves of stages 1..T-1 and
+    the kept moves; on an optimal pass, also the values and, for t < T,
+    scheduled masks of the stage rows.  V_T(x) = cost(x);
+    V_t(x) = min over the moves holding x of cost(x) + sum_x' P(x'|x,a) V_{t+1}(x'),
+    a slot's the same sum over its kept move.  A policy's own pass sums only
+    the kept moves and takes no minimum.
 
     Each product is one IEEE multiply, as in Python, and each sum math.fsum's
     (_exact_sums over a stage's zero-padded [events, columns] array, or fsum
@@ -297,15 +370,15 @@ def _backward(stages, blocks, n: int, width: int = 0, kept=None):
     values, decisions = [_stage_cost(stages[-1], n)], []
     rides = [np.repeat(values[0][:, None], width, axis=1)]
     for t in range(len(stages) - 2, -1, -1):
-        rows, stage_blocks, nxt = stages[t], blocks[t], values[-1]
-        picks = kept[t] if kept else ()
+        rows, stage_blocks, picks, nxt = stages[t], blocks[t], kept[t], values[-1]
+        mins = stage_blocks if optimal else ()
         base = _stage_cost(rows, n)
         # each column block's probabilities and [columns, events] successor values
-        reads = chain(((pr, nxt[succ]) for _, _, succ, pr in stage_blocks),
+        reads = chain(((pr, nxt[succ]) for _, _, succ, pr in mins),
                       ((stage_blocks[k][3], rides[-1][stage_blocks[k][2][j], after[:, None]])
-                       for k, j, _, _, after in picks))
-        ends = [0, *accumulate([len(idx) for _, idx, _, _ in stage_blocks]
-                               + [len(j) for _, j, _, _, _ in picks])]
+                       for k, j, _, after in picks))
+        ends = [0, *accumulate([len(idx) for _, idx, _, _ in mins]
+                               + [len(j) for _, j, _, _ in picks])]
         if ends[-1] < SUM_CUTOFF:
             sums = [np.fromiter(map(math.fsum, (pr * v).tolist()), float, len(v))
                     for pr, v in reads]
@@ -315,92 +388,32 @@ def _backward(stages, blocks, n: int, width: int = 0, kept=None):
                 np.multiply(pr[:, None], v.T, out=terms[: len(pr), start:stop])
             total = _exact_sums(terms)[0]
             sums = [total[start:stop] for start, stop in zip(ends, ends[1:])]
-        best = np.full(len(rows), np.inf)
-        act = np.zeros((len(rows), n), dtype=bool)
-        for (a, idx, _, _), part in zip(stage_blocks, sums):
-            q = base[idx] + part
-            win = q < best[idx]
-            best[idx[win]] = q[win]
-            mask = np.zeros(n, dtype=bool)
-            mask[list(a)] = True
-            act[idx[win]] = mask
-        values.append(best)
-        decisions.append(act)
+        if optimal:
+            best = np.full(len(rows), np.inf)
+            act = np.zeros((len(rows), n), dtype=bool)
+            for (a, idx, _, _), part in zip(stage_blocks, sums):
+                q = base[idx] + part
+                win = q < best[idx]
+                best[idx[win]] = q[win]
+                mask = np.zeros(n, dtype=bool)
+                mask[list(a)] = True
+                act[idx[win]] = mask
+            values.append(best)
+            decisions.append(act)
         rides.append(np.empty((len(rows), width)))
-        for (_, _, r, col, _), part in zip(picks, sums[len(stage_blocks) :]):
+        for (k, j, col, _), part in zip(picks, sums[len(mins) :]):
+            r = stage_blocks[k][1][j]
             rides[-1][r, col] = base[r] + part
     return values[::-1], decisions[::-1], rides[::-1]
 
 
-def _sweep(policies, x0: SystemState, stages, blocks):
-    """The keys that riders reach over a pass's moves: slots of a stage's
-    [rows, width] array, a policy owning a column per memory value (the rr
-    cursor) or one.  Returns the width, per stage t < T the kept moves
-    (move index, positions among its rows, those rows, slot columns,
-    successor slot columns), and each policy's table fields but the values,
-    with each key's flat slot.  ValueError names the policy and the stage
-    of a pick that no move holds."""
-    n, mems = len(x0.g), [policy.initial_memory() for policy in policies]
-    offs = [0, *accumulate(1 if mem is None else n for mem in mems)]
-    width = offs[-1]
-    reach = np.zeros((1, width), dtype=bool)
-    reach[0, [off + (mem or 0) for off, mem in zip(offs, mems)]] = True
-    keys, slots, masks, kept = [], [], [], []
-    for t, rows in enumerate(stages, 1):
-        spans = []  # each policy's reached (rows, memory), in key order
-        for mem0, off, end in zip(mems, offs, offs[1:]):
-            r, c = np.nonzero(reach[:, off:end])
-            key = rows[r]
-            if mem0 is not None:  # g | h | memory rows in evaluate_policy's order
-                key, inv = _unique_rows(np.concatenate([key, c.astype(key.dtype)[:, None]], 1))
-                r[inv], c[inv] = r.copy(), c.copy()
-            keys.append(key)
-            slots.append(r * width + off + c)
-            spans.append((r, c))
-        if t == len(stages):
-            break
-        moves = blocks[t - 1]
-        ids = {a: k for k, (a, _, _) in enumerate(moves)}
-        pick = np.full((len(rows), width), -1)  # each reached slot's move, or len(moves)
-        after = np.empty((len(rows), width), dtype=np.intp)
-        for policy, mem0, off, (r, c) in zip(policies, mems, offs, spans):
-            mask, mem = policy.decide_batch(t, rows[r, :n].astype(np.int64),
-                                            rows[r, n:].astype(np.int64),
-                                            None if mem0 is None else c)
-            masks.append(mask)
-            for a, idx in _groups(mask):
-                pick[r[idx], off + c[idx]] = ids.get(a, len(moves))
-            after[r, off + c] = off if mem is None else off + mem
-        picked = set(pick[reach].tolist())
-        reach = np.zeros((len(stages[t]), width), dtype=bool)
-        held = np.zeros(width, dtype=int)
-        kept.append([])
-        for k, (_, idx, succ) in enumerate(moves):
-            if k in picked:
-                j, col = np.nonzero(pick[idx] == k)
-                r = idx[j]
-                nxt = after[r, col]
-                reach[succ[j], nxt[:, None]] = True
-                held += np.bincount(col, minlength=width)
-                kept[-1].append((k, j, r, col, nxt))
-        for policy, off, end, (r, _) in zip(policies, offs, offs[1:], spans):
-            if held[off:end].sum() < len(r):
-                raise ValueError(f"policy {policy.name!r} picks at stage {t} an action "
-                                 "no move holds")
-    step = len(policies)
-    return width, kept, [(policy.name, mem is not None, x0 if mem is None else (x0, mem),
-                          tuple(keys[i::step]), slots[i::step], tuple(masks[i::step]))
-                         for i, (policy, mem) in enumerate(zip(policies, mems))]
-
-
-def _root(params: ModelParams, x0: SystemState, mem0) -> np.ndarray:
+def _root(params: ModelParams, x0: SystemState) -> np.ndarray:
     """The one-row first stage, in the smallest signed integer type that
     holds every value a pass can reach: ages grow by at most two per slot
-    (one, or two under age-drift) and a memory value (the rr cursor) stays
-    below N."""
+    (one, or two under age-drift) and a memory value (the rr cursor, which
+    a rider's keys carry in this type) stays below N."""
     bound = max(*x0.h, params.n_sources) + 2 * params.horizon
-    row = [*x0.g, *x0.h] + ([] if mem0 is None else [mem0])
-    return np.array([row], dtype=_signed_type(bound))
+    return np.array([[*x0.g, *x0.h]], dtype=_signed_type(bound))
 
 
 def _grid_laws(params: ModelParams, actions: list, ps) -> list[dict]:
@@ -412,15 +425,14 @@ def _grid_laws(params: ModelParams, actions: list, ps) -> list[dict]:
     return [dict(zip(actions, parts[i * m :])) for i in range(len(ps))]
 
 
-def _solve_grid(params: ModelParams, x0: SystemState, p_values, chooser, cap: int,
-                riders=()):
-    """The table of a chooser, a (policy name or None, initial memory,
-    choose) triple, holding the riders' tables, at each p of p_values, the
-    instance otherwise params.  A pass runs _forward and _sweep at its first
+def _solve_grid(params: ModelParams, x0: SystemState, p_values, riders, cap: int,
+                optimal: bool = True):
+    """At each p of p_values, the instance otherwise params: the optimal
+    table holding the riders' tables, or on a policy's own pass (optimal
+    False) the riders' tables alone.  A pass runs _forward at its first
     point and reads the later points' laws of its actions in one kernel
     call; a later point joins the first pass whose event rows its laws
     share.  Each point runs one _backward."""
-    name, mem0, choose = chooser
     points = [params if p == params.p else replace(params, p=p) for p in p_values]
     passes, tables = [], []
     for j, point in enumerate(points):
@@ -431,59 +443,24 @@ def _solve_grid(params: ModelParams, x0: SystemState, p_values, chooser, cap: in
                 break
         else:
             laws = {}
-            stages, blocks = _forward(point, _root(point, x0, mem0), choose, cap, laws)
-            stages = tuple(stages)
-            swept = _sweep(riders, x0, stages, blocks) if riders else (0, None, ())
+            stages, blocks, swept = _forward(point, x0, riders, optimal, cap, laws)
             later = _grid_laws(point, list(laws), p_values[j + 1 :])
             passes.append((laws, (stages, blocks, swept), dict(enumerate(later, j + 1))))
         moves = [[(a, idx, succ, laws[a].pr) for a, idx, succ in stage] for stage in blocks]
-        values, decisions, rides = _backward(stages, moves, params.n_sources, *swept[:2])
+        values, decisions, rides = _backward(stages, moves, params.n_sources, optimal, *swept[:2])
         riding = tuple(DPTable(params.horizon, rider, augmented, root, keys,
                                tuple(v.ravel()[i] for v, i in zip(rides, slots)), masks)
                        for rider, augmented, root, keys, slots, masks in swept[2])
-        tables.append(DPTable(params.horizon, name, mem0 is not None,
-                              x0 if mem0 is None else (x0, mem0), stages, tuple(values),
-                              tuple(decisions), riding))
+        tables.append(DPTable(params.horizon, None, False, x0, stages, tuple(values),
+                              tuple(decisions), riding) if optimal else riding)
     return tables
-
-
-def _all_actions(params: ModelParams):
-    """The optimal solve's chooser: one block per work-conserving action,
-    holding every row that can take it.  Sorted action order is, on one
-    row's actions, enumerate_actions order, so each row tries them in it."""
-    n, d = params.n_sources, params.n_channels
-
-    def choose(t, rows):
-        merged = {}
-        for holders, idx in _groups(rows[:, :n] != EMPTY):
-            for a in combinations(holders, min(len(holders), d)):
-                merged.setdefault(a, []).append(idx)
-        for a in sorted(merged):
-            yield a, np.concatenate(merged[a]), None
-
-    return None, None, choose
-
-
-def _policy_actions(policy, n: int):
-    """A fixed policy's chooser: its batch decision for every row, the memory
-    read from and written to the key's last column when the policy has one."""
-    mem0 = policy.initial_memory()
-
-    def choose(t, rows):
-        g, h = rows[:, :n].astype(np.int64), rows[:, n : 2 * n].astype(np.int64)
-        mem = None if mem0 is None else rows[:, 2 * n].astype(np.int64)
-        mask, mem = policy.decide_batch(t, g, h, mem)
-        for a, idx in _groups(mask):
-            yield a, idx, None if mem is None else mem[idx]
-
-    return policy.name, mem0, choose
 
 
 def reachable_states(
     params: ModelParams, x0: SystemState, cap: int = DEFAULT_STATE_CAP
 ) -> list[set[SystemState]]:
     """Per-stage sets of states reachable from x0 under any action sequence."""
-    stages, _ = _forward(params, _root(params, x0, None), _all_actions(params)[2], cap, {})
+    stages = _forward(params, x0, (), True, cap, {})[0]
     n = params.n_sources
     return [{_row_key(row, n, False) for row in rows.tolist()} for rows in stages]
 
@@ -495,22 +472,21 @@ def solve_optimal(
     enumerate_actions order, so ties resolve to the lexicographically smallest.
     Its riders, policies whose picks are work-conserving (not rr-strict),
     ride the pass; their evaluate_policy tables are the table's riders."""
-    return _solve_grid(params, x0, [params.p], _all_actions(params), cap, riders)[0]
+    return _solve_grid(params, x0, [params.p], riders, cap)[0]
 
 
 def evaluate_policy(
     policy, params: ModelParams, x0: SystemState, cap: int = DEFAULT_STATE_CAP
 ) -> DPTable:
-    """Exact value of a fixed deterministic policy by a forward and a
-    backward pass of its own, the minimization replaced by the policy's
-    decision; the reference of solve_optimal's riders.
+    """Exact value of a fixed deterministic policy: the one rider of a pass
+    of its own, whose moves are the actions it picks, summed in a backward
+    pass without a minimum.
 
     A policy with memory (round-robin cursor) is evaluated on augmented keys
     (state, memory); memoryless policies key by bare states so their tables
-    compare directly against the optimal one.
+    compare directly against the optimal one.  The cap counts those keys.
     """
-    return _solve_grid(params, x0, [params.p], _policy_actions(policy, params.n_sources),
-                       cap)[0]
+    return _solve_grid(params, x0, [params.p], [policy], cap, optimal=False)[0][0]
 
 
 def gap_tables(
@@ -518,10 +494,9 @@ def gap_tables(
 ) -> list[list[DPTable]]:
     """[optimal table, best-margin policy table] at each p of p_values, the
     instance otherwise params; points share forward passes where they can.
-    The policy rides the optimal pass, swept once per pass."""
+    The policy rides the optimal pass."""
     riders = (DeltaPolicy(params.n_channels),)
-    return [[opt, *opt.riders] for opt in _solve_grid(params, x0, p_values,
-                                                       _all_actions(params), cap, riders)]
+    return [[opt, *opt.riders] for opt in _solve_grid(params, x0, p_values, riders, cap)]
 
 
 def bound_constants(k: int, p: float, d: int) -> BoundConstants:

@@ -1,8 +1,10 @@
 """`dp.gap_tables`, whose points share forward passes, against one
-`solve_optimal` and one `evaluate_policy(DeltaPolicy)` per point, and the
-riders of `solve_optimal`, policies whose tables are read off the optimal
-pass's moves and summed in its backward induction, against
-`evaluate_policy`'s own pass.
+`solve_optimal` and one `evaluate_policy(DeltaPolicy)` per point; and the
+riders of `solve_optimal`, policies whose keys are swept over the optimal
+pass's moves and summed in its backward induction, against the dict
+reference solver (`tests/dict_solver.py`).  Riders and a policy's own pass
+share the sweep, so the riders are checked against that independent
+reference, not against `evaluate_policy`.
 
 Every table of the grid must have the stage rows, the scheduled masks and,
 byte for byte, the values of its separate solve.  The gate cases are the
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from aoi_sched import dp
-from aoi_sched.dp import evaluate_policy, gap_tables, solve_optimal
+from aoi_sched.dp import StateSpaceTooLarge, evaluate_policy, gap_tables, solve_optimal
 from aoi_sched.model import EMPTY, FAULT_MODES, ModelParams, fresh_state, new_state
 from aoi_sched.policies import DeltaPolicy, OptimalPolicy, PIPolicy, RRPolicy, StrictRRPolicy
 
@@ -139,8 +141,9 @@ def counting(monkeypatch, *names) -> dict:
 def test_evaluate_matches_evaluate_policy(monkeypatch, fault):
     """On every frozen-digest instance from both starts: the table of each
     rider (delta, pi, rr on (state, cursor) keys, and the optimal policy on
-    its own table) equals its own pass's table, the optimal table is the
-    plain solve's, and the riders add no forward or backward pass."""
+    its own table) and rr-strict's own-pass table equal the dict reference's
+    evaluate_policy tables, the optimal table is the plain solve's, and the
+    riders add no forward or backward pass."""
     for label, params, stale in FROZEN_INSTANCES:
         params = replace(params, fault=fault)
         d = params.n_channels
@@ -153,8 +156,22 @@ def test_evaluate_matches_evaluate_policy(monkeypatch, fault):
             monkeypatch.undo()
             same_table(opt, plain)
             assert len(opt.riders) == len(policies)
-            for policy, table in zip(policies, opt.riders):
-                same_table(table, evaluate_policy(policy, params, x0))
+            strict = StrictRRPolicy(d)
+            for policy, table in [*zip(policies, opt.riders),
+                                  (strict, evaluate_policy(strict, params, x0))]:
+                same_tables(table, dict_solver.evaluate_policy(policy, params, x0))
+
+
+def test_own_pass_cap_counts_the_policys_keys():
+    """A policy's own pass counts its keys against the cap, (state, cursor)
+    pairs for rr and rr-strict, not its stage rows: on exact_gap's instance
+    rr reaches 3152 keys and rr-strict 1901."""
+    params, x0 = ModelParams(2, 1, 0.6, (0.5, 0.5), 7), fresh_state(2)
+    for policy, keys in ((RRPolicy(1), 3152), (StrictRRPolicy(1), 1901)):
+        table = evaluate_policy(policy, params, x0, cap=keys)
+        assert sum(map(len, table.stages)) == keys
+        with pytest.raises(StateSpaceTooLarge, match=f"^reachable set exceeds cap: {keys} > "):
+            evaluate_policy(policy, params, x0, cap=keys - 1)
 
 
 def test_rr_rider_matches_dict_solver():
