@@ -100,12 +100,15 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[first], inv
 
 
-def _groups(flags: np.ndarray):
-    """For each distinct row of a boolean [rows, N] array: its true columns, ascending, and
-    the indices of the rows equal to it."""
-    sets, inv = _unique_rows(flags)
-    for i, row in enumerate(sets):
-        yield tuple(np.flatnonzero(row).tolist()), np.flatnonzero(inv == i)
+def _mask_groups(flags: np.ndarray):
+    """The distinct rows of a boolean [rows, N] array as their true columns,
+    ascending, and each row's index among them."""
+    n = flags.shape[1]
+    if n > 63:  # one int64 code holds 63 bits
+        sets, inv = _unique_rows(flags)
+        return [tuple(np.flatnonzero(row).tolist()) for row in sets], inv
+    codes, inv = np.unique(flags @ (1 << np.arange(n)), return_inverse=True)
+    return [tuple(i for i in range(n) if code >> i & 1) for code in codes.tolist()], inv
 
 
 def _row_key(row: list, n: int, augmented: bool):
@@ -198,7 +201,9 @@ def _all_actions(rows: np.ndarray, n: int, d: int):
     action, holding every row that can take it.  Sorted action order is, on
     one row's actions, enumerate_actions order, so each row tries them in it."""
     merged = {}
-    for holders, idx in _groups(rows[:, :n] != EMPTY):
+    sets, inv = _mask_groups(rows[:, :n] != EMPTY)
+    for i, holders in enumerate(sets):
+        idx = np.flatnonzero(inv == i)
         for a in combinations(holders, min(len(holders), d)):
             merged.setdefault(a, []).append(idx)
     for a in sorted(merged):
@@ -219,13 +224,14 @@ def _forward(params: ModelParams, x0: SystemState, riders, optimal: bool, cap: i
     the kernel once into laws, unless there, and serves every row that
     takes it.
 
-    A rider's keys are slots of a stage's [rows, width] array, a policy
-    owning a column per memory value (the rr cursor) or one.  Each reached
-    slot's pick is matched to a move, and the slot reaches the move's
-    successors of its row at its next memory.  Returns the stages, the
-    moves, and the sweep: the width, per stage t < T the kept moves (move
-    index, positions among its rows, slot columns, successor slot columns),
-    and each rider's table fields but the values, with each key's flat slot.
+    A rider's keys are its reached slots of a stage's [rows, width] array in
+    (row, memory) order, a policy owning a column per memory value (the rr
+    cursor) or one.  Each reached slot's pick is matched to a move, and the
+    slot reaches the move's successors of its row at its next memory.
+    Returns the stages, the moves, and the sweep: the width, per stage t < T
+    the kept moves (move index, positions among its rows, slot columns,
+    successor slot columns), and each rider's table fields but the values,
+    with each key's flat slot.
     ValueError names the policy and the stage of a pick that no move holds.
     The cap counts distinct keys over all stages, each stage's before it is
     expanded: the stage rows on an optimal pass, the riders' keys on an own
@@ -245,9 +251,8 @@ def _forward(params: ModelParams, x0: SystemState, riders, optimal: bool, cap: i
         for mem0, off, end in zip(mems, offs, offs[1:]):
             r, c = np.nonzero(reach[:, off:end])
             key = rows[r]
-            if mem0 is not None:  # g | h | memory rows, in _unique_rows' order
-                key, inv = _unique_rows(np.concatenate([key, c.astype(key.dtype)[:, None]], 1))
-                r[inv], c[inv] = r.copy(), c.copy()
+            if mem0 is not None:  # g | h | memory rows
+                key = np.concatenate([key, c.astype(key.dtype)[:, None]], 1)
             keys.append(key)
             slots.append(r * width + off + c)
             spans.append((r, c))
@@ -262,11 +267,16 @@ def _forward(params: ModelParams, x0: SystemState, riders, optimal: bool, cap: i
                                             rows[r, n:].astype(np.int64),
                                             None if mem0 is None else c)
             masks.append(mask)
-            for a, idx in _groups(mask):
-                pick[r[idx], off + c[idx]] = ids.setdefault(a, len(ids))
             after[r, off + c] = off if mem is None else off + mem
-        if not optimal:
-            moves = [(a, np.flatnonzero((pick == k).any(axis=1))) for a, k in ids.items()]
+        if riders:
+            here = np.concatenate(slots[-len(riders) :])
+            sets, inv = _mask_groups(np.concatenate(masks[-len(riders) :]))
+            pick.flat[here] = inv = np.array([ids.setdefault(a, len(ids)) for a in sets], int)[inv]
+            if not optimal:
+                hit = np.zeros((len(ids), len(rows)), dtype=bool)
+                hit[inv, here // width] = True
+                moves = list(zip(ids, map(np.flatnonzero, hit)))
+            del here, inv  # freed before expanding
         for a, _ in moves:
             if a not in laws:
                 laws[a] = transition_law([a], [params.p], np.array([params.q]),

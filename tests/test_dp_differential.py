@@ -6,11 +6,16 @@ clean and under each fault, both must tabulate the same keys at every stage
 (the array tables read through `reference.stage_dicts`),
 with the same values to the last bit (`float.hex`) and the same actions; a
 run over the state cap must fail with the same message.
+
+The forward pass's grouping of boolean masks (`dp._mask_groups`) is checked
+against `np.unique(..., axis=0)` at widths on both sides of one int64 word.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from aoi_sched.dp import StateSpaceTooLarge, evaluate_policy, solve_optimal
+from aoi_sched.dp import StateSpaceTooLarge, _mask_groups, evaluate_policy, solve_optimal
 from aoi_sched.model import EMPTY, FAULT_MODES, ModelParams, fresh_state, new_state
 from aoi_sched.policies import OptimalPolicy, make_policy
 
@@ -96,3 +101,28 @@ def test_ties_keep_enumerate_actions_order_across_holder_sets():
     # the first of its own actions in enumerate_actions order
     check_instance(ModelParams(4, 2, 1.0, (0.5, 1.0, 0.5, 1.0), 3),
                    new_state((0, EMPTY, 1, 0), (3, 1, 4, 1)))
+
+
+def test_masks_wider_than_a_word_match_dict_reference():
+    # 70 sources: holder sets and picks too wide for one int64 code; q = 1
+    # on all but two sources keeps the reachable set small
+    check_instance(ModelParams(70, 1, 0.6, (0.5,) + (1.0,) * 68 + (0.5,), 3), fresh_state(70))
+
+
+@pytest.mark.parametrize("width", [1, 2, 8, 9, 62, 63, 64, 65, 70])
+def test_mask_groups_match_numpy_unique(width):
+    """The same partition of rows as np.unique(axis=0), and each row's set
+    the ascending tuple of its true columns; the order of the sets may
+    differ."""
+    rng = np.random.default_rng(width)
+    pool = rng.random((6, width)) < rng.random((6, 1))  # densities vary by row
+    pool[0] = False
+    for size in (0, 1, 2, 50):
+        for flags in (pool[rng.integers(len(pool), size=size)], np.zeros((size, width), bool)):
+            sets, inv = _mask_groups(flags)
+            _, ref = np.unique(flags, axis=0, return_inverse=True)
+            assert inv.shape == ref.reshape(-1).shape == (size,)
+            assert len(set(zip(inv.tolist(), ref.reshape(-1).tolist()))) == len(sets)
+            assert len(set(sets)) == len(sets) == len(np.unique(ref))
+            for row, i in zip(flags, inv.tolist()):
+                assert sets[i] == tuple(np.flatnonzero(row).tolist())

@@ -162,6 +162,25 @@ def test_evaluate_matches_evaluate_policy(monkeypatch, fault):
                 same_tables(table, dict_solver.evaluate_policy(policy, params, x0))
 
 
+def test_forward_groups_masks_by_code(monkeypatch):
+    """On exact_gap's instance with delta, pi and rr riding, _unique_rows runs
+    only for the successor dedupe, once per stage t < T, and np.unique at
+    most three times per such stage: that dedupe, the holder sets and the
+    riders' picks."""
+    params, x0 = ModelParams(2, 1, 0.6, (0.5, 0.5), 7), fresh_state(2)
+    calls = counting(monkeypatch, "_unique_rows")
+    uniques, unique = [], np.unique
+
+    def counted(*args, **kwargs):
+        uniques.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    solve_optimal(params, x0, riders=(DeltaPolicy(1), PIPolicy(1), RRPolicy(1)))
+    assert calls == {"_unique_rows": params.horizon - 1}
+    assert len(uniques) <= 3 * (params.horizon - 1)
+
+
 def test_own_pass_cap_counts_the_policys_keys():
     """A policy's own pass counts its keys against the cap, (state, cursor)
     pairs for rr and rr-strict, not its stage rows: on exact_gap's instance
