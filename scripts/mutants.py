@@ -96,11 +96,15 @@ MUTANTS = (
            "for a in merged:",
            ("tests/test_dp_differential.py::"
             "test_ties_keep_enumerate_actions_order_across_holder_sets",)),
-    Mutant("mask-code-bits-reversed", "src/aoi_sched/dp.py",
-           "if code >> i & 1)",
-           "if code >> (n - 1 - i) & 1)",
+    Mutant("mask-columns-reversed", "src/aoi_sched/dp.py",
+           "np.flatnonzero(row).tolist()",
+           "np.flatnonzero(row[::-1]).tolist()",
            ("tests/test_dp_differential.py::test_mask_groups_match_numpy_unique",
             "tests/test_dp.py::test_tables_match_frozen_digests")),
+    Mutant("row-words-summed", "src/aoi_sched/dp.py",
+           "code = hi * n_lo + lo",
+           "code = hi + lo",
+           ("tests/test_dp_differential.py::test_unique_rows_match_numpy_unique",)),
     Mutant("rider-reaches-from-every-row", "src/aoi_sched/dp.py",
            "reach = np.zeros((len(nxt), width), dtype=bool)",
            "reach = np.ones((len(nxt), width), dtype=bool)",

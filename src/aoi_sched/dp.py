@@ -75,7 +75,8 @@ def _rank(code: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D integer array and the index of each row among them.
+    """The distinct rows of a 2-D integer or boolean array and the index of
+    each row among them.
 
     A row's bytes, zero-padded to whole 8-byte words, are read as unsigned
     integers.  A one-word row is ranked by np.unique directly; every further
@@ -103,12 +104,8 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _mask_groups(flags: np.ndarray):
     """The distinct rows of a boolean [rows, N] array as their true columns,
     ascending, and each row's index among them."""
-    n = flags.shape[1]
-    if n > 63:  # one int64 code holds 63 bits
-        sets, inv = _unique_rows(flags)
-        return [tuple(np.flatnonzero(row).tolist()) for row in sets], inv
-    codes, inv = np.unique(flags @ (1 << np.arange(n)), return_inverse=True)
-    return [tuple(i for i in range(n) if code >> i & 1) for code in codes.tolist()], inv
+    sets, inv = _unique_rows(flags)
+    return [tuple(np.flatnonzero(row).tolist()) for row in sets], inv
 
 
 def _row_key(row: list, n: int, augmented: bool):
@@ -262,6 +259,7 @@ def _forward(params: ModelParams, x0: SystemState, riders, optimal: bool, cap: i
         ids = {a: k for k, (a, _) in enumerate(moves)}
         pick = np.full((len(rows), width), -1)  # each reached slot's move; ids past moves: unheld
         after = np.empty((len(rows), width), dtype=np.intp)
+        picked = np.zeros(0, dtype=bool)  # which move ids some reached slot picks
         for policy, mem0, off, (r, c) in zip(riders, mems, offs, spans):
             mask, mem = policy.decide_batch(t, rows[r, :n].astype(np.int64),
                                             rows[r, n:].astype(np.int64),
@@ -276,6 +274,8 @@ def _forward(params: ModelParams, x0: SystemState, riders, optimal: bool, cap: i
                 hit = np.zeros((len(ids), len(rows)), dtype=bool)
                 hit[inv, here // width] = True
                 moves = list(zip(ids, map(np.flatnonzero, hit)))
+            picked = np.zeros(len(ids), dtype=bool)
+            picked[inv] = True
             del here, inv  # freed before expanding
         for a, _ in moves:
             if a not in laws:
@@ -290,17 +290,16 @@ def _forward(params: ModelParams, x0: SystemState, riders, optimal: bool, cap: i
         del succ
         moves = [(a, idx, inv[start:stop].reshape(shape))
                  for (a, idx), shape, start, stop in zip(moves, shapes, ends, ends[1:])]
-        picked = set(pick[reach].tolist())
         reach = np.zeros((len(nxt), width), dtype=bool)
         held = np.zeros(width, dtype=int)
         kept.append([])
-        for k, (_, idx, succ) in enumerate(moves):
-            if k in picked:
-                j, col = np.nonzero(pick[idx] == k)
-                goes = after[idx[j], col]
-                reach[succ[j], goes[:, None]] = True
-                held += np.bincount(col, minlength=width)
-                kept[-1].append((k, j, col, goes))
+        for k in np.flatnonzero(picked[: len(moves)]).tolist():
+            _, idx, succ = moves[k]
+            j, col = np.nonzero(pick[idx] == k)
+            goes = after[idx[j], col]
+            reach[succ[j], goes[:, None]] = True
+            held += np.bincount(col, minlength=width)
+            kept[-1].append((k, j, col, goes))
         for policy, off, end, (r, _) in zip(riders, offs, offs[1:], spans):
             if held[off:end].sum() < len(r):
                 raise ValueError(f"policy {policy.name!r} picks at stage {t} an action "

@@ -7,15 +7,18 @@ clean and under each fault, both must tabulate the same keys at every stage
 with the same values to the last bit (`float.hex`) and the same actions; a
 run over the state cap must fail with the same message.
 
-The forward pass's grouping of boolean masks (`dp._mask_groups`) is checked
-against `np.unique(..., axis=0)` at widths on both sides of one int64 word.
+The row dedupe that every grouping in the solver goes through
+(`dp._unique_rows`) and the forward pass's grouping of boolean masks
+(`dp._mask_groups`) are checked against `np.unique(..., axis=0)`, on rows
+of one 8-byte word and of several.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aoi_sched.dp import StateSpaceTooLarge, _mask_groups, evaluate_policy, solve_optimal
+from aoi_sched.dp import (StateSpaceTooLarge, _mask_groups, _unique_rows, evaluate_policy,
+                          solve_optimal)
 from aoi_sched.model import EMPTY, FAULT_MODES, ModelParams, fresh_state, new_state
 from aoi_sched.policies import OptimalPolicy, make_policy
 
@@ -107,6 +110,33 @@ def test_masks_wider_than_a_word_match_dict_reference():
     # 70 sources: holder sets and picks too wide for one int64 code; q = 1
     # on all but two sources keeps the reachable set small
     check_instance(ModelParams(70, 1, 0.6, (0.5,) + (1.0,) * 68 + (0.5,), 3), fresh_state(70))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.bool_])
+def test_unique_rows_match_numpy_unique(dtype):
+    """The same partition of rows as np.unique(axis=0, return_inverse=True),
+    and the returned rows exactly the distinct rows, each once, in the input
+    dtype; at widths from one column to rows of more than two 8-byte words,
+    with EMPTY, negative values and the dtype's extremes."""
+    rng = np.random.default_rng(np.dtype(dtype).itemsize)
+    for width in (1, 2, 3, 7, 8, 9, 16, 17, 25):
+        if dtype is np.bool_:
+            pool = rng.random((6, width)) < 0.5
+        else:
+            info = np.iinfo(dtype)
+            values = np.array([EMPTY, -2, 0, 1, 2, 3, info.min, info.max], dtype)
+            pool = values[rng.integers(len(values), size=(6, width))]
+        pool[1] = pool[0]
+        pool[2, -1] = ~pool[0, -1]  # differs from row 0 in the last column only
+        for size in (0, 1, 2, 50):
+            rows = pool[rng.integers(len(pool), size=size)]
+            uniq, inv = _unique_rows(rows)
+            ref, ref_inv = np.unique(rows, axis=0, return_inverse=True)
+            assert uniq.dtype == rows.dtype and uniq.shape == ref.shape, (width, size)
+            assert inv.shape == ref_inv.reshape(-1).shape == (size,)
+            assert np.array_equal(uniq[inv], rows)
+            assert set(map(tuple, uniq.tolist())) == set(map(tuple, ref.tolist()))
+            assert len(set(zip(inv.tolist(), ref_inv.reshape(-1).tolist()))) == len(ref)
 
 
 @pytest.mark.parametrize("width", [1, 2, 8, 9, 62, 63, 64, 65, 70])

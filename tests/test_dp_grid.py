@@ -162,11 +162,11 @@ def test_evaluate_matches_evaluate_policy(monkeypatch, fault):
                 same_tables(table, dict_solver.evaluate_policy(policy, params, x0))
 
 
-def test_forward_groups_masks_by_code(monkeypatch):
+def test_forward_groups_every_row_kind_by_unique_rows(monkeypatch):
     """On exact_gap's instance with delta, pi and rr riding, _unique_rows runs
-    only for the successor dedupe, once per stage t < T, and np.unique at
-    most three times per such stage: that dedupe, the holder sets and the
-    riders' picks."""
+    three times per stage t < T, once each for the successor dedupe, the
+    holder sets and the riders' picks, and np.unique at most three times
+    per such stage: every row here fits one 8-byte word."""
     params, x0 = ModelParams(2, 1, 0.6, (0.5, 0.5), 7), fresh_state(2)
     calls = counting(monkeypatch, "_unique_rows")
     uniques, unique = [], np.unique
@@ -177,7 +177,7 @@ def test_forward_groups_masks_by_code(monkeypatch):
 
     monkeypatch.setattr(np, "unique", counted)
     solve_optimal(params, x0, riders=(DeltaPolicy(1), PIPolicy(1), RRPolicy(1)))
-    assert calls == {"_unique_rows": params.horizon - 1}
+    assert calls == {"_unique_rows": 3 * (params.horizon - 1)}
     assert len(uniques) <= 3 * (params.horizon - 1)
 
 
