@@ -189,6 +189,16 @@ MUTANTS = (
            "isinstance(step, int) and step == 1",
            "isinstance(step, int)",
            ("tests/test_kernel.py::test_advance_matches_apply_transition",)),
+    Mutant("sweep-q-file-label", "src/aoi_sched/config.py",
+           'Axis("q_spec", "q", "q_spec", "q_grid")',
+           'Axis("q_spec", "q_spec", "q_spec", "q_grid")',
+           ("tests/test_cli.py::test_sweep_files_match_frozen_golden",)),
+    Mutant("grid-order-t-inside-q", "src/aoi_sched/config.py",
+           "        for t in ts\n"
+           "        for q in qs\n",
+           "        for q in qs\n"
+           "        for t in ts\n",
+           ("tests/test_config.py::test_grid_expansion_order",)),
 )
 
 

@@ -23,10 +23,12 @@ import sys
 from datetime import datetime, timezone
 
 from .config import (
+    AXES,
     FIELDS,
     ConfigError,
     GridPoint,
     SweepConfig,
+    base_point,
     grid_point_seed,
     grid_points,
     load_config,
@@ -45,21 +47,14 @@ from .simulate import (  # run_experiment stays importable from here
     compare_policies,
     run_experiment,
 )
-from .verify import SCALING_P_GRID, run_suite
+from .verify import SCALING_P_GRID, VALUE_TOL, run_suite
 
-# sweep axis (its CSV column) -> (SweepConfig grid, GridPoint field), in file order
-SWEEP_AXES = {
-    "p": ("p_grid", "p"),
-    "N": ("n_grid", "n_sources"),
-    "d": ("d_grid", "n_channels"),
-    "T": ("t_grid", "horizon"),
-    "q_spec": ("q_grid", "q_spec"),
-}
+# a policy's statistics at a grid point; a sweep gives each policy one column of each
+STATS = ("mean_total_cost", "stderr", "mean_sum_aaoi")
 
 SIM_COLUMNS = (
-    "N", "d", "p", "T", "q_spec", "policy", "replications",
-    "mean_total_cost", "stderr", "mean_sum_aaoi", "seed",
-    "improvement_of_first_pct",
+    *(axis.column for axis in AXES), "policy", "replications",
+    *STATS, "seed", "improvement_of_first_pct",
 )
 
 
@@ -196,14 +191,11 @@ def _run_point(cfg: SweepConfig, point: GridPoint) -> list[dict]:
         table = solve_optimal(params, x0, cap=cfg.state_cap)
     policies = [make_policy(name, params, table=table) for name in cfg.policies]
     comp = compare_policies(policies, params, x0, cfg.replications, seed)
+    cells = {axis.column: value for axis, value in zip(AXES, point)}
     rows = []
     for summary, imp in zip(comp.summaries, comp.improvements_vs_first):
         rows.append({
-            "N": point.n_sources,
-            "d": point.n_channels,
-            "p": point.p,
-            "T": point.horizon,
-            "q_spec": point.q_spec,
+            **cells,
             "policy": summary.policy,
             "replications": cfg.replications,
             "mean_total_cost": summary.mean_total_cost,
@@ -253,21 +245,23 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _write_json(cfg: SweepConfig, body: dict) -> None:
+    """Write a JSON data file: "generated" first unless suppressed, then body."""
+    header = {"generated": _now_iso()} if cfg.timestamp else {}
+    _write_text(cfg.out, json.dumps({**header, **body}, indent=2) + "\n")
+
+
 def cmd_simulate(cfg: SweepConfig) -> None:
     results = _run_points(cfg, _checked(cfg, grid_points(cfg)))
     rows = [row for point_rows in results for row in point_rows]
     if cfg.fmt == "json":
-        obj: dict = {}
-        if cfg.timestamp:
-            obj["generated"] = _now_iso()
-        obj["rows"] = rows
-        _write_text(cfg.out, json.dumps(obj, indent=2) + "\n")
+        _write_json(cfg, {"rows": rows})
     else:
         _write_text(cfg.out, _render_csv(cfg, SIM_COLUMNS, rows))
 
 
 def cmd_solve(cfg: SweepConfig, dump_path: str | None = None) -> None:
-    params = GridPoint(cfg.n_sources, cfg.n_channels, cfg.p, cfg.horizon, cfg.q_spec).params()
+    params = base_point(cfg).params()
     x0 = resolve_initial_state(cfg.initial_state, params.n_sources)
     policies = {name: make_policy(name, params) for name in ("delta", *cfg.policies)
                 if name != "optimal"}
@@ -279,10 +273,9 @@ def cmd_solve(cfg: SweepConfig, dump_path: str | None = None) -> None:
                   for name, policy in policies.items() if name not in values)
     values["optimal"] = opt.root_value()
     gap = gap_report(params, x0, values["optimal"], values["delta"])
-    report: dict = {}
-    if cfg.timestamp:
-        report["generated"] = _now_iso()
-    report.update({
+    if dump_path:
+        dump_table(opt, dump_path)
+    _write_json(cfg, {
         "N": params.n_sources,
         "d": params.n_channels,
         "p": params.p,
@@ -296,66 +289,47 @@ def cmd_solve(cfg: SweepConfig, dump_path: str | None = None) -> None:
         "p_pd": gap.p_pd,
         "z": gap.z,
         "bound": gap.bound,
-        "bound_holds": bool(gap.diff <= gap.bound + 1e-9),
+        "bound_holds": bool(gap.diff <= gap.bound + VALUE_TOL),
         "bound_constants": gap.constants._asdict() if gap.constants else None,
         "states_total": sum(len(stage) for stage in opt.stages),
     })
-    if dump_path:
-        dump_table(opt, dump_path)
-    _write_text(cfg.out, json.dumps(report, indent=2) + "\n")
 
 
 def cmd_sweep(cfg: SweepConfig) -> None:
     if cfg.out is None or cfg.out == "-":
         raise ConfigError("sweep derives one file per axis; give a real --out path")
-    axes = [
-        (axis, field, getattr(cfg, grid))
-        for axis, (grid, field) in SWEEP_AXES.items()
-        if getattr(cfg, grid)
-    ]
+    axes = [axis for axis in AXES if getattr(cfg, axis.grid)]
     if not axes:
         raise ConfigError("sweep needs at least one grid ([sweep] section or --*-grid)")
-    base = GridPoint(cfg.n_sources, cfg.n_channels, cfg.p, cfg.horizon, cfg.q_spec)
+    base = base_point(cfg)
     root, ext = os.path.splitext(cfg.out)
     axis_points = [
-        _checked(cfg, [base._replace(**{field: v}) for v in values])
-        for _axis, field, values in axes
+        _checked(cfg, [base._replace(**{axis.field: v}) for v in getattr(cfg, axis.grid)])
+        for axis in axes
     ]
-    for (axis, _field, values), points in zip(axes, axis_points):
+    first = cfg.policies[0]
+    stat_columns = [f"{stat}_{name}" for name in cfg.policies for stat in STATS]
+    gain_columns = [f"improvement_of_{first}_over_{name}_pct" for name in cfg.policies[1:]]
+    for axis, points in zip(axes, axis_points):
         results = _run_points(cfg, points)
-        first = cfg.policies[0]
-        columns = [axis]
-        for name in cfg.policies:
-            columns += [f"mean_total_cost_{name}", f"stderr_{name}", f"mean_sum_aaoi_{name}"]
-        for name in cfg.policies[1:]:
-            columns.append(f"improvement_of_{first}_over_{name}_pct")
         rows = []
-        for value, point_rows in zip(values, results):
-            row: dict = {axis: value}
+        for point, point_rows in zip(points, results):
+            row: dict = {axis.column: getattr(point, axis.field)}
             # a point's rows come in cfg.policies order, one per listed name
             for name, r in zip(cfg.policies, point_rows):
-                row[f"mean_total_cost_{name}"] = r["mean_total_cost"]
-                row[f"stderr_{name}"] = r["stderr"]
-                row[f"mean_sum_aaoi_{name}"] = r["mean_sum_aaoi"]
-            for name, r in zip(cfg.policies[1:], point_rows[1:]):
-                row[f"improvement_of_{first}_over_{name}_pct"] = r["improvement_of_first_pct"]
+                row.update((f"{stat}_{name}", r[stat]) for stat in STATS)
+            for gain, r in zip(gain_columns, point_rows[1:]):
+                row[gain] = r["improvement_of_first_pct"]
             rows.append(row)
-        axis_label = "q" if axis == "q_spec" else axis
-        held = {
-            "N": str(base.n_sources),
-            "d": str(base.n_channels),
-            "p": f"{base.p:.6g}",
-            "T": str(base.horizon),
-            "q": base.q_spec,
-        }
-        held.pop(axis_label)
         fixed = (
             "# fixed: "
-            + " ".join(f"{k}={v}" for k, v in held.items())
+            + " ".join(f"{held.label}={_fmt_cell(getattr(base, held.field))}"
+                       for held in AXES if held is not axis)
             + f" replications={cfg.replications} base_seed={cfg.base_seed}"
         )
-        _write_text(f"{root}_{axis_label}{ext or '.csv'}",
-                    _render_csv(cfg, columns, rows, header_comment=fixed))
+        _write_text(f"{root}_{axis.label}{ext or '.csv'}",
+                    _render_csv(cfg, [axis.column, *stat_columns, *gain_columns], rows,
+                                header_comment=fixed))
 
 
 def cmd_verify(cfg: SweepConfig, inject_fault: str | None) -> int:
@@ -366,17 +340,15 @@ def cmd_verify(cfg: SweepConfig, inject_fault: str | None) -> int:
         )
     checks = run_suite(seed=cfg.base_seed, scaling_p_grid=cfg.p_grid or SCALING_P_GRID,
                        fault=inject_fault)
-    report: dict = {}
-    if cfg.timestamp:
-        report["generated"] = _now_iso()
-    report["fault_mode"] = inject_fault
-    report["checks"] = [
-        {"name": c.name, "status": c.status, "detail": c.detail, "measured": c.measured}
-        for c in checks
-    ]
     failed = [c.name for c in checks if c.failed]
-    report["failed"] = failed
-    _write_text(cfg.out, json.dumps(report, indent=2) + "\n")
+    _write_json(cfg, {
+        "fault_mode": inject_fault,
+        "checks": [
+            {"name": c.name, "status": c.status, "detail": c.detail, "measured": c.measured}
+            for c in checks
+        ],
+        "failed": failed,
+    })
     return 2 if failed else 0
 
 

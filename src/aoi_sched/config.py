@@ -305,14 +305,36 @@ class GridPoint(NamedTuple):
             raise ConfigError(str(exc)) from None
 
 
+class Axis(NamedTuple):
+    """One model axis: its CSV column, its label in sweep file names and
+    `# fixed:` comments, the field that holds its value (in GridPoint and,
+    as the base value, in SweepConfig) and the SweepConfig grid over it."""
+
+    column: str
+    label: str
+    field: str
+    grid: str
+
+
+# the model axes, in GridPoint order
+AXES = (
+    Axis("N", "N", "n_sources", "n_grid"),
+    Axis("d", "d", "n_channels", "d_grid"),
+    Axis("p", "p", "p", "p_grid"),
+    Axis("T", "T", "horizon", "t_grid"),
+    Axis("q_spec", "q", "q_spec", "q_grid"),
+)
+
+
+def base_point(cfg: SweepConfig) -> GridPoint:
+    """The point of the config's base values, which no grid moves."""
+    return GridPoint(*(getattr(cfg, axis.field) for axis in AXES))
+
+
 def grid_points(cfg: SweepConfig) -> list[GridPoint]:
     """Cross product of all grids (base values where no grid is given), in a
     fixed documented order: n_sources, n_channels, horizon, q, p (p fastest)."""
-    ns = cfg.n_grid or (cfg.n_sources,)
-    ds = cfg.d_grid or (cfg.n_channels,)
-    ts = cfg.t_grid or (cfg.horizon,)
-    qs = cfg.q_grid or (cfg.q_spec,)
-    ps = cfg.p_grid or (cfg.p,)
+    ns, ds, ps, ts, qs = (getattr(cfg, axis.grid) or (getattr(cfg, axis.field),) for axis in AXES)
     return [
         GridPoint(n, d, p, t, q)
         for n in ns

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,22 @@ def test_sweep_one_file_per_axis(tmp_path):
     assert "mean_total_cost_delta" in p_header and "stderr_pi" in p_header
 
 
+def test_sweep_files_match_frozen_golden(tmp_path):
+    """A sweep over all five axes writes one file per axis, each with the
+    frozen bytes: its columns, its `# fixed:` line of the held base values
+    (p as .6g) and its values."""
+    assert cli.main([
+        "sweep", "--p-grid", "0.3", "0.7", "--n-grid", "2", "3", "--d-grid", "1", "2",
+        "--t-grid", "5", "9", "--q-grid", "uniform:0.3", "0.2,0.6", "--n-sources", "2",
+        "--horizon", "6", "--replications", "3", "--policies", "delta,pi,rr",
+        "--no-header-timestamp", "--out", str(tmp_path / "sweep.csv"),
+    ]) == 0
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == [f"sweep_{label}.csv" for label in sorted("NdpTq")]
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
+
 def test_sweep_strict_round_robin_columns(tmp_path):
     out = tmp_path / "sw.csv"
     res = run_cli([
@@ -344,14 +361,15 @@ def test_verify_ignores_model_p_of_a_shared_config(tmp_path):
 
 
 def test_bad_grid_point_fails_before_any_run(tmp_path):
-    # the N=0 point sits on the second axis; the p axis must not be written first
+    # the T=0 point sits on the T axis, which runs after the p axis; the p
+    # axis must not be written first
     res = run_cli([
-        "sweep", "--p-grid", "0.3", "0.7", "--n-grid", "2", "0",
-        "--horizon", "5", "--replications", "2", "--out", str(tmp_path / "sw.csv"),
+        "sweep", "--p-grid", "0.3", "0.7", "--t-grid", "5", "0",
+        "--n-sources", "2", "--replications", "2", "--out", str(tmp_path / "sw.csv"),
     ])
     assert res.returncode == 1
-    assert res.stderr.startswith("config error:") and "n_sources" in res.stderr
-    assert not (tmp_path / "sw_p.csv").exists()
+    assert res.stderr.startswith("config error:") and "horizon" in res.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_codes(tmp_path):
@@ -478,6 +496,24 @@ def test_byte_determinism_and_timestamp(tmp_path):
     assert res.returncode == 0
     first = c.read_text().splitlines()[0]
     assert first.startswith("# generated ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n-sources", "2", "--horizon", "5", "--replications", "2",
+     "--policies", "delta", "--format", "json"],
+    ["solve", "--n-sources", "2", "--horizon", "3", "--policies", "delta"],
+    ["verify", "--seed", "42"],
+], ids=lambda argv: argv[0])
+def test_json_header_is_the_first_key(tmp_path, argv):
+    """Each JSON data file opens with its "generated" timestamp, which
+    --no-header-timestamp drops and which is the only key it adds."""
+    stamped, plain = tmp_path / "stamped.json", tmp_path / "plain.json"
+    assert cli.main([*argv, "--out", str(stamped)]) == 0
+    assert cli.main([*argv, "--no-header-timestamp", "--out", str(plain)]) == 0
+    obj = json.loads(stamped.read_text())
+    assert next(iter(obj)) == "generated"
+    assert datetime.fromisoformat(obj.pop("generated")).tzinfo is not None
+    assert json.dumps(obj) == json.dumps(json.loads(plain.read_text()))
 
 
 def test_thread_env_does_not_change_output(tmp_path):

@@ -198,13 +198,25 @@ def test_initial_state_forms():
 
 def test_grid_expansion_order():
     cfg = SweepConfig()
-    cfg.p_grid = (0.35, 0.65)
     cfg.n_grid = (5, 30)
+    cfg.d_grid = (1, 2)
+    cfg.t_grid = (10, 20)
+    cfg.q_grid = ("uniform:0.3", "uniform:0.7")
+    cfg.p_grid = (0.35, 0.65)
     points = grid_points(cfg)
-    assert len(points) == 4
-    # p varies fastest, sources slowest
-    assert [(pt.n_sources, pt.p) for pt in points] == [
-        (5, 0.35), (5, 0.65), (30, 0.35), (30, 0.65),
+    assert len(points) == 32
+    # sources slowest, then channels, horizon and q; p fastest
+    assert points == [
+        GridPoint(n, d, p, t, q)
+        for n in (5, 30)
+        for d in (1, 2)
+        for t in (10, 20)
+        for q in ("uniform:0.3", "uniform:0.7")
+        for p in (0.35, 0.65)
+    ]
+    assert points[:4] == [
+        GridPoint(5, 1, 0.35, 10, "uniform:0.3"), GridPoint(5, 1, 0.65, 10, "uniform:0.3"),
+        GridPoint(5, 1, 0.35, 10, "uniform:0.7"), GridPoint(5, 1, 0.65, 10, "uniform:0.7"),
     ]
 
 
