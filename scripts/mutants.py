@@ -126,11 +126,13 @@ MUTANTS = (
            "total += len(nxt)",
            ("tests/test_dp_grid.py::test_own_pass_cap_counts_the_policys_keys",)),
     Mutant("replay-high-half-first", "src/aoi_sched/verify.py",
-           "self._half = word >> 32\n"
-           "            return word & _UINT32",
-           "self._half = word & _UINT32\n"
-           "            return word >> 32",
-           ("tests/test_verify.py::test_replay_matches_default_rng_call_for_call",)),
+           "((w := words[k]) & U) * span, w >> 32, k + 1)",
+           "((w := words[k]) >> 32) * span, w & U, k + 1)",
+           ("tests/test_verify.py::test_draw_matches_random_case_on_default_rng",)),
+    Mutant("lemire-rejects-below-span", "src/aoi_sched/verify.py",
+           "while m & 0xFFFFFFFF < 2**32 % span:",
+           "while m & 0xFFFFFFFF < span:",
+           ("tests/test_verify.py::test_parse_matches_the_replay_on_crafted_words",)),
     Mutant("validation-drops-g-below-h", "src/aoi_sched/verify.py",
            "~((g >= 0) & (g < h))",
            "~(g >= 0)",
@@ -147,6 +149,10 @@ MUTANTS = (
            "!= k) | (arrived.sum(axis=1)",
            "!= k) & (arrived.sum(axis=1)",
            ("tests/test_kernel.py::test_batched_kernel_matches_event_reference",)),
+    Mutant("idle-base-one-minus-p", "src/aoi_sched/model.py",
+           "pr.append(1.0)",
+           "pr.append(1.0 - pi)",
+           ("tests/test_verify.py::test_batched_checks_match_scalar_loops",)),
     Mutant("age-drift-steps-one", "src/aoi_sched/model.py",
            '1 + (fault == "age-drift")',
            "1",

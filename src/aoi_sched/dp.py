@@ -536,7 +536,7 @@ def gap_report(
     With T <= 2 the gap is identically zero and no recursion depth exists, so
     the bound is 0 and there are no constants."""
     diff = v_delta - v_star
-    p_pd = params.p * success_probs(params, 0).batch
+    p_pd = params.p * success_probs(params.p, params.n_channels, 0).batch
     z = diff / p_pd if p_pd > 0.0 else None
     bound, constants = 0.0, None
     if params.horizon >= 3:

@@ -201,6 +201,10 @@ def transition_law(scheduled: Sequence[tuple[int, ...]], p: Sequence[float], q: 
     case, pr, hits, cols = [], [], [], []
     for i, (s, pi) in enumerate(zip(scheduled, p)):
         k = len(s)
+        if not k:  # idle: one success set, of base p**0 * (1-p)**0 = 1.0
+            case.append(i)
+            pr.append(1.0)
+            continue
         for nw in range(k + 1):
             base = pi**nw * (1.0 - pi) ** (k - nw)
             if base != 0.0:
@@ -303,10 +307,10 @@ def sample_step(x: SystemState, a: Action, params: ModelParams, rng) -> Transiti
     return TransitionEvent(successes, arrivals)
 
 
-def success_probs(params: ModelParams, n_attempts: int) -> SuccessProbs:
-    """At-least-one-success probabilities for the full channel batch and for
-    the attempts actually made, plus the polynomial factor batch/p."""
-    p, d = params.p, params.n_channels
+def success_probs(p: float, d: int, n_attempts: int) -> SuccessProbs:
+    """At-least-one-success probabilities at success probability p, for the
+    full batch of d channels and for the attempts made, plus the polynomial
+    factor batch/p."""
     if not 0 <= n_attempts <= d:
         raise ValueError(f"n_attempts must lie in [0, {d}], got {n_attempts}")
     batch = 1.0 - (1.0 - p) ** d

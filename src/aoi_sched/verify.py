@@ -3,14 +3,19 @@
 Each check returns a CheckResult with a pass/fail/skipped status and the
 measured quantities, so the `verify` subcommand can emit a machine-readable
 report and the test suite can reuse the same oracles.  Each randomized
-check draws all of its cases from its own seeded stream, a replay of
-PCG64's raw words equal to np.random.default_rng(seed)'s draws
-(_Pcg64Draws, pinned to numpy by a test), into one validated column batch
-(Cases), expands them in one call of the exact kernel and reads
-each case's law as arrays, every expectation one math.fsum; a fault
+check draws all of its cases from its own seeded stream into one validated
+column batch (Cases), expands them in one call of the exact kernel and
+reads each case's law as arrays, every expectation one math.fsum; a fault
 reaches the oracles of the two one-step identities, expected_age_sums and
 margin_splits, only through that law.  The exact checks solve each gap
 instance once and compare value arrays aligned by DPTable.lookup.
+
+_parse draws the cases from PCG64(seed)'s raw words as default_rng(seed)
+would, in one loop with no call per draw: a double is (w >> 11) * 2**-53,
+a 32-bit draw a word's low half, and the next one its high half, which
+doubles leave alone.  Lemire's integers (ACM TOMACS 2019) and the shuffle's
+masked rejection stay exact through helpers entered only on a draw they may
+reject.  tests/replay.py holds the reference replay, one call per draw.
 """
 
 from __future__ import annotations
@@ -66,96 +71,123 @@ class Cases(SimpleNamespace):
     fault (that of every case)."""
 
 
-_UINT32 = 0xFFFFFFFF
-_TWO_TO_MINUS_53 = 1.0 / 9007199254740992.0
-_RAW_CHUNK = 512  # raw words per numpy call; a drawn case takes about 13
+_CASE_WORDS = 32  # more words than a case reads besides its rejected draws
+_MASKS = tuple((1 << i.bit_length()) - 1 for i in range(MAX_N))  # shuffle masks by i
 
 
-class _Pcg64Draws:
-    """The Generator methods _draw calls, replayed bit for bit on
-    Python ints from the raw 64-bit words of PCG64(seed), the bit generator
-    of np.random.default_rng(seed); one numpy call per chunk of words instead
-    of one per draw.  As in numpy, a 32-bit draw is the low half of a word
-    and keeps the high half for the next 32-bit draw, which random() leaves
-    alone.  A request the replay cannot match exactly raises ValueError."""
+def _refill(buf: tuple, k: int) -> int:
+    """Drop the k words read from buf = (words, doubles, chunk), append
+    chunk()'s words and doubles till a case fits, and return 0, the new k."""
+    words, doubles, chunk = buf
+    del words[:k], doubles[:k]
+    while len(words) < _CASE_WORDS:
+        raw = chunk()
+        words += raw.tolist()
+        doubles += ((raw >> 11) * 2.0**-53).tolist()
+    return 0
 
-    def __init__(self, seed: int):
-        bits = np.random.PCG64(seed)
-        self._word = chain.from_iterable(
-            iter(lambda: bits.random_raw(_RAW_CHUNK).tolist(), None)).__next__
-        self._half = None
 
-    def _uint32(self) -> int:
-        half = self._half
-        if half is None:
-            word = self._word()
-            self._half = word >> 32
-            return word & _UINT32
-        self._half = None
-        return half
+def _uint32(buf: tuple, k: int, half) -> tuple:
+    """(draw, k, half) of the next 32-bit draw, off the hot path."""
+    if half is not None:
+        return half, k, None
+    if len(buf[0]) - k < _CASE_WORDS:
+        k = _refill(buf, k)
+    return buf[0][k] & 0xFFFFFFFF, k + 1, buf[0][k] >> 32
 
-    def random(self) -> float:
-        return (self._word() >> 11) * _TWO_TO_MINUS_53
 
-    def integers(self, low: int, high: int) -> int:
-        """An int in [low, high) by Lemire's method on 32-bit draws; a range
-        above 2**32 raises."""
-        top = high - low - 1
-        if not 0 < top <= _UINT32:
-            if top == 0:
-                return low
-            raise ValueError(f"cannot replay integers({low}, {high})")
-        span = top + 1
-        m = self._uint32() * span
-        if m & _UINT32 < span:
-            threshold = (_UINT32 - top) % span
-            while m & _UINT32 < threshold:
-                m = self._uint32() * span
-        return low + (m >> 32)
+def _lemire(m: int, span: int, buf: tuple, k: int, half) -> tuple:
+    """(m, k, half) of the first m = draw * span from this one on that
+    Lemire's method keeps: its low half is 2**32 % span or more."""
+    while m & 0xFFFFFFFF < 2**32 % span:
+        u, k, half = _uint32(buf, k, half)
+        m = u * span
+    return m, k, half
 
-    def shuffle(self, x: list) -> None:
-        """Fisher-Yates in place, each index drawn by masked rejection."""
-        for i in range(len(x) - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            j = self._uint32() & mask
-            while j > i:
-                j = self._uint32() & mask
-            x[i], x[j] = x[j], x[i]
+
+def _integers(span: int, buf: tuple, k: int, half) -> tuple:
+    """(integers(0, span), k, half) off the hot path; span 1 draws nothing."""
+    if span == 1:
+        return 0, k, half
+    u, k, half = _uint32(buf, k, half)
+    u, k, half = _lemire(u * span, span, buf, k, half)
+    return u >> 32, k, half
 
 
 def _draw(n_cases: int, seed: int, ensure_holder: bool, fault: str | None) -> Cases:
+    bits = np.random.PCG64(seed)  # default_rng(seed)'s; a case reads about 13 words
+    return _parse(n_cases, lambda: bits.random_raw(512), ensure_holder, fault)
+
+
+def _parse(n_cases: int, chunk, ensure_holder: bool, fault: str | None) -> Cases:
     """n_cases random cases with work-conserving actions, edge probabilities
-    included, drawn one after another from default_rng(seed)'s stream."""
-    rng = _Pcg64Draws(seed)
+    included, drawn one after another from the uint64 words chunk() returns."""
+    words, doubles, k, half, U, span = [], [], 0, None, 0xFFFFFFFF, MAX_AGE + 1
+    buf = words, doubles, chunk
     ns, ds, ps, scheduled = [], [], [], []
     size = n_cases * MAX_N
     q, g, h = [0.0] * size, [EMPTY] * size, [0] * size
     for at in range(0, size, MAX_N):
-        ns.append(n := rng.integers(1, MAX_N + 1))
-        ds.append(d := rng.integers(1, 4))
-        r = rng.random()
-        ps.append(0.0 if r < 0.05 else 1.0 if r < 0.10 else rng.random())
-        qs = [rng.random() for _ in range(n)]
-        for i in range(n):  # sprinkle exact endpoints
-            r = rng.random()
-            if r < 0.10:
-                qs[i] = 0.0 if r < 0.05 else 1.0
-        hs = [rng.integers(0, MAX_AGE + 1) for _ in range(n)]
-        gs = [rng.integers(0, hn) if hn >= 1 and rng.random() < 0.7 else EMPTY for hn in hs]
-        holders = [i for i, gi in enumerate(gs) if gi != EMPTY]
+        if len(words) - k < _CASE_WORDS:
+            k = _refill(buf, k)
+        w = words[k]  # n in [1, 4] and d in [1, 3] take two halves: one new word
+        k += 1
+        if half is None:
+            n, m = 1 + ((w & U) >> 30), (w >> 32) * 3
+        else:
+            n, m, half = 1 + (half >> 30), (w & U) * 3, w >> 32
+        if m & U < 3:
+            m, k, half = _lemire(m, 3, buf, k, half)
+        ns.append(n)
+        ds.append(d := 1 + (m >> 32))
+        r = doubles[k]
+        ps.append(0.0 if r < 0.05 else 1.0 if r < 0.10 else doubles[k + 1])
+        k += 1 if r < 0.10 else 2
+        end = at + n
+        q[at:end] = doubles[k:k + n]
+        k += n
+        for c in range(at, end):  # one more double each to sprinkle exact endpoints
+            if (r := doubles[k]) < 0.10:
+                q[c] = 0.0 if r < 0.05 else 1.0
+            k += 1
+        for c in range(at, end):
+            m, half, k = (half * span, None, k) if half is not None else (
+                ((w := words[k]) & U) * span, w >> 32, k + 1)
+            if m & U < span:
+                m, k, half = _lemire(m, span, buf, k, half)
+            h[c] = m >> 32
+        holders = []
+        for c in range(at, end):  # a coin, then g below h, for each h >= 1
+            if not (hn := h[c]) or doubles[k] >= 0.7:
+                k += hn > 0
+                continue
+            holders.append(c - at)
+            if hn == 1:
+                k += 1
+                g[c] = 0  # integers(0, 1) draws nothing
+            else:
+                m, half, k = (half * hn, None, k + 1) if half is not None else (
+                    ((w := words[k + 1]) & U) * hn, w >> 32, k + 2)
+                if m & U < hn:
+                    m, k, half = _lemire(m, hn, buf, k, half)
+                g[c] = m >> 32
         if ensure_holder and not holders:
-            i = rng.integers(0, n)
-            hs[i] = max(hs[i], 1)
-            gs[i] = rng.integers(0, hs[i])
+            i, k, half = _integers(n, buf, k, half)
+            h[at + i] = max(h[at + i], 1)
+            g[at + i], k, half = _integers(h[at + i], buf, k, half)
             holders = [i]
-        rng.shuffle(holders)
+        for i in range(len(holders) - 1, 0, -1):  # Fisher-Yates by masked rejection
+            mask = _MASKS[i]
+            j, half, k = (half & mask, None, k) if half is not None else (
+                (w := words[k]) & mask, w >> 32, k + 1)
+            while j > i:
+                j, k, half = _uint32(buf, k, half)
+                j &= mask
+            holders[i], holders[j] = holders[j], holders[i]
         scheduled.append(tuple(sorted(holders[:d])))
-        q[at:at + n], g[at:at + n], h[at:at + n] = qs, gs, hs
-    width = np.s_[:, :max(ns, default=0)]
+    q, g, h = (np.array(v).reshape(n_cases, MAX_N)[:, :max(ns, default=0)] for v in (q, g, h))
     cases = Cases(n=np.array(ns, dtype=np.int64), d=np.array(ds, dtype=np.int64),
-                  p=np.array(ps, dtype=float), q=np.reshape(q, (n_cases, MAX_N))[width],
-                  g=np.reshape(g, (n_cases, MAX_N))[width],
-                  h=np.reshape(h, (n_cases, MAX_N))[width], scheduled=scheduled, fault=fault)
+                  p=np.array(ps), q=q, g=g, h=h, scheduled=scheduled, fault=fault)
     _validate(cases)
     return cases
 
@@ -311,8 +343,7 @@ def check_success_prob_identity() -> CheckResult:
     for d in range(1, MAX_D + 1):
         for i in range(GRID_POINTS):
             p = i / (GRID_POINTS - 1)
-            params = ModelParams(1, d, p, (0.5,), 2)
-            probs = success_probs(params, min(1, d))
+            probs = success_probs(p, d, min(1, d))
             worst = max(worst, abs(probs.batch - p * probs.batch_over_p))
     status = "pass" if worst <= STEP_TOL else "fail"
     return CheckResult(

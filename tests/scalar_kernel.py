@@ -189,7 +189,7 @@ def margin_decomposition(x, a, params) -> tuple[float, float]:
     succ = [pair for w, base in _success_sets(a, params.p) if w
             for pair in _expand_arrivals(x, w, base, params)]
     succ_terms = [pr * min_schedule_margin(x2, d) for x2, pr in _law(x, a, params, succ)]
-    pd = success_probs(params, 0).batch
+    pd = success_probs(params.p, params.n_channels, 0).batch
     v = math.fsum(succ_terms) / pd if pd > 0.0 else 0.0
     return u, v
 
@@ -214,7 +214,7 @@ def random_case(
 ) -> tuple[ModelParams, SystemState, Action]:
     """A random instance plus a random work-conserving action, edge
     probabilities included: the reference draw, one object case at a time,
-    of the column batches aoi_sched.verify._draw replays from PCG64's words."""
+    of the column batches aoi_sched.verify._draw parses from PCG64's words."""
     n = int(rng.integers(1, MAX_N + 1))
     d = int(rng.integers(1, 4))
     r = rng.random()
@@ -309,8 +309,8 @@ def margin_split_measured(n_cases: int, seed: int, fault) -> dict:
         expected = math.fsum(
             pr * min_schedule_margin(x2, d) for x2, pr in enumerate_transitions(x, a, params)
         )
-        patt = success_probs(params, len(a.scheduled)).attempted
-        pd = success_probs(params, 0).batch
+        patt = success_probs(params.p, params.n_channels, len(a.scheduled)).attempted
+        pd = success_probs(params.p, params.n_channels, 0).batch
         worst_identity = max(worst_identity, abs(expected - ((1.0 - patt) * u + pd * v)))
         limit = d * norm_inf(x)
         worst_bound = max(worst_bound, abs(u) - limit, abs(v) - limit)

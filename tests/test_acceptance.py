@@ -248,7 +248,7 @@ def test_criterion_2_margin_policy_gap_at_desk_scale(crit2_tables):
             )
             assert worst == 0.0, f"p={p} stage {t}: last-two-stage gap {worst}"
         bc = bound_constants(T - 1, p, 1)
-        pd = success_probs(params, 0).batch
+        pd = success_probs(params.p, params.n_channels, 0).batch
         bound = p * pd * (bc.d1 * norm_inf(x0) + bc.d2)
         assert diff <= bound + 1e-9, f"p={p}: diff {diff} above bound {bound}"
     elapsed = time.perf_counter() - t0

@@ -427,10 +427,17 @@ def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys, tmp_pat
 def test_internal_value_error_in_verify_is_not_a_config_error(monkeypatch, capsys, tmp_path,
                                                               site):
     # a ValueError inside the randomized battery is a bug, whether the batch
-    # validation rejects a broken draw (every random() 1.5) or the kernel
-    # raises: it surfaces as the exception, never as a config error
+    # validation rejects a broken draw (every double the parse reads 1.5) or
+    # the kernel raises: it surfaces as the exception, never as a config error
     if site == "draw":
-        monkeypatch.setattr(verify._Pcg64Draws, "random", lambda self: 1.5)
+        refill = verify._refill
+
+        def broken(buf, k):
+            k = refill(buf, k)
+            buf[1][:] = [1.5] * len(buf[1])
+            return k
+
+        monkeypatch.setattr(verify, "_refill", broken)
         match = "must lie in"
     else:
         def broken(*args, **kwargs):

@@ -226,7 +226,7 @@ class TestOptimalityGap:
         x0 = fresh_state(2)
         rep = optimality_gap(params, x0)
         assert rep.diff == rep.v_delta - rep.v_star
-        pd = success_probs(params, 0).batch
+        pd = success_probs(params.p, params.n_channels, 0).batch
         assert abs(rep.p_pd - params.p * pd) <= 1e-15
         assert abs(rep.z - rep.diff / rep.p_pd) <= 1e-12
         assert rep.diff >= -1e-9
@@ -266,8 +266,8 @@ class TestOneStepIdentities:
                 pr * min_schedule_margin(x2, params.n_channels)
                 for x2, pr in enumerate_transitions(x, a, params)
             )
-            att = success_probs(params, len(a.scheduled)).attempted
-            batch = success_probs(params, 0).batch
+            att = success_probs(params.p, params.n_channels, len(a.scheduled)).attempted
+            batch = success_probs(params.p, params.n_channels, 0).batch
             mixed = (1.0 - att) * no_success + batch * success
             assert abs(full - mixed) <= 1e-12
 

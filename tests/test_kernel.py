@@ -118,7 +118,7 @@ def reference_margin_decomposition(x, a, params) -> tuple[float, float]:
                 if pr == 0.0 or (w, c) in dropped:
                     continue
                 succ_terms.append(pr * min_schedule_margin(successor(x, a, ev, params), d))
-    pd = success_probs(params, 0).batch
+    pd = success_probs(params.p, params.n_channels, 0).batch
     v = math.fsum(succ_terms) / pd if pd > 0.0 else 0.0
     return math.fsum(no_succ_terms), v
 

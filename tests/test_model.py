@@ -195,17 +195,15 @@ class TestProbabilities:
 
     def test_batch_success_identity(self):
         for d in range(1, 7):
-            for p in np.linspace(0.0, 1.0, 101):
-                params = ModelParams(d, d, float(p), (0.5,) * d, 2)
-                sp = success_probs(params, d)
-                assert abs(sp.batch - params.p * sp.batch_over_p) <= 1e-12
+            for p in np.linspace(0.0, 1.0, 101).tolist():
+                sp = success_probs(p, d, d)
+                assert abs(sp.batch - p * sp.batch_over_p) <= 1e-12
                 assert sp.attempted == sp.batch
 
     def test_attempted_count_bounds(self):
-        params = ModelParams(2, 2, 0.5, (0.5, 0.5), 2)
-        assert success_probs(params, 0).attempted == 0.0
+        assert success_probs(0.5, 2, 0).attempted == 0.0
         with pytest.raises(ValueError):
-            success_probs(params, 3)
+            success_probs(0.5, 2, 3)
 
     def test_sampler_matches_enumeration(self):
         """Empirical successor frequencies agree with the exact distribution."""

@@ -3,6 +3,7 @@
 import json
 import random
 from dataclasses import replace
+from itertools import chain, cycle, islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from aoi_sched.verify import check_prob_closure, run_suite
 
 from . import scalar_kernel
 from .conftest import run_cli
+from .replay import Pcg64Draws, pcg64_words
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -202,14 +204,14 @@ def test_replay_matches_default_rng_call_for_call(seed):
     """Every primitive random_case uses, interleaved, gives default_rng's
     draws: a 32-bit draw's buffered high half survives random() calls."""
     ops = _script(seed, 1500)
-    assert _play(verify._Pcg64Draws(seed), ops) == _play(np.random.default_rng(seed), ops)
+    assert _play(Pcg64Draws(seed), ops) == _play(np.random.default_rng(seed), ops)
 
 
 @pytest.mark.parametrize("span", [2**31 + 1, 3 * 2**30])
 def test_replay_rejects_as_lemire_does(span):
     """About one 32-bit draw in two (one in four) is rejected on these ranges;
     the replay rejects the same ones."""
-    replay, ref = verify._Pcg64Draws(span), np.random.default_rng(span)
+    replay, ref = Pcg64Draws(span), np.random.default_rng(span)
     draw32, used = replay._uint32, []
     replay._uint32 = lambda: used.append(1) or draw32()
     got = [replay.integers(0, span) for _ in range(400)]
@@ -240,6 +242,121 @@ def test_draw_matches_random_case_on_default_rng(seed, ensure_holder, fault):
         assert got.q[i, n:].tolist() == [0.0] * (width - n)
         assert got.g[i, n:].tolist() == [EMPTY] * (width - n)
         assert got.h[i, n:].tolist() == [0] * (width - n)
+
+
+@pytest.mark.parametrize("ensure_holder", [False, True])
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+def test_random_case_on_the_replay_matches_default_rng(seed, ensure_holder):
+    """The reference replay runs random_case, uniform included, as
+    default_rng does."""
+    replay, rng = Pcg64Draws(seed), np.random.default_rng(seed)
+    for _ in range(300):
+        assert (scalar_kernel.random_case(replay, ensure_holder)
+                == scalar_kernel.random_case(rng, ensure_holder))
+
+
+# --- the parse's rare branches, on crafted words ---------------------------
+
+M32 = 2**32
+
+
+def _at(v: int, span: int) -> tuple:
+    """The 32-bit draw that Lemire's method maps to v in [0, span) at once."""
+    return "u", ((v << 32) + 2**31) // span
+
+
+def _low(r: int, span: int) -> tuple:
+    """The 32-bit draw whose product with an odd span has low half r: Lemire
+    rejects it when r < 2**32 % span and maps it to (draw * span) >> 32 else."""
+    return "u", r * pow(span, -1, M32) % M32
+
+
+def _f(*xs: float) -> list:
+    return [("f", x) for x in xs]
+
+
+def _stream(cases: list) -> tuple[list[int], list[bool]]:
+    """The words of cases, each a list of draws in random_case's order:
+    ("u", v) a 32-bit draw of v, which numpy takes from the low half of a
+    new word or else from the high half of the last word whose low half it
+    took; ("f", x) a double x, one word.  Also whether each case starts with
+    a high half left over."""
+    words, pending, starts = [], None, []
+    for ops in cases:
+        starts.append(pending is not None)
+        for kind, v in ops:
+            if kind == "f":
+                words.append(int(v * 2**53) << 11)
+            elif pending is None:
+                pending = len(words)
+                words.append(v)
+            else:
+                words[pending] |= v << 32
+                pending = None
+    return words, starts
+
+
+RUN = 2 * verify._CASE_WORDS + 5  # rejected shuffle draws in a row, past a refill
+CRAFTED = {  # name: (the draws of one case, its (n, d, p, q, h, g, scheduled) under ensure_holder)
+    "rejections": (
+        [_at(2, 4), _low(0, 3), _low(2, 3), *_f(0.07, 0.5, 0.25, 0.75, 0.01, 0.5, 0.08),
+         _low(3, 21), _at(7, 21), _low(10, 21), _at(1, 21),
+         *_f(0.1), _low(2, 7), _low(5, 7), *_f(0.9, 0.3), ("u", 0)],
+        (3, 2, 1.0, [0.0, 0.25, 1.0], [7, 8, 1], [4, EMPTY, 0], (0, 2))),
+    "shuffle-run": (
+        [_at(3, 4), _at(0, 3), *_f(0.5, 0.5), *_f(0.5) * 8,
+         _at(5, 21), _at(6, 21), _at(9, 21), _at(11, 21),
+         *_f(0.2), _at(1, 5), *_f(0.2), _at(2, 6), *_f(0.2), _at(3, 9), *_f(0.2), _at(4, 11),
+         ("u", 0), *[("u", 3 + 4 * i) for i in range(RUN)], ("u", 1), ("u", 1)],
+        (4, 1, 0.5, [0.5] * 4, [5, 6, 9, 11], [1, 2, 3, 4], (3,))),
+    "ensure-n1": (
+        [_at(0, 4), _at(0, 3), *_f(0.02, 0.375, 0.5), _at(0, 21)],
+        (1, 1, 0.0, [0.375], [1], [0], (0,))),
+    "ensure-n2-h1": (
+        [_at(1, 4), _at(1, 3), *_f(0.5, 0.25, 0.5, 0.75, 0.5, 0.5), _at(4, 21), _at(0, 21),
+         *_f(0.9), _at(1, 2)],
+        (2, 2, 0.25, [0.5, 0.75], [4, 1], [EMPTY, 0], (1,))),
+    "ensure-n3": (
+        [_at(2, 4), _at(2, 3), *_f(0.5, 0.625, 0.125, 0.25, 0.375, 0.5, 0.5, 0.5),
+         _at(0, 21), _at(9, 21), _at(0, 21), *_f(0.8), _low(0, 3), _at(1, 3), _at(4, 9)],
+        (3, 3, 0.625, [0.125, 0.25, 0.375], [0, 9, 0], [EMPTY, 4, EMPTY], (1,))),
+}
+ORDER = ["rejections", "ensure-n1", "rejections", "shuffle-run", "ensure-n2-h1", "shuffle-run",
+         "ensure-n3", "ensure-n1", "rejections", "ensure-n2-h1", "ensure-n3", "rejections"]
+
+
+@pytest.mark.parametrize("ensure_holder", [True, False])
+@pytest.mark.parametrize("sizes", [(1,), (2, 3), (7, 1, 30), (512,)])
+def test_parse_matches_the_replay_on_crafted_words(sizes, ensure_holder):
+    """On crafted words the parse reads what random_case reads on the
+    reference replay of the same words: d rejected on a zero half, high or
+    low; Lemire's rejection at span 21 and at span h, and draws just at and
+    above its threshold 2**32 % span, which it keeps; a shuffle rejecting
+    RUN times in a row, which reads past one refill; the ensure-holder
+    branch at n = 1 and at h = 1, where it draws no word, and at n = 3.
+    The words come in chunks of the given sizes, cycled, then PCG64's: with
+    one-word chunks the parse refills before every case, and the cases that
+    start on a left-over high half carry it across a chunk boundary."""
+    words, starts = _stream([CRAFTED[name][0] for name in ORDER])
+    assert any(starts) and not all(starts)
+    parse_words, ref_words = chain(words, pcg64_words(5)), chain(words, pcg64_words(5))
+    cycled = cycle(sizes)
+    got = verify._parse(len(ORDER), lambda: np.array(list(islice(parse_words, next(cycled))),
+                                                      dtype=np.uint64), ensure_holder, None)
+    replay = Pcg64Draws(words=ref_words)
+    expect = [scalar_kernel.random_case(replay, ensure_holder) for _ in ORDER]
+    want = scalar_kernel.columns([(x, a, params) for params, x, a in expect])
+    for name in ("n", "d", "p", "q", "g", "h"):
+        assert getattr(got, name).shape == getattr(want, name).shape, name
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.scheduled == want.scheduled
+    if ensure_holder:  # every case took the branches it was crafted for
+        for i, name in enumerate(ORDER):
+            n, d, p, q, h, g, scheduled = CRAFTED[name][1]
+            assert (int(got.n[i]), int(got.d[i]), float(got.p[i])) == (n, d, p), name
+            assert got.q[i, :n].tolist() == q, name
+            assert (got.h[i, :n].tolist(), got.g[i, :n].tolist()) == (h, g), name
+            assert got.scheduled[i] == scheduled, name
 
 
 def _valid_batch():
@@ -297,7 +414,7 @@ def test_batch_validation_raises_what_the_object_path_raises(column, i, j, value
 
 
 def test_replay_refuses_what_it_cannot_match():
-    replay = verify._Pcg64Draws(0)
+    replay = Pcg64Draws(0)
     for low, high in ((0, 2**32 + 1), (0, 2**40), (5, 5)):
         with pytest.raises(ValueError):
             replay.integers(low, high)
